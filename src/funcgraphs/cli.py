@@ -67,12 +67,15 @@ def _load_template(path: str) -> Digraph:
 
 
 def _make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
-    if kind == "path":
-        return graphs.gen_path(n)
-    if kind == "forest":
-        return graphs.gen_random_forest(n, seed)
-    if kind == "total":
-        return graphs.gen_random_total(n, seed)
+    try:
+        if kind == "path":
+            return graphs.gen_path(n)
+        if kind == "forest":
+            return graphs.gen_random_forest(n, seed)
+        if kind == "total":
+            return graphs.gen_random_total(n, seed)
+    except ValueError as exc:
+        raise _Malformed(f"cannot generate a {kind} graph: {exc}")
     raise _Malformed(f"unknown graph kind {kind!r}")
 
 
@@ -221,6 +224,9 @@ def _cmd_hom(args) -> int:
             psi: list[int | None] = list(homsolver.solve_loop(g, h))
             horizon = 0
         elif cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
+            if not g.acyclic:
+                raise _Malformed("ergodic solving needs an acyclic graph; "
+                                 "this one is neither acyclic nor total")
             data = homsolver.ergodic_solver_data(h)
             hs = hitting.greedy_hitting(g, data.reach_all)
             psi = homsolver.solve_ergodic(g, h, hs)

@@ -61,8 +61,14 @@ class Digraph:
     def from_json_dict(cls, d: dict) -> "Digraph":
         m = d["m"]
         raw = d["edges"]
+        if type(m) is not int:
+            raise ValueError("m must be an integer")
         seen = set()
         for e in raw:
+            # bool is an int subclass, so compare types exactly
+            if type(e) is not list or len(e) != 2 \
+                    or not set(map(type, e)) <= {int}:
+                raise ValueError(f"edge {e!r} is not a pair of integers")
             t = (e[0], e[1])
             if t in seen:
                 raise ValueError(f"duplicate edge {t}")

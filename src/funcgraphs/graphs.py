@@ -47,6 +47,9 @@ class FunctionalGraph:
     def from_json_dict(cls, d: dict) -> "FunctionalGraph":
         n = d["n"]
         succ = d["succ"]
+        # bool is an int subclass, so compare types exactly
+        if type(n) is not int or not set(map(type, succ)) <= {int}:
+            raise ValueError("n and every successor must be integers")
         if len(succ) != n:
             raise ValueError(f"succ has {len(succ)} entries, expected n={n}")
         return cls([None if s == -1 else s for s in succ])

@@ -12,6 +12,12 @@ This module has three layers:
 * the general decision procedure :func:`decide_hom` for finite total
   functional graphs, plus :func:`retract_to_strong_components` which
   pushes an arbitrary homomorphism into the strong components of H.
+
+Both work on the whole graph at once rather than component by
+component: one BFS outward from all cycle vertices orders the tree
+vertices (:func:`_tree_order`), and each pass is one sweep of that
+order, bottom-up or top-down.  Feasible label sets are Python-int
+bitmasks over the template's vertices.
 """
 
 from __future__ import annotations
@@ -176,96 +182,82 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph,
     return psi
 
 
-def _feasible_sets(g: FunctionalGraph, h: Digraph, comp: list[int],
-                   on_cycle: set[int]) -> dict[int, set[int]] | None:
-    """Bottom-up feasible template vertices for one weak component.
+def _tree_order(g: FunctionalGraph) -> list[int]:
+    """Off-cycle vertices of a total graph, each after its successor.
 
-    feas[x] holds the template vertices v such that the tree hanging
-    strictly above x admits a homomorphism sending x to v.  Returns
-    None as soon as some vertex has no feasible label.
+    One BFS outward from every cycle vertex over the predecessor lists;
+    reversed, the order puts every vertex before its successor.
     """
     preds = g.predecessors()
-    radj = h.radj()
-    depth: dict[int, int] = {}
-    for x in comp:
-        if x in on_cycle:
-            depth[x] = 0
-    frontier = [x for x in comp if x in on_cycle]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for p in preds[x]:
-                if p not in depth:
-                    depth[p] = depth[x] + 1
-                    nxt.append(p)
-        frontier = nxt
-    order = sorted(comp, key=lambda x: -depth[x])
-    feas: dict[int, set[int]] = {}
+    on_cycle = [False] * g.n
+    order = [x for cyc in g.cycles() for x in cyc]
     for x in order:
-        tree_preds = [p for p in preds[x] if p not in on_cycle]
-        allowed = set(range(h.m))
-        for p in tree_preds:
-            allowed &= {v for v in allowed
-                        if feas[p] & set(radj[v])}
-            if not allowed:
-                return None
-        feas[x] = allowed
-    return feas
+        on_cycle[x] = True
+    on_cycles = len(order)
+    for y in order:  # the loop also visits what it appends
+        order.extend(p for p in preds[y] if not on_cycle[p])
+    return order[on_cycles:]
 
 
 def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
     """Find a homomorphism from a total functional graph, or None.
 
-    Each weak component of G is one directed cycle with in-trees.  A
-    bottom-up pass collects the feasible template labels per vertex;
-    the cycle is then labeled by the least workable choice at its least
-    vertex followed by a greedy completable walk, and tree labels
-    propagate outward choosing least in-neighbors.  The output is
+    Each weak component of G is one directed cycle with in-trees, and
+    the whole graph is handled in three passes over one tree order.
+    The bottom-up pass collects the feasible template labels of every
+    vertex as a bitmask over H (no width limit): a tree vertex passes
+    its successor the out-neighbours of its own feasible labels, and an
+    empty set means no homomorphism.  Each cycle, rotated to its least
+    vertex, takes the least workable label there followed by a greedy
+    completable walk.  The top-down pass gives every tree vertex its
+    least feasible label with an edge to its successor's label.  Labels
+    depend only on a vertex's own component, so the output is
     deterministic but not the globally least labeling.
     """
     if not g.is_total:
         raise ValueError("decide_hom expects a total graph")
     if not h.is_sinkless():
         raise GraphShapeError("template has a sink")
-    psi: list[int | None] = [None] * g.n
     adj = h.adj()
-    comps = _weak_components(g)
-    for comp in comps:
-        inset = set(comp)
-        cyc = next(c for c in g.cycles() if set(c) & inset)
-        on_cycle = set(cyc)
-        feas = _feasible_sets(g, h, comp, on_cycle)
-        if feas is None:
+    out_mask = [sum(1 << w for w in ws) for ws in adj]
+    in_mask = [sum(1 << u for u in us) for us in h.radj()]
+    succ = g.succ
+    tree = _tree_order(g)
+    # feas[x]: labels v such that the tree hanging strictly above x
+    # admits a homomorphism sending x to v
+    feas = [(1 << h.m) - 1] * g.n
+    passed: dict[int, int] = {}  # feasible mask -> mask sent to successor
+    for x in reversed(tree):
+        mask = feas[x]
+        out = passed.get(mask)
+        if out is None:
+            out = 0
+            for v in range(h.m):
+                if mask >> v & 1:
+                    out |= out_mask[v]
+            passed[mask] = out
+        y = succ[x]
+        feas[y] &= out
+        if not feas[y]:
             return None
-        # rotate the cycle to start at its least vertex
+    psi: list[int | None] = [None] * g.n
+    for cyc in g.cycles():
         start = cyc.index(min(cyc))
         cyc = cyc[start:] + cyc[:start]
-        c = len(cyc)
-        allowed = [sorted(feas[x]) for x in cyc]
-        labels = None
+        allowed = [[v for v in range(h.m) if feas[x] >> v & 1]
+                   for x in cyc]
         for a in allowed[0]:
             labels = _cycle_labels(adj, allowed, a)
             if labels is not None:
                 break
-        if labels is None:
+        else:
             return None
         for x, v in zip(cyc, labels):
             psi[x] = v
-        # outward tree labels: parents of labeled vertices, nearest first
-        preds = g.predecessors()
-        frontier = list(cyc)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for p in preds[x]:
-                    if p in on_cycle or psi[p] is not None:
-                        continue
-                    target = psi[x]
-                    assert target is not None
-                    pick = min(v for v in feas[p] if (v, target) in h.edges)
-                    psi[p] = pick
-                    nxt.append(p)
-            frontier = nxt
+    for x in tree:
+        fits = feas[x] & in_mask[psi[succ[x]]]
+        assert fits, "feasible labels lost their edge"
+        psi[x] = (fits & -fits).bit_length() - 1
     assert all(v is not None for v in psi)
     return psi  # type: ignore[return-value]
 
@@ -302,26 +294,6 @@ def _cycle_labels(adj: list[list[int]], allowed: list[list[int]],
     return labels
 
 
-def _weak_components(g: FunctionalGraph) -> list[list[int]]:
-    seen = [False] * g.n
-    out = []
-    adjacency = g.adjacency()
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        i = 0
-        while i < len(comp):
-            for w in adjacency[comp[i]]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-            i += 1
-        out.append(sorted(comp))
-    return out
-
-
 def retract_to_strong_components(
         g: FunctionalGraph, psi: list[int],
         h: Digraph) -> tuple[list[int], Partition]:
@@ -341,42 +313,25 @@ def retract_to_strong_components(
     scc = h.scc()
     radj = h.radj()
     n = g.n
+    cls = [scc.class_id(v) for v in psi]
     # tail_k[x]: least k such that all images from f^k(x) on lie in the
     # target component; land[x] = f^{tail_k}(x)
     tail_k = [0] * n
     land = list(range(n))
     target = [0] * n  # scc class id per G-vertex
-    comps = _weak_components(g)
-    preds = g.predecessors()
-    for comp in comps:
-        inset = set(comp)
-        cyc = next(c for c in g.cycles() if set(c) & inset)
-        cls = {scc.class_id(psi[x]) for x in cyc}
-        assert len(cls) == 1, "cycle image spans several components"
-        a_id = cls.pop()
-        for x in comp:
-            target[x] = a_id
-        in_a = {x: scc.class_id(psi[x]) == a_id for x in comp}
+    for cyc in g.cycles():
+        assert len({cls[x] for x in cyc}) == 1, \
+            "cycle image spans several components"
         for x in cyc:
-            assert in_a[x]
-            tail_k[x] = 0
-            land[x] = x
-        cycset = set(cyc)
-        frontier = list(cyc)
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for x in preds[y]:
-                    if x in cycset:
-                        continue
-                    if in_a[x] and tail_k[y] == 0:
-                        tail_k[x] = 0
-                        land[x] = x
-                    else:
-                        tail_k[x] = tail_k[y] + 1
-                        land[x] = land[y]
-                    nxt.append(x)
-            frontier = nxt
+            target[x] = cls[x]
+    succ = g.succ
+    for x in _tree_order(g):
+        y = succ[x]
+        target[x] = target[y]
+        if cls[x] == target[x] and tail_k[y] == 0:
+            continue
+        tail_k[x] = tail_k[y] + 1
+        land[x] = land[y]
     # backward chains inside each strong component: chain[v][k] is the
     # least in-neighbor walk of length k ending at v
     chain: dict[int, list[int]] = {}

@@ -223,6 +223,169 @@ def brute_force_hom(succ: list[int | None], m: int,
     return list(psi) if rec(0) else None
 
 
+# ---- per-component homomorphism decision and retraction ----
+#
+# The original component-by-component implementations of
+# ``homsolver.decide_hom`` and ``homsolver.retract_to_strong_components``,
+# kept as the reference for the whole-graph versions.  They share the
+# cycle labelling ``homsolver._cycle_labels`` with the library.
+
+def weak_components(g) -> list[list[int]]:
+    seen = [False] * g.n
+    out = []
+    adjacency = g.adjacency()
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        i = 0
+        while i < len(comp):
+            for w in adjacency[comp[i]]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+            i += 1
+        out.append(sorted(comp))
+    return out
+
+
+def feasible_sets(g, h, comp: list[int],
+                  on_cycle: set[int]) -> dict[int, set[int]] | None:
+    """Bottom-up feasible template vertices for one weak component.
+
+    feas[x] holds the template vertices v such that the tree hanging
+    strictly above x admits a homomorphism sending x to v.  Returns
+    None as soon as some vertex has no feasible label.
+    """
+    preds = g.predecessors()
+    radj = h.radj()
+    depth: dict[int, int] = {}
+    for x in comp:
+        if x in on_cycle:
+            depth[x] = 0
+    frontier = [x for x in comp if x in on_cycle]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in preds[x]:
+                if p not in depth:
+                    depth[p] = depth[x] + 1
+                    nxt.append(p)
+        frontier = nxt
+    order = sorted(comp, key=lambda x: -depth[x])
+    feas: dict[int, set[int]] = {}
+    for x in order:
+        tree_preds = [p for p in preds[x] if p not in on_cycle]
+        allowed = set(range(h.m))
+        for p in tree_preds:
+            allowed &= {v for v in allowed
+                        if feas[p] & set(radj[v])}
+            if not allowed:
+                return None
+        feas[x] = allowed
+    return feas
+
+
+def decide_hom_by_components(g, h) -> list[int] | None:
+    """Per-component ``decide_hom``: feasible sets, cycle, then trees."""
+    from funcgraphs.homsolver import _cycle_labels
+
+    assert g.is_total and h.is_sinkless()
+    psi: list[int | None] = [None] * g.n
+    adj = h.adj()
+    for comp in weak_components(g):
+        inset = set(comp)
+        cyc = next(c for c in g.cycles() if set(c) & inset)
+        on_cycle = set(cyc)
+        feas = feasible_sets(g, h, comp, on_cycle)
+        if feas is None:
+            return None
+        # rotate the cycle to start at its least vertex
+        start = cyc.index(min(cyc))
+        cyc = cyc[start:] + cyc[:start]
+        allowed = [sorted(feas[x]) for x in cyc]
+        labels = None
+        for a in allowed[0]:
+            labels = _cycle_labels(adj, allowed, a)
+            if labels is not None:
+                break
+        if labels is None:
+            return None
+        for x, v in zip(cyc, labels):
+            psi[x] = v
+        # outward tree labels: parents of labeled vertices, nearest first
+        preds = g.predecessors()
+        frontier = list(cyc)
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for p in preds[x]:
+                    if p in on_cycle or psi[p] is not None:
+                        continue
+                    target = psi[x]
+                    assert target is not None
+                    pick = min(v for v in feas[p] if (v, target) in h.edges)
+                    psi[p] = pick
+                    nxt.append(p)
+            frontier = nxt
+    assert all(v is not None for v in psi)
+    return psi  # type: ignore[return-value]
+
+
+def retract_by_components(g, psi: list[int], h):
+    """Per-component ``retract_to_strong_components``."""
+    from funcgraphs.partition import Partition
+
+    scc = h.scc()
+    radj = h.radj()
+    n = g.n
+    tail_k = [0] * n
+    land = list(range(n))
+    target = [0] * n
+    preds = g.predecessors()
+    for comp in weak_components(g):
+        inset = set(comp)
+        cyc = next(c for c in g.cycles() if set(c) & inset)
+        cls = {scc.class_id(psi[x]) for x in cyc}
+        assert len(cls) == 1, "cycle image spans several components"
+        a_id = cls.pop()
+        for x in comp:
+            target[x] = a_id
+        in_a = {x: scc.class_id(psi[x]) == a_id for x in comp}
+        cycset = set(cyc)
+        frontier = list(cyc)
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for x in preds[y]:
+                    if x in cycset:
+                        continue
+                    if in_a[x] and tail_k[y] == 0:
+                        tail_k[x] = 0
+                        land[x] = x
+                    else:
+                        tail_k[x] = tail_k[y] + 1
+                        land[x] = land[y]
+                    nxt.append(x)
+            frontier = nxt
+    chain: dict[int, list[int]] = {}
+
+    def back(v: int, k: int) -> int:
+        steps = chain.setdefault(v, [v])
+        while len(steps) <= k:
+            cid = scc.class_id(v)
+            steps.append(min(u for u in radj[steps[-1]]
+                             if scc.class_id(u) == cid))
+        return steps[k]
+
+    psi2 = [back(psi[land[x]], tail_k[x]) for x in range(n)]
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(target[x], []).append(x)
+    return psi2, Partition.from_classes(groups.values())
+
+
 # ---- unlabeled loopless digraph census ----
 
 def canonical_digraph(m: int, edges: frozenset[tuple[int, int]]) -> frozenset:

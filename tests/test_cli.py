@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import funcgraphs
 from funcgraphs.cli import main
 
 
@@ -214,3 +218,72 @@ def test_reports_are_byte_identical(capsys):
     main(["hit", "--kind", "forest", "--n", "150", "--seed", "8"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def assert_one_line_error(code, report, err):
+    assert code == 2 and report is None
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "succ": [True, -1]},
+    {"n": 2, "succ": [1.5, -1]},
+    {"n": 2, "succ": ["1", -1]},
+    {"n": 2.0, "succ": [1, -1]},
+    {"n": True, "succ": [-1]},
+])
+def test_hom_rejects_mistyped_graph_json(tmp_path, capsys, doc):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps(doc))
+    template = write_template(tmp_path, "loop.json", 1, [(0, 0)])
+    assert_one_line_error(*run(capsys, "hom", "--template", template,
+                               "--graph", str(graph)))
+
+
+@pytest.mark.parametrize("doc", [
+    {"m": 2, "edges": [[0, True], [1, 0]]},
+    {"m": 2, "edges": [[0, 1.0], [1, 0]]},
+    {"m": 2, "edges": [[0, 1, 1], [1, 0]]},
+    {"m": 2, "edges": [[0, 1], 1]},
+    {"m": True, "edges": [[0, 0]]},
+])
+def test_hom_rejects_mistyped_template_json(tmp_path, capsys, doc):
+    template = tmp_path / "h.json"
+    template.write_text(json.dumps(doc))
+    assert_one_line_error(*run(capsys, "hom", "--template", str(template),
+                               "--kind", "total", "--n", "5"))
+
+
+def test_hom_on_cyclic_partial_graph_is_a_usage_error(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": 3, "succ": [1, 0, -1]}))
+    assert_one_line_error(*run(capsys, "hom",
+                               "--template", two_three_path(tmp_path),
+                               "--graph", str(graph)))
+    # a loop template still labels any graph
+    loop = write_template(tmp_path, "loop.json", 1, [(0, 0)])
+    code, report, _ = run(capsys, "hom", "--template", loop,
+                          "--graph", str(graph))
+    assert code == 0 and report["labels"] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "total", "--n", "0"],
+    ["hit", "--n", "0"],
+    ["asdim", "--kind", "path", "--n", "-1"],
+    ["hom", "--kind", "total", "--n", "0"],
+])
+def test_generator_rejects_empty_graphs(tmp_path, capsys, argv):
+    if argv[0] == "hom":
+        argv = [*argv, "--template", two_three_path(tmp_path)]
+    assert_one_line_error(*run(capsys, *argv))
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(funcgraphs.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "funcgraphs", "gen", "--kind", "path",
+         "--n", "3"], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"n": 3, "succ": [1, 2, -1]}

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from funcgraphs.digraphs import Digraph, GraphShapeError
@@ -11,7 +11,7 @@ from funcgraphs.hitting import HittingSet, greedy_hitting, periodic_hitting
 from funcgraphs.homsolver import (
     decide_hom, ergodic_solver_data, hom_violations,
     retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
-from strategies import total_graphs
+from strategies import digraph_templates, total_graphs
 
 
 def two_three_cycles():
@@ -186,3 +186,61 @@ def test_retraction_on_random_instances():
         for cls in parts.classes():
             labels = {psi2[x] for x in cls}
             assert labels <= {0, 1}
+
+
+@st.composite
+def many_component_maps(draw):
+    """Disjoint unions of random maps and one cycle of length up to 40
+    (length 1 is a self-loop), with the vertex ids shuffled so that
+    components interleave."""
+    parts = draw(st.lists(total_graphs(max_n=8), min_size=1, max_size=8))
+    cycle = draw(st.integers(1, 40))
+    succ: list[int] = [(i + 1) % cycle for i in range(cycle)]
+    for part in parts:
+        base = len(succ)
+        succ += [base + s for s in part.succ]
+    perm = draw(st.permutations(range(len(succ))))
+    shuffled = [0] * len(succ)
+    for x, y in enumerate(succ):
+        shuffled[perm[x]] = perm[y]
+    return FunctionalGraph(shuffled)
+
+
+def check_against_components_oracle(g, h):
+    psi = decide_hom(g, h)
+    assert psi == oracles.decide_hom_by_components(g, h)
+    if psi is None:
+        return
+    psi2, parts = retract_to_strong_components(g, psi, h)
+    want, want_parts = oracles.retract_by_components(g, psi, h)
+    assert psi2 == want
+    assert parts.classes() == want_parts.classes()
+
+
+@settings(max_examples=300)
+@given(many_component_maps(), digraph_templates(max_m=5, sinkless=True))
+@example(FunctionalGraph([1, 2, 0, 4, 3]), Digraph(2, [(0, 1), (1, 0)]))
+@example(FunctionalGraph([0, 0, 1, 1]), Digraph(2, [(0, 1), (1, 0)]))
+def test_decide_and_retract_match_component_oracle(g, h):
+    check_against_components_oracle(g, h)
+
+
+def test_decide_matches_component_oracle_on_wide_templates():
+    # a directed 70-cycle with one chord needs bitmasks wider than 64
+    h = Digraph(70, [(i, (i + 1) % 70) for i in range(70)] + [(69, 5)])
+    rng = random.Random(3)
+    for length in (65, 70, 130, 140, 71):
+        succ = [(i + 1) % length for i in range(length)]
+        succ += [rng.randrange(len(succ) + i) for i in range(300)]
+        check_against_components_oracle(FunctionalGraph(succ), h)
+
+
+def test_many_disjoint_two_cycles():
+    count = 20_000
+    g = FunctionalGraph([x ^ 1 for x in range(2 * count)])
+    h = Digraph(3, [(0, 1), (1, 0), (2, 0), (2, 2)])
+    psi = decide_hom(g, h)
+    assert psi is not None and verify_hom(g, psi, h)
+    psi2, parts = retract_to_strong_components(g, psi, h)
+    assert verify_hom(g, psi2, h)
+    assert parts.num_classes == 1
