@@ -148,15 +148,13 @@ def distance_parity_coloring(g: FunctionalGraph,
         raise ValueError(
             f"member set is not {params.spacing}-forward-independent")
     n = g.n
-    iters = g.forward_iterates()
-    order = sorted(range(n), key=lambda x: (iters[x], x))
     s = params.stripe
     half = params.half
     idx_of = params.interval_index()
     dist: list[int | None] = [None] * n
     landing: list[int | None] = [None] * n
     bit: list[int | None] = [None] * n
-    for x in order:
+    for x in g.tree_order():
         nxt = g.succ[x]
         if nxt is None:
             continue
@@ -192,10 +190,8 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]
     """
     n = g.n
     bit = coloring.bit
-    iters = g.forward_iterates()
-    order = sorted(range(n), key=lambda x: (iters[x], x))
     flip: list[int | None] = [None] * n
-    for x in order:
+    for x in g.tree_order():
         if bit[x] is None:
             continue
         nxt = g.succ[x]
@@ -206,12 +202,6 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]
         elif flip[nxt] is not None:
             flip[x] = flip[nxt] + 1
     return flip
-
-
-def flip_vertices(g: FunctionalGraph, flip: list[int | None]) -> list[int | None]:
-    """The vertex f^flip(x), where the color first changes."""
-    return [g.iterate(x, j) if j is not None else None
-            for x, j in enumerate(flip)]
 
 
 def anchors(g: FunctionalGraph, params: WitnessParams,

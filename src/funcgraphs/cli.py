@@ -4,7 +4,9 @@ Every subcommand prints a machine-readable JSON report to stdout (keys
 sorted, no timestamps, so identical inputs and seeds give byte-identical
 output) and a one-line human summary to stderr.  Exit codes: 0 when the
 check passes or the object exists, 1 when it fails or is absent, 2 on
-usage errors or malformed input files.
+usage errors, malformed input files or out-of-domain input (a cyclic
+graph where an acyclic one is needed, a zero spacing, ...), reported as
+one ``error:`` line.
 
 The default seed comes from the FUNCGRAPHS_SEED environment variable
 and is echoed in every report that uses randomness.
@@ -18,7 +20,7 @@ import os
 import sys
 
 from . import asdim, digraphs, graphs, hitting, homsolver, local_sim, shift
-from .digraphs import Digraph, GraphShapeError
+from .digraphs import Digraph
 from .graphs import FunctionalGraph
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -135,10 +137,7 @@ def _cmd_drhom(args) -> int:
         if not isinstance(labels, list):
             raise _Malformed(f"{args.labels}: expected a 'labels' array")
         labels = [None if v is None else int(v) for v in labels]
-        try:
-            hs = hitting.hitting_from_labeling(g, labels, args.spacing)
-        except ValueError as exc:
-            raise _Malformed(str(exc))
+        hs = hitting.hitting_from_labeling(g, labels, args.spacing)
         _emit({**src, "spacing": args.spacing,
                "members": hs.sorted_members(), "ok": True},
               f"labeling converts to a {hs.spacing}-independent hitting set "
@@ -172,10 +171,7 @@ def _cmd_asdim(args) -> int:
 
 def _cmd_classify(args) -> int:
     h = _load_template(args.template)
-    try:
-        cls = digraphs.classify(h)
-    except GraphShapeError as exc:
-        raise _Malformed(str(exc))
+    cls = digraphs.classify(h)
     report = {"source": args.template, "m": h.m, "class": cls.value}
     if cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
         w = h.is_ergodic()
@@ -190,10 +186,7 @@ def _cmd_classify(args) -> int:
 def _cmd_power(args) -> int:
     h = _load_template(args.template)
     walk = args.walk if args.walk else "f" * args.p
-    try:
-        powered = digraphs.power_walk(h, walk)
-    except ValueError as exc:
-        raise _Malformed(str(exc))
+    powered = digraphs.power_walk(h, walk)
     doc = powered.to_json_dict()
     if args.out:
         with open(args.out, "w") as fh:
@@ -210,32 +203,29 @@ def _cmd_power(args) -> int:
 def _cmd_hom(args) -> int:
     h = _load_template(args.template)
     g, src = _graph_from_args(args)
-    try:
-        if g.is_total:
-            psi = homsolver.decide_hom(g, h)
-            present = psi is not None
-            report = {**src, "mode": "decide", "present": present,
-                      "labels": psi}
-            _emit(report, "homomorphism present" if present
-                  else "no homomorphism")
-            return PASS if present else FAIL
-        cls = digraphs.classify(h)
-        if cls is digraphs.TemplateClass.LOOP:
-            psi: list[int | None] = list(homsolver.solve_loop(g, h))
-            horizon = 0
-        elif cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
-            if not g.acyclic:
-                raise _Malformed("ergodic solving needs an acyclic graph; "
-                                 "this one is neither acyclic nor total")
-            data = homsolver.ergodic_solver_data(h)
-            hs = hitting.greedy_hitting(g, data.reach_all)
-            psi = homsolver.solve_ergodic(g, h, hs)
-            horizon = 2 * (data.reach_all + 1) + data.reach_all + 2
-        else:
-            raise _Malformed(
-                "acyclic solving supports loop or ergodic templates only")
-    except GraphShapeError as exc:
-        raise _Malformed(str(exc))
+    if g.is_total:
+        psi = homsolver.decide_hom(g, h)
+        present = psi is not None
+        report = {**src, "mode": "decide", "present": present,
+                  "labels": psi}
+        _emit(report, "homomorphism present" if present
+              else "no homomorphism")
+        return PASS if present else FAIL
+    cls = digraphs.classify(h)
+    if cls is digraphs.TemplateClass.LOOP:
+        psi: list[int | None] = list(homsolver.solve_loop(g, h))
+        horizon = 0
+    elif cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
+        if not g.acyclic:
+            raise _Malformed("ergodic solving needs an acyclic graph; "
+                             "this one is neither acyclic nor total")
+        data = homsolver.ergodic_solver_data(h)
+        hs = hitting.greedy_hitting(g, data.reach_all)
+        psi = homsolver.solve_ergodic(g, h, hs)
+        horizon = 2 * (data.reach_all + 1) + data.reach_all + 2
+    else:
+        raise _Malformed(
+            "acyclic solving supports loop or ergodic templates only")
     bad = homsolver.hom_violations(g, psi, h)
     interior = set(g.interior(horizon))
     bad_interior = [e for e in bad if e[0] in interior]
@@ -275,10 +265,7 @@ def _cmd_local(args) -> int:
                                       segments=args.segments)
     if args.template is not None:
         h = _load_template(args.template)
-        try:
-            alg = local_sim.TemplateSolverAlgorithm(h)
-        except GraphShapeError as exc:
-            raise _Malformed(str(exc))
+        alg = local_sim.TemplateSolverAlgorithm(h)
         trace = local_sim.run_local(alg, net, engine=args.engine,
                                     round_cap=args.cap)
         g = net.to_graph()
@@ -386,10 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Malformed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except local_sim.RoundLimitError as exc:
+    except (_Malformed, ValueError, local_sim.RoundLimitError) as exc:
+        # the library raises ValueError (GraphShapeError included) only
+        # to reject out-of-domain input
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

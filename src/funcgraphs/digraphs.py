@@ -114,9 +114,6 @@ class Digraph:
     def is_sinkless(self) -> bool:
         return all(self.adj()[v] for v in range(self.m))
 
-    def is_sourceless(self) -> bool:
-        return all(self.radj()[v] for v in range(self.m))
-
     def induced(self, vertices: Sequence[int]) -> tuple["Digraph", list[int]]:
         """Induced subgraph; returns it with the old labels of its vertices."""
         keep = sorted(set(vertices))

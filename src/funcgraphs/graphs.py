@@ -9,6 +9,13 @@ closes directed cycles.
 Distances are measured in the undirected version of the graph (follow
 edges either way).  Forward iteration ``x, f(x), f(f(x)), ...`` stops at
 sinks and may wrap around cycles.
+
+Values defined along forward orbits (iterate counts, hitting flags,
+countdown labels, colorings, homomorphism labels) are folds in which
+the value at x comes from the value at f(x).  They all run over one
+cached order, :meth:`FunctionalGraph.tree_order`, which lists every
+vertex off the cycles after its successor; the cycles themselves come
+from :meth:`FunctionalGraph.cycles`.
 """
 
 from __future__ import annotations
@@ -25,8 +32,9 @@ class FunctionalGraph:
     """Immutable-by-convention functional graph.
 
     ``succ[i]`` is the successor of vertex ``i`` or ``None`` for a sink.
-    Derived structure (adjacency, forward-iterate counts, cycles) is
-    computed lazily and cached; do not mutate ``succ`` after construction.
+    Derived structure (adjacency, the tree order, forward-iterate
+    counts, cycles) is computed lazily and cached; do not mutate
+    ``succ`` after construction.
     """
 
     def __init__(self, succ: Sequence[int | None]):
@@ -39,6 +47,7 @@ class FunctionalGraph:
         self._adj: list[list[int]] | None = None
         self._preds: list[list[int]] | None = None
         self._iters: list[int] | None = None
+        self._tree: list[int] | None = None
         self._cycles: list[list[int]] | None = None
 
     # ---- construction ----
@@ -124,65 +133,65 @@ class FunctionalGraph:
             x = nxt
         return out
 
+    def tree_order(self) -> list[int]:
+        """Every vertex off the directed cycles, each after its successor.
+
+        Folds that compute a vertex's value from its successor's run
+        over this order.  It comes from one in-degree peel (Kahn 1962):
+        vertices nobody points to leave first, and whatever never leaves
+        lies on a cycle.  The same pass fills :meth:`cycles`.
+        """
+        if self._tree is not None:
+            return self._tree
+        succ = self.succ
+        indeg = [0] * self.n
+        for s in succ:
+            if s is not None:
+                indeg[s] += 1
+        order = [x for x, k in enumerate(indeg) if k == 0]
+        for x in order:  # the loop also visits what it appends
+            s = succ[x]
+            if s is not None:
+                indeg[s] -= 1
+                if not indeg[s]:
+                    order.append(s)
+        cycles: list[list[int]] = []
+        for x, k in enumerate(indeg):
+            if k:  # x is the least vertex of a cycle not yet collected
+                cyc = []
+                while indeg[x]:
+                    indeg[x] = 0
+                    cyc.append(x)
+                    x = succ[x]
+                cycles.append(cyc)
+        order.reverse()
+        self._tree = order
+        self._cycles = cycles
+        return order
+
     def forward_iterates(self) -> list[int]:
         """Per-vertex count of defined forward iterates.
 
         ``UNBOUNDED`` marks vertices whose orbit reaches a directed cycle.
         """
-        if self._iters is not None:
-            return self._iters
-        n = self.n
-        iters = [0] * n
-        state = [0] * n  # 0 unvisited, 1 on current walk, 2 resolved
-        cycles: list[list[int]] = []
-        pos: dict[int, int] = {}
-        for start in range(n):
-            if state[start] != 0:
-                continue
-            path: list[int] = []
-            pos.clear()
-            x = start
-            while True:
-                state[x] = 1
-                pos[x] = len(path)
-                path.append(x)
-                nxt = self.succ[x]
-                if nxt is None:
+        if self._iters is None:
+            iters = [UNBOUNDED] * self.n
+            for x in self.tree_order():
+                s = self.succ[x]
+                if s is None:
                     iters[x] = 0
-                    state[x] = 2
-                    base = 0
-                    cut = len(path) - 1
-                    break
-                if state[nxt] == 1:
-                    # closed a new cycle: path[pos[nxt]:] is the cycle
-                    cyc = path[pos[nxt]:]
-                    cycles.append(cyc)
-                    for v in cyc:
-                        iters[v] = UNBOUNDED
-                        state[v] = 2
-                    base = UNBOUNDED
-                    cut = pos[nxt]
-                    break
-                if state[nxt] == 2:
-                    base = iters[nxt]
-                    cut = len(path)
-                    break
-                x = nxt
-            for i in range(cut - 1, -1, -1):
-                v = path[i]
-                if base == UNBOUNDED:
-                    iters[v] = UNBOUNDED
-                else:
-                    base += 1
-                    iters[v] = base
-                state[v] = 2
-        self._iters = iters
-        self._cycles = cycles
-        return iters
+                elif iters[s] != UNBOUNDED:
+                    iters[x] = iters[s] + 1
+            self._iters = iters
+        return self._iters
 
     def cycles(self) -> list[list[int]]:
-        """Vertex lists of all directed cycles, in discovery order."""
-        self.forward_iterates()
+        """Vertex lists of all directed cycles, in successor order.
+
+        Each cycle starts at its least vertex, and the cycles are sorted
+        by that vertex.
+        """
+        self.tree_order()
         assert self._cycles is not None
         return self._cycles
 
@@ -341,13 +350,14 @@ def class_diameters(g: FunctionalGraph, classes: Partition) -> list[int]:
             frontier = nxt
         return best, best_d
 
+    acyclic = g.acyclic
     out: list[int] = []
     for cls in classes:
         targets = set(cls)
         if len(targets) == 1:
             out.append(0)
             continue
-        if g.acyclic:
+        if acyclic:
             far, _ = sweep(cls[0], targets)
             _, diam = sweep(far, targets)
             out.append(diam)

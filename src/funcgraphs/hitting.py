@@ -54,45 +54,14 @@ def is_forward_independent(g: FunctionalGraph, members: set[int] | frozenset[int
 
 def _hits_forward(g: FunctionalGraph, members: set[int] | frozenset[int]) -> list[bool]:
     """hits[x]: some strictly positive forward iterate of x is a member."""
-    n = g.n
-    hits = [False] * n
-    state = [0] * n  # 0 new, 1 on walk, 2 done
-    pos: dict[int, int] = {}
-    for start in range(n):
-        if state[start] != 0:
-            continue
-        path: list[int] = []
-        pos.clear()
-        x = start
-        while True:
-            state[x] = 1
-            pos[x] = len(path)
-            path.append(x)
-            nxt = g.succ[x]
-            if nxt is None:
-                val = False
-                cut = len(path)
-                break
-            if state[nxt] == 1:
-                cyc = path[pos[nxt]:]
-                val = any(v in members for v in cyc)
-                for v in cyc:
-                    hits[v] = val
-                    state[v] = 2
-                cut = pos[nxt]
-                if cut > 0:
-                    val = val or (path[cut] in members)
-                break
-            if state[nxt] == 2:
-                val = hits[nxt] or (nxt in members)
-                cut = len(path)
-                break
-            x = nxt
-        for i in range(cut - 1, -1, -1):
-            v = path[i]
-            hits[v] = val
-            state[v] = 2
-            val = val or (v in members)
+    hits = [False] * g.n
+    for cyc in g.cycles():
+        on_cycle = any(v in members for v in cyc)
+        for v in cyc:
+            hits[v] = on_cycle
+    for x in g.tree_order():
+        s = g.succ[x]
+        hits[x] = s is not None and (hits[s] or s in members)
     return hits
 
 
@@ -106,10 +75,11 @@ def is_hitting(g: FunctionalGraph, members: set[int] | frozenset[int],
 def greedy_hitting(g: FunctionalGraph, spacing: int) -> HittingSet:
     """Deepest-last greedy construction on an acyclic graph.
 
-    Vertices are processed sinks first; a vertex joins whenever no
-    member sits within ``spacing`` forward steps (in particular every
-    sink joins).  The result is spacing-forward-independent and hits the
-    interior at horizon spacing + 1.  Consecutive members along any
+    Vertices are processed in tree order, each after its successor; a
+    vertex joins whenever no member sits within ``spacing`` forward
+    steps (in particular every sink joins).  The result is
+    spacing-forward-independent and hits the interior at horizon
+    spacing + 1.  Consecutive members along any
     orbit end up exactly spacing + 1 steps apart: no member can sit
     strictly between a member and the next one ahead of it, so the
     forward distance recorded when a vertex joins is spacing + 1 on the
@@ -119,13 +89,11 @@ def greedy_hitting(g: FunctionalGraph, spacing: int) -> HittingSet:
         raise ValueError("spacing must be >= 1")
     if not g.acyclic:
         raise ValueError("greedy construction requires an acyclic graph")
-    iters = g.forward_iterates()
-    order = sorted(range(g.n), key=lambda x: (iters[x], x))
     members: set[int] = set()
     # nearest[x]: distance from x to closest member at >= 0 steps, once
     # x has been processed
     nearest = [0] * g.n
-    for x in order:
+    for x in g.tree_order():
         s = g.succ[x]
         strict = None if s is None else nearest[s] + 1
         if strict is None or strict > spacing:
@@ -157,54 +125,26 @@ def periodic_hitting(g: FunctionalGraph, period: int) -> HittingSet:
 
 def labeling_from_hitting(g: FunctionalGraph,
                           members: set[int] | frozenset[int]) -> list[int | None]:
-    """Least k >= 0 with f^k(x) a member, per vertex (None if never)."""
-    n = g.n
-    labels: list[int | None] = [None] * n
-    state = [0] * n
-    pos: dict[int, int] = {}
-    for start in range(n):
-        if state[start] != 0:
-            continue
-        path: list[int] = []
-        pos.clear()
-        x = start
-        while True:
-            state[x] = 1
-            pos[x] = len(path)
-            path.append(x)
-            nxt = g.succ[x]
-            if nxt is None:
-                val: int | None = None
-                cut = len(path)
-                break
-            if state[nxt] == 1:
-                cyc = path[pos[nxt]:]
-                c = len(cyc)
-                mem_at = [i for i, v in enumerate(cyc) if v in members]
-                for i, v in enumerate(cyc):
-                    if not mem_at:
-                        labels[v] = None
-                    else:
-                        labels[v] = min((j - i) % c for j in mem_at)
-                    state[v] = 2
-                cut = pos[nxt]
-                val = labels[path[cut]] if cut < len(path) else None
-                break
-            if state[nxt] == 2:
-                val = labels[nxt]
-                cut = len(path)
-                break
-            x = nxt
-        for i in range(cut - 1, -1, -1):
-            v = path[i]
+    """Least k >= 0 with f^k(x) a member, per vertex (None if never).
+
+    Walking a cycle backwards twice gives every cycle vertex the nearest
+    member ahead of it; tree vertices then fold over the tree order.
+    """
+    labels: list[int | None] = [None] * g.n
+    for cyc in g.cycles():
+        ahead: int | None = None
+        for v in reversed(cyc + cyc):
             if v in members:
-                labels[v] = 0
-            elif val is not None:
-                labels[v] = val + 1
-            else:
-                labels[v] = None
-            state[v] = 2
-            val = labels[v]
+                ahead = 0
+            elif ahead is not None:
+                ahead += 1
+            labels[v] = ahead
+    for x in g.tree_order():
+        s = g.succ[x]
+        if x in members:
+            labels[x] = 0
+        elif s is not None and labels[s] is not None:
+            labels[x] = labels[s] + 1
     return labels
 
 

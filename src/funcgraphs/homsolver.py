@@ -14,9 +14,9 @@ This module has three layers:
   pushes an arbitrary homomorphism into the strong components of H.
 
 Both work on the whole graph at once rather than component by
-component: one BFS outward from all cycle vertices orders the tree
-vertices (:func:`_tree_order`), and each pass is one sweep of that
-order, bottom-up or top-down.  Feasible label sets are Python-int
+component: each pass is one sweep of the graph's tree order
+(:meth:`FunctionalGraph.tree_order`, every off-cycle vertex after its
+successor), bottom-up or top-down.  Feasible label sets are Python-int
 bitmasks over the template's vertices.
 """
 
@@ -148,8 +148,7 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph,
                     window[y] = (z, j)
                     nxt.append(y)
             frontier = nxt
-    iters = g.forward_iterates()
-    order = sorted(range(n), key=lambda x: (iters[x], x))
+    order = g.tree_order()
     # steps from each non-window vertex to its first window vertex
     to_window: list[int | None] = [None] * n
     for x in order:
@@ -182,23 +181,6 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph,
     return psi
 
 
-def _tree_order(g: FunctionalGraph) -> list[int]:
-    """Off-cycle vertices of a total graph, each after its successor.
-
-    One BFS outward from every cycle vertex over the predecessor lists;
-    reversed, the order puts every vertex before its successor.
-    """
-    preds = g.predecessors()
-    on_cycle = [False] * g.n
-    order = [x for cyc in g.cycles() for x in cyc]
-    for x in order:
-        on_cycle[x] = True
-    on_cycles = len(order)
-    for y in order:  # the loop also visits what it appends
-        order.extend(p for p in preds[y] if not on_cycle[p])
-    return order[on_cycles:]
-
-
 def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
     """Find a homomorphism from a total functional graph, or None.
 
@@ -207,8 +189,8 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
     The bottom-up pass collects the feasible template labels of every
     vertex as a bitmask over H (no width limit): a tree vertex passes
     its successor the out-neighbours of its own feasible labels, and an
-    empty set means no homomorphism.  Each cycle, rotated to its least
-    vertex, takes the least workable label there followed by a greedy
+    empty set means no homomorphism.  Each cycle, which starts at its
+    least vertex, takes the least workable label there followed by a greedy
     completable walk.  The top-down pass gives every tree vertex its
     least feasible label with an edge to its successor's label.  Labels
     depend only on a vertex's own component, so the output is
@@ -222,7 +204,7 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
     out_mask = [sum(1 << w for w in ws) for ws in adj]
     in_mask = [sum(1 << u for u in us) for us in h.radj()]
     succ = g.succ
-    tree = _tree_order(g)
+    tree = g.tree_order()
     # feas[x]: labels v such that the tree hanging strictly above x
     # admits a homomorphism sending x to v
     feas = [(1 << h.m) - 1] * g.n
@@ -242,8 +224,6 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
             return None
     psi: list[int | None] = [None] * g.n
     for cyc in g.cycles():
-        start = cyc.index(min(cyc))
-        cyc = cyc[start:] + cyc[:start]
         allowed = [[v for v in range(h.m) if feas[x] >> v & 1]
                    for x in cyc]
         for a in allowed[0]:
@@ -325,7 +305,7 @@ def retract_to_strong_components(
         for x in cyc:
             target[x] = cls[x]
     succ = g.succ
-    for x in _tree_order(g):
+    for x in g.tree_order():
         y = succ[x]
         target[x] = target[y]
         if cls[x] == target[x] and tail_k[y] == 0:

@@ -287,3 +287,20 @@ def test_module_entry_point():
          "--n", "3"], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
     assert json.loads(done.stdout) == {"n": 3, "succ": [1, 2, -1]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["hit", "--graph", "cyclic.json"],
+    ["drhom", "--graph", "cyclic.json"],
+    ["asdim", "--graph", "cyclic.json"],
+    ["hit", "--kind", "path", "--n", "10", "-r", "0"],
+    ["drhom", "--kind", "path", "--n", "10", "-r", "0"],
+    ["asdim", "--kind", "path", "--n", "10", "--t", "0"],
+    ["shift", "--length", "0"],
+    ["local", "-r", "1", "--n", "5", "--segments", "9"],
+])
+def test_out_of_domain_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                               argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cyclic.json").write_text(json.dumps({"n": 2, "succ": [1, 0]}))
+    assert_one_line_error(*run(capsys, *argv))

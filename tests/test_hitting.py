@@ -8,7 +8,7 @@ from funcgraphs.hitting import (
     hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
     is_hitting, labeling_from_hitting, periodic_hitting)
 from funcgraphs.partition import Partition
-from strategies import forest_graphs
+from strategies import forest_graphs, partial_graphs
 
 
 def test_independence_fails_inside_short_cycle():
@@ -98,6 +98,35 @@ def test_labels_match_least_hit_oracle(g):
         else:
             want = oracles.naive_least_hit(succ, x, set(hs.members), g.n)
             assert labels[x] == want
+
+
+@settings(max_examples=150)
+@given(partial_graphs(), st.data())
+def test_orbit_folds_on_graphs_with_cycles(g, data):
+    n = g.n
+    succ = list(g.succ)
+    order = g.tree_order()
+    cycles = g.cycles()
+    # tree order: each off-cycle vertex exactly once, after its successor
+    on_cycle = {x for cyc in cycles for x in cyc}
+    assert sorted(order) == sorted(set(range(n)) - on_cycle)
+    where = {x: i for i, x in enumerate(order)}
+    for x in order:
+        if succ[x] is not None and succ[x] not in on_cycle:
+            assert where[succ[x]] < where[x]
+    # cycles: in successor order, each from its least vertex, sorted
+    assert [cyc[0] for cyc in cycles] == sorted(min(cyc) for cyc in cycles)
+    for cyc in cycles:
+        assert [succ[x] for x in cyc] == cyc[1:] + cyc[:1]
+    members = data.draw(st.sets(st.integers(0, n - 1)))
+    labels = labeling_from_hitting(g, members)
+    least_hit = [oracles.naive_least_hit(succ, x, members, n)
+                 for x in range(n)]
+    for x in range(n):
+        assert labels[x] == (0 if x in members else least_hit[x])
+    horizon = data.draw(st.integers(0, n + 1))
+    assert is_hitting(g, members, horizon) == all(
+        least_hit[x] is not None for x in g.interior(horizon))
 
 
 def test_tampered_labels_are_caught():
