@@ -56,7 +56,6 @@ from .local_sim import (
     RoundTrace,
     RulingSetAlgorithm,
     TemplateSolverAlgorithm,
-    log_star,
     make_path_network,
     run_local,
     verify_ruling,
@@ -86,7 +85,7 @@ __all__ = [
     "gen_path", "gen_random_forest", "gen_random_total", "greedy_hitting",
     "hitting_from_cover", "hitting_from_equivalence", "hitting_from_labeling",
     "hom_violations", "is_forward_independent", "is_hitting",
-    "labeling_from_hitting", "log_star", "make_path_network",
+    "labeling_from_hitting", "make_path_network",
     "periodic_hitting", "power_walk", "proximity_classes",
     "retract_to_strong_components", "run_local", "sample_dominated",
     "shift_seq", "solve_ergodic", "solve_loop", "verify_cover_witness",

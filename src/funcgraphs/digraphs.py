@@ -78,15 +78,6 @@ class Digraph:
     def to_json_dict(self) -> dict:
         return {"m": self.m, "edges": [list(e) for e in sorted(self.edges)]}
 
-    def to_dot(self) -> str:
-        lines = ["digraph h {"]
-        for i in range(self.m):
-            lines.append(f"  {i};")
-        for u, v in sorted(self.edges):
-            lines.append(f"  {u} -> {v};")
-        lines.append("}")
-        return "\n".join(lines)
-
     # ---- adjacency ----
 
     def adj(self) -> list[list[int]]:

@@ -66,25 +66,12 @@ class FunctionalGraph:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "succ": [-1 if s is None else s for s in self.succ]}
 
-    def to_dot(self) -> str:
-        lines = ["digraph g {"]
-        for i in range(self.n):
-            lines.append(f"  {i};")
-        for i, s in enumerate(self.succ):
-            if s is not None:
-                lines.append(f"  {i} -> {s};")
-        lines.append("}")
-        return "\n".join(lines)
-
     # ---- basic structure ----
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for i, s in enumerate(self.succ):
             if s is not None:
                 yield i, s
-
-    def sinks(self) -> list[int]:
-        return [i for i, s in enumerate(self.succ) if s is None]
 
     @property
     def is_total(self) -> bool:
@@ -199,15 +186,6 @@ class FunctionalGraph:
     def acyclic(self) -> bool:
         return not self.cycles()
 
-    def cyclic_points(self) -> set[int]:
-        """Vertices x with f^(k+l)(x) = f^k(x) for some k >= 0, l >= 1."""
-        iters = self.forward_iterates()
-        return {x for x in range(self.n) if iters[x] == UNBOUNDED}
-
-    def cycle_transversal(self) -> set[int]:
-        """Least vertex of every directed cycle."""
-        return {min(c) for c in self.cycles()}
-
     def interior(self, horizon: int) -> set[int]:
         """Vertices with at least ``horizon`` defined forward iterates."""
         if horizon < 0:
@@ -217,40 +195,6 @@ class FunctionalGraph:
                 if iters[x] == UNBOUNDED or iters[x] >= horizon}
 
     # ---- metric ----
-
-    def distance(self, x: int, y: int) -> int | None:
-        """Undirected shortest-path distance, None across components.
-
-        Orbits from x and y are walked forward; the two directed paths
-        cover every vertex of the unique (or cycle-split) undirected
-        path, so the distance is the least sum of meeting positions.
-        """
-        if not (0 <= x < self.n and 0 <= y < self.n):
-            raise ValueError("vertex out of range")
-        if x == y:
-            return 0
-        px = self._orbit_positions(x)
-        py = self._orbit_positions(y)
-        best: int | None = None
-        probe, other = (px, py) if len(px) <= len(py) else (py, px)
-        for w, dw in probe.items():
-            if w in other:
-                d = dw + other[w]
-                if best is None or d < best:
-                    best = d
-        return best
-
-    def _orbit_positions(self, x: int) -> dict[int, int]:
-        pos: dict[int, int] = {}
-        i = 0
-        while x not in pos:
-            pos[x] = i
-            nxt = self.succ[x]
-            if nxt is None:
-                break
-            x = nxt
-            i += 1
-        return pos
 
     def ball(self, x: int, radius: int) -> set[int]:
         """All vertices within undirected distance ``radius`` of x."""

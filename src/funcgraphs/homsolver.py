@@ -71,6 +71,8 @@ class ErgodicSolverData:
     positive length at the witness vertex inside its strong component
     (listed with both endpoints, so it has cycle_len + 1 entries in
     sub-template labels).  ``to_orig`` maps those back to H.
+    ``windows[p]`` is the least walk of length reach_all from the
+    witness to ``cycle[p]``, in labels of H.
     """
 
     h_sub: Digraph
@@ -79,17 +81,27 @@ class ErgodicSolverData:
     reach_all: int
     cycle: tuple[int, ...]
     cycle_len: int
+    windows: tuple[tuple[int, ...], ...]
 
-    def nonmember_label(self, k: int) -> int:
-        """Label in H for a vertex k steps before its entry window."""
-        return self.to_orig[self.cycle[(-k) % self.cycle_len]]
+    def label(self, first: int | None, gap: int | None) -> int | None:
+        """Label in H of a vertex ``first`` steps before the next member,
+        where that member's own next member is ``gap`` steps further.
 
-    def window_path(self, z_label_sub: int) -> list[int]:
-        """Sub-template walk of length reach_all from v0 to z's label."""
-        path = path_of_length(self.h_sub, self.v0_sub, z_label_sub,
-                              self.reach_all)
-        assert path is not None, "reach_all threshold violated"
-        return path
+        With L = reach_all, a vertex more than L steps before its member
+        takes the cycle label first - L steps before the witness.  The
+        L vertices before a member (its entry window) walk from the
+        witness to the member's own label.  None marks a value cut off
+        by a sink or by the end of a window.
+        """
+        ell0 = self.reach_all
+        if first is None:
+            return None
+        if first > ell0:
+            return self.to_orig[self.cycle[(ell0 - first) % self.cycle_len]]
+        if gap is None:
+            return None
+        assert gap > ell0, "members too close for the template threshold"
+        return self.windows[(ell0 - gap) % self.cycle_len][ell0 - first]
 
 
 def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
@@ -109,8 +121,13 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
     gmin = min(l for l in lengths if l > 0)
     cycle = path_of_length(h_sub, v0_sub, v0_sub, gmin)
     assert cycle is not None
+    windows = []
+    for z in cycle[:gmin]:
+        path = path_of_length(h_sub, v0_sub, z, ell0)
+        assert path is not None, "reach_all threshold violated"
+        windows.append(tuple(to_orig[v] for v in path))
     return ErgodicSolverData(h_sub, tuple(to_orig), v0_sub, ell0,
-                             tuple(cycle), gmin)
+                             tuple(cycle), gmin, tuple(windows))
 
 
 def solve_ergodic(g: FunctionalGraph, h: Digraph,
@@ -118,67 +135,33 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph,
     """Label an acyclic graph into an ergodic loopless template.
 
     The hitting set must be forward-independent at the template's
-    reach-all threshold L.  Vertices within L steps before a member
-    form that member's entry window; windows of distinct members are
-    disjoint.  A vertex outside all windows, k steps before entering
-    one, takes the cycle label k steps before the witness vertex;
-    window vertices walk a length-L path from the witness to the label
-    of their member.  Vertices whose forward data is cut off by a sink
+    reach-all threshold L.  One fold over the tree order finds, for
+    every vertex, the steps to the first member ahead and that member's
+    own steps to the next one; :meth:`ErgodicSolverData.label` turns the
+    pair into a label.  Vertices whose forward data is cut off by a sink
     stay None.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
     data = ergodic_solver_data(h)
     ell0 = data.reach_all
-    if not is_forward_independent(g, hitting.members, ell0):
+    members = hitting.members
+    if not is_forward_independent(g, members, ell0):
         raise ValueError(
             f"hitting set is not {ell0}-forward-independent")
-    n = g.n
-    # window[x] = (member, steps to it) for vertices at 1..ell0 steps
-    # before a member; disjointness is forced by independence
-    window: list[tuple[int, int] | None] = [None] * n
-    preds = g.predecessors()
-    for z in hitting.members:
-        frontier = [z]
-        for j in range(1, ell0 + 1):
-            nxt: list[int] = []
-            for v in frontier:
-                for y in preds[v]:
-                    assert window[y] is None, "entry windows overlap"
-                    window[y] = (z, j)
-                    nxt.append(y)
-            frontier = nxt
-    order = g.tree_order()
-    # steps from each non-window vertex to its first window vertex
-    to_window: list[int | None] = [None] * n
-    for x in order:
-        if window[x] is not None:
+    succ = g.succ
+    first: list[int | None] = [None] * g.n
+    # after[x]: first[] of the member first[x] steps ahead of x
+    after: list[int | None] = [None] * g.n
+    for x in g.tree_order():
+        y = succ[x]
+        if y is None:
             continue
-        nxt = g.succ[x]
-        if nxt is None:
-            continue
-        if window[nxt] is not None:
-            to_window[x] = 1
-        elif to_window[nxt] is not None:
-            to_window[x] = to_window[nxt] + 1
-    psi: list[int | None] = [None] * n
-    window_paths: dict[int, list[int]] = {}
-    for x in order:
-        if window[x] is None:
-            k = to_window[x]
-            if k is not None:
-                psi[x] = data.nonmember_label(k)
-    for x in range(n):
-        if window[x] is None:
-            continue
-        z, j = window[x]
-        if psi[z] is None:
-            continue
-        if z not in window_paths:
-            z_sub = data.to_orig.index(psi[z])
-            window_paths[z] = data.window_path(z_sub)
-        psi[x] = data.to_orig[window_paths[z][ell0 - j]]
-    return psi
+        if y in members:
+            first[x], after[x] = 1, first[y]
+        elif first[y] is not None:
+            first[x], after[x] = first[y] + 1, after[y]
+    return [data.label(f, a) for f, a in zip(first, after)]
 
 
 def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:

@@ -37,18 +37,6 @@ class RoundLimitError(RuntimeError):
     """An algorithm's schedule exceeds the allowed number of rounds."""
 
 
-def log_star(n: int) -> int:
-    """Iterations of base-2 log until the value drops to 1 or below."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    x = float(n)
-    while x > 1:
-        x = np.log2(x)
-        count += 1
-    return count
-
-
 class NodeView(NamedTuple):
     ident: int
     has_pred: bool
@@ -134,21 +122,6 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     return PathNetwork(ids, succ, bounds)
 
 
-def permute_network(net: PathNetwork, seed: int) -> PathNetwork:
-    """Same network under a random relabeling of node indices."""
-    n = net.n
-    rng = random.Random(seed)
-    perm = list(range(n))
-    rng.shuffle(perm)
-    ids = [0] * n
-    succ: list[int | None] = [None] * n
-    for i in range(n):
-        ids[perm[i]] = net.ids[i]
-        s = net.succ[i]
-        succ[perm[i]] = None if s is None else perm[s]
-    return PathNetwork(ids, succ, None)
-
-
 @dataclass
 class RoundTrace:
     rounds: int
@@ -198,41 +171,6 @@ def run_local(alg, net: PathNetwork, engine: str = "auto",
         to_pred, to_succ = new_pred, new_succ
     outputs = [alg.finish(net.view(i), states[i]) for i in range(n)]
     return RoundTrace(total, outputs, "reference")
-
-
-class ConstantOutput:
-    """Zero-round baseline: every node outputs a constant."""
-
-    def __init__(self, value=0):
-        self.value = value
-
-    def total_rounds(self, n: int) -> int:
-        return 0
-
-    def boot(self, view):
-        return None, None, None
-
-    def step(self, view, state, rnd, from_pred, from_succ):
-        raise AssertionError("zero-round algorithm stepped")
-
-    def finish(self, view, state):
-        return self.value
-
-
-class EchoNeighborIds:
-    """One-round baseline: every node reports its neighbors' ids."""
-
-    def total_rounds(self, n: int) -> int:
-        return 1
-
-    def boot(self, view):
-        return None, view.ident, view.ident
-
-    def step(self, view, state, rnd, from_pred, from_succ):
-        return (from_pred, from_succ), None, None
-
-    def finish(self, view, state):
-        return state
 
 
 def cv_iterations(n: int) -> int:
@@ -413,24 +351,14 @@ def window_label(bits: list[bool | None], data: ErgodicSolverData) -> int | None
     """Template label from a forward membership window.
 
     bits[0] is the node's own membership, bits[i] the node i steps
-    ahead (None past the end of the window or path).  Mirrors the
-    centralized construction: distance to the first member ahead
-    decides between a cycle label and a walk inside the entry window.
+    ahead (None past the end of the window or path).  The steps to the
+    first member ahead and from it to the second go through
+    :meth:`ErgodicSolverData.label`.
     """
-    ell0 = data.reach_all
-    first = next((i for i in range(1, len(bits)) if bits[i]), None)
-    if first is None:
-        return None
-    if first > ell0:
-        return data.nonmember_label(first - ell0)
-    second = next((i for i in range(first + 1, len(bits)) if bits[i]), None)
-    if second is None:
-        return None
-    kz = second - first - ell0
-    assert kz >= 1, "members too close for the template threshold"
-    z_sub = data.cycle[(-kz) % data.cycle_len]
-    path = data.window_path(z_sub)
-    return data.to_orig[path[ell0 - first]]
+    ahead = (i for i in range(1, len(bits)) if bits[i])
+    first = next(ahead, None)
+    second = next(ahead, None)
+    return data.label(first, None if second is None else second - first)
 
 
 class TemplateSolverAlgorithm:
@@ -438,9 +366,9 @@ class TemplateSolverAlgorithm:
 
     Runs the ruling-set algorithm at the template's reach-all
     threshold, then gathers a forward membership window long enough to
-    place each node, and labels it with the same arithmetic as the
-    centralized solver.  Nodes whose window is cut off by the path end
-    output None.
+    place each node, and labels it by the centralized solver's rule,
+    :meth:`ErgodicSolverData.label`.  Nodes whose window is cut off by
+    the path end output None.
     """
 
     def __init__(self, template: Digraph):

@@ -386,6 +386,71 @@ def retract_by_components(g, psi: list[int], h):
     return psi2, Partition.from_classes(groups.values())
 
 
+# ---- entry-window ergodic solver ----
+
+def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
+    """The original ``homsolver.solve_ergodic``, kept as the reference
+    for the tree-order fold and for the distributed template solver.
+
+    A backwards BFS from every member marks its entry window (the
+    vertices 1..L steps before it, L the reach-all threshold).  Vertices
+    outside every window take the cycle label k steps before the witness,
+    k being their steps to the first window vertex; window vertices walk
+    a fresh length-L path from the witness to their member's label.
+    """
+    from funcgraphs.digraphs import path_of_length
+    from funcgraphs.hitting import is_forward_independent
+    from funcgraphs.homsolver import ergodic_solver_data
+
+    assert g.acyclic
+    data = ergodic_solver_data(h)
+    ell0 = data.reach_all
+    if not is_forward_independent(g, hitting.members, ell0):
+        raise ValueError(
+            f"hitting set is not {ell0}-forward-independent")
+    n = g.n
+    window: list[tuple[int, int] | None] = [None] * n
+    preds = g.predecessors()
+    for z in hitting.members:
+        frontier = [z]
+        for j in range(1, ell0 + 1):
+            nxt: list[int] = []
+            for v in frontier:
+                for y in preds[v]:
+                    assert window[y] is None, "entry windows overlap"
+                    window[y] = (z, j)
+                    nxt.append(y)
+            frontier = nxt
+    order = g.tree_order()
+    to_window: list[int | None] = [None] * n
+    for x in order:
+        if window[x] is not None:
+            continue
+        nxt = g.succ[x]
+        if nxt is None:
+            continue
+        if window[nxt] is not None:
+            to_window[x] = 1
+        elif to_window[nxt] is not None:
+            to_window[x] = to_window[nxt] + 1
+    psi: list[int | None] = [None] * n
+    for x in order:
+        if window[x] is None and to_window[x] is not None:
+            k = to_window[x]
+            psi[x] = data.to_orig[data.cycle[(-k) % data.cycle_len]]
+    for x in range(n):
+        if window[x] is None:
+            continue
+        z, j = window[x]
+        if psi[z] is None:
+            continue
+        z_sub = data.to_orig.index(psi[z])
+        path = path_of_length(data.h_sub, data.v0_sub, z_sub, ell0)
+        assert path is not None, "reach_all threshold violated"
+        psi[x] = data.to_orig[path[ell0 - j]]
+    return psi
+
+
 # ---- unlabeled loopless digraph census ----
 
 def canonical_digraph(m: int, edges: frozenset[tuple[int, int]]) -> frozenset:

@@ -51,6 +51,22 @@ def digraph_templates(draw, max_m: int = 5, sinkless: bool = False):
     return Digraph(m, edges)
 
 
+def ergodic_templates():
+    """Ergodic loopless templates with different reach-all thresholds,
+    cycle lengths and embeddings of the ergodic component."""
+    return st.sampled_from([
+        # 2- and 3-cycle through 0: threshold 4, cycle length 2
+        Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)]),
+        # 3- and 4-cycle through 0: threshold 9, cycle length 3
+        Digraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 5),
+                    (5, 0)]),
+        # ergodic component {2, 3, 4, 5} beside a periodic 2-cycle and
+        # a vertex feeding into it
+        Digraph(7, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (2, 5),
+                    (5, 2), (6, 2)]),
+    ])
+
+
 @st.composite
 def increasing_seqs(draw, max_len: int = 60, max_gap: int = 4):
     length = draw(st.integers(1, max_len))

@@ -298,9 +298,18 @@ def test_module_entry_point():
     ["asdim", "--kind", "path", "--n", "10", "--t", "0"],
     ["shift", "--length", "0"],
     ["local", "-r", "1", "--n", "5", "--segments", "9"],
+    ["drhom", "--graph", "path.json", "--labels", "nested.json"],
+    ["drhom", "--graph", "path.json", "--labels", "float.json"],
+    ["drhom", "--graph", "path.json", "--labels", "bool.json"],
+    ["drhom", "--graph", "path.json", "--labels", "negative.json"],
 ])
 def test_out_of_domain_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cyclic.json").write_text(json.dumps({"n": 2, "succ": [1, 0]}))
+    (tmp_path / "path.json").write_text(json.dumps({"n": 2, "succ": [1, -1]}))
+    bad_labels = {"nested": [[1], 0], "float": [1.7, 0], "bool": [True, 0],
+                  "negative": [-1, 0]}
+    for name, labels in bad_labels.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"labels": labels}))
     assert_one_line_error(*run(capsys, *argv))

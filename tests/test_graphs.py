@@ -18,14 +18,14 @@ def rho_shape():
 def test_path_is_acyclic_with_sink():
     g = FunctionalGraph([1, 2, None])
     assert g.acyclic
-    assert g.sinks() == [2]
+    assert g.forward_iterates() == [2, 1, 0]
     assert not g.is_total
 
 
 def test_self_loop_is_cyclic():
     g = FunctionalGraph([0])
     assert not g.acyclic
-    assert g.cyclic_points() == {0}
+    assert g.forward_iterates() == [UNBOUNDED]
 
 
 def test_rho_shape_is_cyclic():
@@ -43,18 +43,6 @@ def test_orbit_truncates_at_sink():
     assert g.iterate(0, 3) is None
 
 
-def test_distance_on_small_tree():
-    g = FunctionalGraph([2, 2, None])
-    assert g.distance(0, 1) == 2
-    assert g.distance(0, 2) == 1
-    assert g.distance(2, 2) == 0
-
-
-def test_distance_none_across_components():
-    g = FunctionalGraph([1, None, 3, None])
-    assert g.distance(0, 2) is None
-
-
 def test_ball_on_tree():
     g = FunctionalGraph([2, 2, 3, None])
     assert g.ball(2, 1) == {0, 1, 2, 3}
@@ -62,23 +50,24 @@ def test_ball_on_tree():
 
 
 def test_cyclic_points_examples():
-    assert rho_shape().cyclic_points() == {0, 1, 2, 3}
+    assert rho_shape().forward_iterates() == [UNBOUNDED] * 4
     loop_and_path = FunctionalGraph([0, 2, None])
-    assert loop_and_path.cyclic_points() == {0}
-    assert gen_path(5).cyclic_points() == set()
+    assert loop_and_path.forward_iterates() == [UNBOUNDED, 1, 0]
+    assert UNBOUNDED not in gen_path(5).forward_iterates()
 
 
 def test_cycle_transversal_examples():
-    assert rho_shape().cycle_transversal() == {1}
-    assert gen_path(4).cycle_transversal() == set()
+    assert [c[0] for c in rho_shape().cycles()] == [1]
+    assert gen_path(4).cycles() == []
     two_loops = FunctionalGraph([0, 1])
-    assert two_loops.cycle_transversal() == {0, 1}
+    assert two_loops.cycles() == [[0], [1]]
 
 
 def test_transversal_hits_each_cycle_once():
     g = FunctionalGraph([1, 2, 0, 4, 5, 3, 0])
-    trans = g.cycle_transversal()
+    trans = {c[0] for c in g.cycles()}
     for cyc in g.cycles():
+        assert cyc[0] == min(cyc)
         assert len(trans & set(cyc)) == 1
 
 
@@ -105,15 +94,6 @@ def test_forward_iterates_match_naive_walk(g):
     for x in range(g.n):
         naive = oracles.naive_forward_iterates(list(g.succ), x)
         assert iters[x] == (UNBOUNDED if naive is None else naive)
-
-
-@given(partial_graphs())
-def test_distance_matches_bfs_oracle(g):
-    succ = list(g.succ)
-    for x in range(min(g.n, 8)):
-        d = oracles.bfs_dists(succ, x)
-        for y in range(g.n):
-            assert g.distance(x, y) == d[y]
 
 
 @given(partial_graphs(), st.integers(0, 6))
@@ -175,12 +155,6 @@ def test_successor_out_of_range_rejected():
         FunctionalGraph([5])
 
 
-def test_dot_export_lists_edges():
-    dot = FunctionalGraph([1, None]).to_dot()
-    assert "0 -> 1;" in dot
-    assert dot.startswith("digraph")
-
-
 def test_generators_deterministic():
     a = gen_random_forest(200, 9)
     b = gen_random_forest(200, 9)
@@ -195,7 +169,7 @@ def test_total_generator_always_cyclic():
         g = gen_random_total(10, seed)
         assert g.is_total
         assert not g.acyclic
-        assert g.cyclic_points() == set(range(10))
+        assert g.forward_iterates() == [UNBOUNDED] * 10
 
 
 def test_forest_generator_keeps_deep_interior():
@@ -208,6 +182,6 @@ def test_forest_generator_keeps_deep_interior():
 @given(forest_graphs())
 def test_acyclic_strategy_graphs_have_no_cycles(g):
     assert g.acyclic
-    assert g.cyclic_points() == set()
+    assert UNBOUNDED not in g.forward_iterates()
     total = sum(1 for _ in g.edges())
-    assert total == g.n - len(g.sinks())
+    assert total == g.n - g.succ.count(None)

@@ -11,7 +11,8 @@ from funcgraphs.hitting import HittingSet, greedy_hitting, periodic_hitting
 from funcgraphs.homsolver import (
     decide_hom, ergodic_solver_data, hom_violations,
     retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
-from strategies import digraph_templates, total_graphs
+from strategies import (
+    digraph_templates, ergodic_templates, forest_graphs, total_graphs)
 
 
 def two_three_cycles():
@@ -87,6 +88,21 @@ def test_solve_ergodic_rejects_cyclic_input():
     rho = FunctionalGraph([1, 2, 3, 1])
     with pytest.raises(ValueError):
         solve_ergodic(rho, h, HittingSet(frozenset({1}), 4, 5))
+
+
+@settings(max_examples=80)
+@given(st.one_of(
+           forest_graphs(),
+           st.builds(gen_random_forest, st.integers(1, 400),
+                     st.integers(0, 10 ** 6)),
+           st.builds(gen_path, st.integers(1, 150))),
+       ergodic_templates(), st.booleans(), st.integers(0, 5))
+def test_solve_ergodic_matches_window_oracle(g, h, periodic, extra):
+    ell0 = ergodic_solver_data(h).reach_all
+    hs = (periodic_hitting(g, ell0 + 1 + extra) if periodic
+          else greedy_hitting(g, ell0 + extra))
+    assert solve_ergodic(g, h, hs) == \
+        oracles.solve_ergodic_by_windows(g, h, hs)
 
 
 def test_decide_absent_three_to_two_cycle():

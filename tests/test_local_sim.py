@@ -1,27 +1,70 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from funcgraphs.digraphs import Digraph, GraphShapeError
 from funcgraphs.hitting import HittingSet
 from funcgraphs.homsolver import hom_violations, solve_ergodic
 from funcgraphs.local_sim import (
-    ConstantOutput, EchoNeighborIds, PathNetwork, RoundLimitError,
-    RulingSetAlgorithm, TemplateSolverAlgorithm, cv_iterations, log_star,
-    make_path_network, permute_network, run_local, verify_ruling)
+    PathNetwork, RoundLimitError, RulingSetAlgorithm, TemplateSolverAlgorithm,
+    cv_iterations, make_path_network, run_local, verify_ruling)
+from strategies import ergodic_templates
 
 
 def two_three_cycles():
     return Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
 
 
-def test_log_star_values():
-    assert log_star(1) == 0
-    assert log_star(2) == 1
-    assert log_star(4) == 2
-    assert log_star(16) == 3
-    assert log_star(65536) == 4
-    with pytest.raises(ValueError):
-        log_star(0)
+def permute_network(net: PathNetwork, seed: int) -> PathNetwork:
+    """Same network under a random relabeling of node indices."""
+    n = net.n
+    rng = random.Random(seed)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    ids = [0] * n
+    succ: list[int | None] = [None] * n
+    for i in range(n):
+        ids[perm[i]] = net.ids[i]
+        s = net.succ[i]
+        succ[perm[i]] = None if s is None else perm[s]
+    return PathNetwork(ids, succ, None)
+
+
+class ConstantOutput:
+    """Zero-round baseline: every node outputs a constant."""
+
+    def __init__(self, value=0):
+        self.value = value
+
+    def total_rounds(self, n: int) -> int:
+        return 0
+
+    def boot(self, view):
+        return None, None, None
+
+    def step(self, view, state, rnd, from_pred, from_succ):
+        raise AssertionError("zero-round algorithm stepped")
+
+    def finish(self, view, state):
+        return self.value
+
+
+class EchoNeighborIds:
+    """One-round baseline: every node reports its neighbors' ids."""
+
+    def total_rounds(self, n: int) -> int:
+        return 1
+
+    def boot(self, view):
+        return None, view.ident, view.ident
+
+    def step(self, view, state, rnd, from_pred, from_succ):
+        return (from_pred, from_succ), None, None
+
+    def finish(self, view, state):
+        return state
 
 
 def test_cv_iterations_is_flat_over_practical_sizes():
@@ -194,3 +237,21 @@ def test_template_solver_matches_centralized():
 def test_template_solver_rejects_loop_template():
     with pytest.raises(GraphShapeError):
         TemplateSolverAlgorithm(Digraph(2, [(0, 0), (0, 1), (1, 0)]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(h=ergodic_templates(), n=st.integers(1, 80),
+       segments=st.integers(1, 3),
+       id_mode=st.sampled_from(["random", "sorted", "reversed"]),
+       seed=st.integers(0, 50))
+def test_template_solver_matches_window_oracle(h, n, segments, id_mode,
+                                               seed):
+    net = make_path_network(n, seed=seed, segments=min(segments, n),
+                            id_mode=id_mode)
+    alg = TemplateSolverAlgorithm(h)
+    trace = run_local(alg, net, engine="reference")
+    ruled = run_local(alg.ruling, net, engine="reference").outputs
+    members = frozenset(i for i, b in enumerate(ruled) if b)
+    hitting = HittingSet(members, alg.data.reach_all, net.n)
+    assert trace.outputs == oracles.solve_ergodic_by_windows(
+        net.to_graph(), h, hitting)
