@@ -3,7 +3,8 @@
 The schedule length is fixed in advance from n alone, so the table
 makes the iterated-logarithm flatness visible: rounds stay put while n
 spans three orders of magnitude.  Every run is re-verified by the
-centralized independence and hitting checks.
+centralized independence and hitting checks, and the script exits 1
+unless all of them pass.
 """
 
 import argparse

@@ -130,8 +130,9 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
                              tuple(cycle), gmin, tuple(windows))
 
 
-def solve_ergodic(g: FunctionalGraph, h: Digraph,
-                  hitting: HittingSet) -> list[int | None]:
+def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
+                  data: ErgodicSolverData | None = None
+                  ) -> list[int | None]:
     """Label an acyclic graph into an ergodic loopless template.
 
     The hitting set must be forward-independent at the template's
@@ -139,11 +140,13 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph,
     every vertex, the steps to the first member ahead and that member's
     own steps to the next one; :meth:`ErgodicSolverData.label` turns the
     pair into a label.  Vertices whose forward data is cut off by a sink
-    stay None.
+    stay None.  A caller that already holds ``ergodic_solver_data(h)``
+    passes it as ``data``.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
-    data = ergodic_solver_data(h)
+    if data is None:
+        data = ergodic_solver_data(h)
     ell0 = data.reach_all
     members = hitting.members
     if not is_forward_independent(g, members, ell0):

@@ -6,6 +6,11 @@ delivers the messages returned by the previous round and lets every
 node step once; the engine may execute node updates of a round in any
 order (delivery is double buffered, so update order cannot leak).
 
+A network is array-backed: numpy checks its identifiers and wiring,
+and caches each node's path end (``tail``) and steps to it (``depth``),
+which is all the centralized ruling-set verifier reads.  Identifiers
+are int64, so n is at most ``MAX_NODES`` (n**3 must stay below 2**63).
+
 Two engines produce identical results: a per-node reference engine
 that runs any algorithm object, and a vectorized fast path for the
 ruling-set algorithm on index-contiguous networks, used for large n.
@@ -16,21 +21,24 @@ six colors, an independent-set phase picks members two to three apart,
 and each doubling level re-runs both on the virtual path of current
 members with relayed messages, tripling the round block each time.
 After level K = bit_length(spacing) - 1 members are more than
-``spacing`` apart yet every node sees one within 3**(K+1) steps.
+``spacing`` apart yet every node sees one within 3**(K+1) steps.  The
+schedule is static, so it is decoded once per n, not once per step.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .digraphs import Digraph
 from .graphs import FunctionalGraph
-from .hitting import is_forward_independent, is_hitting
 from .homsolver import ErgodicSolverData, ergodic_solver_data
+
+MAX_NODES = 2 ** 21 - 1  # the largest n with n**3 < 2**63
 
 
 class RoundLimitError(RuntimeError):
@@ -50,37 +58,59 @@ class PathNetwork:
 
     ``segments`` lists index-contiguous runs [start, end) when the
     wiring follows index order (the builder's layout); it is None for
-    arbitrary wirings, which only the reference engine accepts.
+    arbitrary wirings, which only the reference engine accepts.  Given
+    segments must match the wiring.  Construction caches ``id_array``
+    and, per node, ``depth`` (steps to its path's end) and ``tail``.
     """
 
     ids: list[int]
     succ: list[int | None]
     segments: list[tuple[int, int]] | None = None
-    pred: list[int | None] = field(init=False, repr=False)
+    id_array: np.ndarray = field(init=False, repr=False, compare=False)
+    depth: np.ndarray = field(init=False, repr=False, compare=False)
+    tail: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.ids)
-        if len(self.succ) != n:
-            raise ValueError("ids and succ must have equal length")
-        if len(set(self.ids)) != n:
-            raise ValueError("identifiers must be unique")
-        bound = n ** 3
-        if any(not 0 <= i <= bound for i in self.ids):
+        if not len(self.succ) == n <= MAX_NODES:
+            raise ValueError(f"need len(ids) == len(succ) <= {MAX_NODES}")
+        # bool is an int subclass, so compare types exactly
+        if not (set(map(type, self.ids)) <= {int}
+                and set(map(type, self.succ)) <= {int, type(None)}):
+            raise ValueError("ids and successors must be integers")
+        try:
+            ids = np.array(self.ids, dtype=np.int64)
+            nxt = np.array([-1 if s is None else s for s in self.succ],
+                           dtype=np.int64)
+        except OverflowError:
+            raise ValueError("ids and successors must fit int64") from None
+        ordered = np.sort(ids)
+        if n and (ordered[0] < 0 or ordered[-1] > n ** 3):
             raise ValueError("identifiers must lie in [0, n^3]")
-        pred: list[int | None] = [None] * n
-        for i, s in enumerate(self.succ):
-            if s is None:
-                continue
-            if pred[s] is not None:
-                raise ValueError("a node has two predecessors")
-            pred[s] = i
-        self.pred = pred
-        if not self.to_graph().acyclic:
-            raise ValueError("the wiring must be acyclic")
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise ValueError("identifiers must be unique")
+        # a successor given as -1 would pass for a sink: count the sinks
+        if (nxt.min(initial=-1) < -1 or nxt.max(initial=-1) >= n
+                or np.count_nonzero(nxt < 0) != self.succ.count(None)):
+            raise ValueError("successor out of range")
+        if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
+            raise ValueError("a node has two predecessors")
+        self.id_array = ids
+        self.depth, self.tail = (_path_ends(nxt) if self.segments is None
+                                 else _segment_ends(nxt, self.segments))
 
     @property
     def n(self) -> int:
         return len(self.ids)
+
+    @cached_property
+    def pred(self) -> list[int | None]:
+        """Predecessor per node, built when the reference engine runs."""
+        pred: list[int | None] = [None] * self.n
+        for i, s in enumerate(self.succ):
+            if s is not None:
+                pred[s] = i
+        return pred
 
     def to_graph(self) -> FunctionalGraph:
         return FunctionalGraph(list(self.succ))
@@ -88,6 +118,43 @@ class PathNetwork:
     def view(self, i: int) -> NodeView:
         return NodeView(self.ids[i], self.pred[i] is not None,
                         self.succ[i] is not None, self.n)
+
+
+def _segment_ends(nxt: np.ndarray, segments: list[tuple[int, int]]
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, tail) of a wiring that must follow its segments.
+
+    They tile [0, n) in order, each wired i -> i + 1 up to a sink, so
+    every node's path ends at the last node of its segment.
+    """
+    wired = np.flatnonzero(nxt >= 0)
+    ends = np.flatnonzero(nxt < 0) + 1
+    if (not np.array_equal(nxt[wired], wired + 1)
+            or list(map(tuple, segments))
+            != list(zip([0, *ends[:-1].tolist()], ends.tolist()))):
+        raise ValueError("the wiring does not follow the segments")
+    tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
+    return tail - np.arange(len(nxt)), tail
+
+
+def _path_ends(nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(depth, tail) of any wiring with in-degree at most one.
+
+    Pointer jumping (Wyllie 1979): after j jumps each node points
+    min(2**j, depth) steps ahead, so once 2**j >= n every node on a path
+    points at its end; one that does not lies on a cycle.
+    """
+    sink = nxt < 0
+    tail = np.where(sink, np.arange(len(nxt)), nxt)
+    depth = (~sink).astype(np.int64)
+    jumps = 0
+    while not sink[tail].all():
+        if 1 << jumps >= len(nxt):
+            raise ValueError("the wiring must be acyclic")
+        depth += depth[tail]
+        tail = tail[tail]
+        jumps += 1
+    return depth, tail
 
 
 def make_path_network(n: int, seed: int = 0, segments: int = 1,
@@ -98,8 +165,8 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     monotonically along the paths, the adversarial cases for naive
     local-minimum tricks.
     """
-    if n < 1 or not 1 <= segments <= n:
-        raise ValueError("need 1 <= segments <= n")
+    if not 1 <= segments <= n <= MAX_NODES:
+        raise ValueError(f"need 1 <= segments <= n <= {MAX_NODES}")
     rng = random.Random(seed)
     ids = rng.sample(range(n ** 3 + 1), n)
     if id_mode == "sorted":
@@ -108,18 +175,12 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
         ids.sort(reverse=True)
     elif id_mode != "random":
         raise ValueError(f"unknown id_mode {id_mode!r}")
-    base = n // segments
-    sizes = [base + (1 if i < n % segments else 0) for i in range(segments)]
-    succ: list[int | None] = [None] * n
-    bounds = []
-    start = 0
-    for size in sizes:
-        end = start + size
-        for i in range(start, end - 1):
-            succ[i] = i + 1
-        bounds.append((start, end))
-        start = end
-    return PathNetwork(ids, succ, bounds)
+    base, extra = divmod(n, segments)  # the first `extra` get one more
+    ends = [k * base + min(k, extra) for k in range(1, segments + 1)]
+    succ: list[int | None] = list(range(1, n + 1))
+    for end in ends:
+        succ[end - 1] = None
+    return PathNetwork(ids, succ, list(zip([0] + ends[:-1], ends)))
 
 
 @dataclass
@@ -154,22 +215,24 @@ def run_local(alg, net: PathNetwork, engine: str = "auto",
     order = list(range(n))
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
+    views = [net.view(i) for i in range(n)]
+    pred, succ = net.pred, net.succ
     states: list[Any] = [None] * n
     to_pred: list[Any] = [None] * n
     to_succ: list[Any] = [None] * n
     for i in order:
-        states[i], to_pred[i], to_succ[i] = alg.boot(net.view(i))
+        states[i], to_pred[i], to_succ[i] = alg.boot(views[i])
     for rnd in range(1, total + 1):
         new_pred: list[Any] = [None] * n
         new_succ: list[Any] = [None] * n
         for i in order:
-            p, s = net.pred[i], net.succ[i]
+            p, s = pred[i], succ[i]
             from_pred = to_succ[p] if p is not None else None
             from_succ = to_pred[s] if s is not None else None
             states[i], new_pred[i], new_succ[i] = alg.step(
-                net.view(i), states[i], rnd, from_pred, from_succ)
+                views[i], states[i], rnd, from_pred, from_succ)
         to_pred, to_succ = new_pred, new_succ
-    outputs = [alg.finish(net.view(i), states[i]) for i in range(n)]
+    outputs = [alg.finish(views[i], states[i]) for i in range(n)]
     return RoundTrace(total, outputs, "reference")
 
 
@@ -193,6 +256,20 @@ def _cv_combine(color: int, pred_color: int | None) -> int:
     return 2 * i + ((color >> i) & 1)
 
 
+@cache
+def _ruling_schedule(levels: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """(level, virtual round, sub-round, color-reduction iterations) per
+    round, decoded once per (levels, n); entry 0 is unused.  Level k runs
+    cv_iterations(n) + 6 virtual rounds of 3**k rounds each."""
+    iters = cv_iterations(n)
+    rounds = [(0, 0, 0, iters)]
+    for k in range(levels + 1):
+        b = 3 ** k
+        rounds += [(k, off // b, off % b, iters)
+                   for off in range(b * (iters + 6))]
+    return tuple(rounds)
+
+
 class RulingSetAlgorithm:
     """Distributed spaced hitting set on oriented paths.
 
@@ -212,33 +289,18 @@ class RulingSetAlgorithm:
         return 3 ** (self.levels + 1)
 
     def total_rounds(self, n: int) -> int:
-        blocks = cv_iterations(n) + 6
-        return blocks * sum(3 ** k for k in range(self.levels + 1))
-
-    # ---- static schedule decoding ----
-
-    def _decode(self, n: int, rnd: int) -> tuple[int, int, int, int]:
-        """(level, virtual round, sub-round, block size) for a round."""
-        blocks = cv_iterations(n) + 6
-        off = rnd - 1
-        for k in range(self.levels + 1):
-            span = blocks * 3 ** k
-            if off < span:
-                b = 3 ** k
-                return k, off // b, off % b, b
-            off -= span
-        raise AssertionError("round beyond schedule")
+        return len(_ruling_schedule(self.levels, n)) - 1
 
     # ---- reference engine protocol ----
 
     def boot(self, view: NodeView):
         state = {"active": True, "joined": False, "blocked": False,
-                 "color": view.ident, "rx_pred": None, "rx_succ": None}
+                 "color": view.ident, "rx_pred": None, "rx_succ": None,
+                 "plan": _ruling_schedule(self.levels, view.n)}
         return state, None, None
 
     def step(self, view: NodeView, state, rnd, from_pred, from_succ):
-        k, v, sub, _ = self._decode(view.n, rnd)
-        iters = cv_iterations(view.n)
+        k, v, sub, iters = state["plan"][rnd]
         if v == 0 and sub == 0:
             state["active"] = state["joined"] if k > 0 else True
             state["joined"] = False
@@ -284,18 +346,14 @@ class RulingSetAlgorithm:
     def vector_outputs(self, net: PathNetwork) -> list[bool]:
         assert net.segments is not None
         n = net.n
-        ids = np.asarray(net.ids, dtype=np.int64)
-        seg_id = np.empty(n, dtype=np.int64)
-        for j, (a, b) in enumerate(net.segments):
-            seg_id[a:b] = j
         iters = cv_iterations(n)
         cur = np.arange(n)
         for _ in range(self.levels + 1):
-            segs = seg_id[cur]
+            segs = net.tail[cur]  # one tail per segment
             heads = np.empty(len(cur), dtype=bool)
             heads[0] = True
             heads[1:] = segs[1:] != segs[:-1]
-            colors = _cv_vector(ids[cur], heads, iters)
+            colors = _cv_vector(net.id_array[cur], heads, iters)
             joined = _mis_vector(colors, heads)
             cur = cur[joined]
         out = np.zeros(n, dtype=bool)
@@ -338,12 +396,28 @@ def _mis_vector(colors: np.ndarray, heads: np.ndarray) -> np.ndarray:
 
 def verify_ruling(net: PathNetwork, members: list[bool],
                   spacing: int, gap_bound: int) -> dict:
-    """Centralized check: independence at ``spacing``, hit by ``gap_bound``."""
-    g = net.to_graph()
-    mset = {i for i, b in enumerate(members) if b}
-    independent = is_forward_independent(g, mset, spacing)
-    hits = is_hitting(g, mset, gap_bound)
-    return {"members": len(mset), "independent": independent,
+    """Centralized check: independence at ``spacing``, hit by ``gap_bound``.
+
+    Works on any wiring, as the nodes with one ``tail`` form a path in
+    ``depth`` order: consecutive members on a path must be more than
+    ``spacing`` apart, and every node of depth >= ``gap_bound`` needs a
+    member of smaller depth on its path.
+    """
+    if spacing < 1 or gap_bound < 0:
+        raise ValueError("need spacing >= 1 and gap_bound >= 0")
+    flags = np.asarray(members, dtype=bool)
+    if flags.shape != (net.n,):
+        raise ValueError("need one membership flag per node")
+    where = np.flatnonzero(flags)
+    order = np.lexsort((net.depth[where], net.tail[where]))
+    tail, depth = net.tail[where[order]], net.depth[where[order]]
+    same_path = tail[1:] == tail[:-1]
+    independent = bool(np.all(np.diff(depth)[same_path] > spacing))
+    lowest = np.full(net.n, net.n)  # least member depth per path end
+    np.minimum.at(lowest, tail, depth)
+    deep = net.depth >= gap_bound
+    hits = bool(np.all(lowest[net.tail[deep]] < net.depth[deep]))
+    return {"members": len(where), "independent": independent,
             "hitting": hits, "ok": independent and hits}
 
 
@@ -381,10 +455,11 @@ class TemplateSolverAlgorithm:
 
     def boot(self, view: NodeView):
         inner, tp, ts = self.ruling.boot(view)
-        return {"inner": inner, "bits": None}, tp, ts
+        base = self.ruling.total_rounds(view.n)
+        return {"inner": inner, "bits": None, "base": base}, tp, ts
 
     def step(self, view: NodeView, state, rnd, from_pred, from_succ):
-        base = self.ruling.total_rounds(view.n)
+        base = state["base"]
         if rnd <= base:
             state["inner"], tp, ts = self.ruling.step(
                 view, state["inner"], rnd, from_pred, from_succ)

@@ -451,6 +451,22 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     return psi
 
 
+# ---- graph-based ruling-set verifier ----
+
+def verify_ruling_by_graph(net, members, spacing: int, gap_bound: int) -> dict:
+    """The original ``local_sim.verify_ruling``, kept as the reference for
+    the array verifier: it builds the network's functional graph and
+    runs the hitting-set module's independence and hitting checks."""
+    from funcgraphs.hitting import is_forward_independent, is_hitting
+
+    g = net.to_graph()
+    mset = {i for i, b in enumerate(members) if b}
+    independent = is_forward_independent(g, mset, spacing)
+    hits = is_hitting(g, mset, gap_bound)
+    return {"members": len(mset), "independent": independent,
+            "hitting": hits, "ok": independent and hits}
+
+
 # ---- unlabeled loopless digraph census ----
 
 def canonical_digraph(m: int, edges: frozenset[tuple[int, int]]) -> frozenset:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import funcgraphs
+from funcgraphs import homsolver
 from funcgraphs.cli import main
 
 
@@ -180,6 +181,17 @@ def test_hom_solves_on_acyclic_graphs(tmp_path, capsys):
     assert "error" in err
 
 
+def test_hom_solve_builds_template_data_once(tmp_path, capsys, monkeypatch):
+    built = []
+    original = homsolver.ergodic_solver_data
+    monkeypatch.setattr(homsolver, "ergodic_solver_data",
+                        lambda h: built.append(h) or original(h))
+    code, report, _ = run(capsys, "hom", "--template", two_three_path(tmp_path),
+                          "--kind", "forest", "--n", "200", "--seed", "4")
+    assert code == 0 and report["labeled"] > 0
+    assert len(built) == 1
+
+
 def test_shift_countdown_report(capsys):
     code, report, err = run(capsys, "shift", "-r", "1", "--length", "120",
                             "--count", "60", "--seed", "4")
@@ -298,6 +310,7 @@ def test_module_entry_point():
     ["asdim", "--kind", "path", "--n", "10", "--t", "0"],
     ["shift", "--length", "0"],
     ["local", "-r", "1", "--n", "5", "--segments", "9"],
+    ["local", "-r", "1", "--n", "2097152"],
     ["drhom", "--graph", "path.json", "--labels", "nested.json"],
     ["drhom", "--graph", "path.json", "--labels", "float.json"],
     ["drhom", "--graph", "path.json", "--labels", "bool.json"],

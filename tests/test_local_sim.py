@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from funcgraphs import local_sim
 from funcgraphs.digraphs import Digraph, GraphShapeError
 from funcgraphs.hitting import HittingSet
 from funcgraphs.homsolver import hom_violations, solve_ergodic
 from funcgraphs.local_sim import (
-    PathNetwork, RoundLimitError, RulingSetAlgorithm, TemplateSolverAlgorithm,
-    cv_iterations, make_path_network, run_local, verify_ruling)
+    MAX_NODES, PathNetwork, RoundLimitError, RulingSetAlgorithm,
+    TemplateSolverAlgorithm, cv_iterations, make_path_network, run_local,
+    verify_ruling)
 from strategies import ergodic_templates
 
 
@@ -85,6 +87,71 @@ def test_network_validation():
         make_path_network(10, segments=11)
     with pytest.raises(ValueError):
         make_path_network(10, id_mode="shuffled")
+
+
+def test_network_rejects_bad_successors_and_mismatched_segments():
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1], [5, None], None)           # successor >= n
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1], [-1, None], None)          # -1 is not None
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1], [2 ** 64, None], None)     # beyond int64
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1], [True, None], None)        # bool successor
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1], [1.0, None], None)         # float successor
+    with pytest.raises(ValueError):
+        PathNetwork([0, 2 ** 64], [1, None], None)     # id beyond int64
+    with pytest.raises(ValueError):
+        PathNetwork([0, 5, 2], [None] * 3, [(0, 3)])   # no wiring inside
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [1, 2, None], [(0, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [1, None, None], [(0, 3)])
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [1, None, None], [(2, 3), (0, 2)])
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [None, 0, None], [(0, 2), (2, 3)])
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [2, 0, None], [(0, 3)])  # 1 -> 0 -> 2
+    with pytest.raises(ValueError):
+        PathNetwork([0, 1, 2], [1, None, None], [])
+    net = PathNetwork([0, 1, 2], [1, None, None], [(0, 2), (2, 3)])
+    assert net.depth.tolist() == [1, 0, 0]
+    assert net.tail.tolist() == [1, 1, 2]
+
+
+def test_network_size_limit_is_checked_before_sampling(monkeypatch):
+    assert MAX_NODES ** 3 < 2 ** 63 <= (MAX_NODES + 1) ** 3
+
+    def no_sampling(seed):
+        raise AssertionError("identifiers sampled")
+
+    monkeypatch.setattr(local_sim.random, "Random", no_sampling)
+    with pytest.raises(ValueError):
+        make_path_network(MAX_NODES + 1)
+    with pytest.raises(ValueError):
+        PathNetwork(range(MAX_NODES + 1), range(MAX_NODES + 1))
+
+
+def test_path_ends_match_forward_orbits():
+    for segments in (1, 3, 7):
+        net = make_path_network(50, seed=segments, segments=segments)
+        for case in (net, permute_network(net, seed=segments)):
+            g = case.to_graph()
+            assert case.depth.tolist() == g.forward_iterates()
+            assert case.tail.tolist() == [
+                g.forward_orbit(x, case.n)[-1] for x in range(case.n)]
+
+
+def test_vector_runs_leave_predecessors_unbuilt():
+    net = make_path_network(100, seed=1, segments=2)
+    alg = RulingSetAlgorithm(2)
+    trace = run_local(alg, net)
+    assert verify_ruling(net, trace.outputs, 2, alg.gap_bound())["ok"]
+    assert "pred" not in vars(net)
+    run_local(alg, net, engine="reference")
+    assert "pred" in vars(net)
 
 
 def test_make_path_network_segments_and_id_modes():
@@ -255,3 +322,80 @@ def test_template_solver_matches_window_oracle(h, n, segments, id_mode,
     hitting = HittingSet(members, alg.data.reach_all, net.n)
     assert trace.outputs == oracles.solve_ergodic_by_windows(
         net.to_graph(), h, hitting)
+
+
+@st.composite
+def ruling_instances(draw):
+    """A network (index-contiguous or shuffled), a member set that may
+    fail independence or hitting, a spacing and a gap bound."""
+    n = draw(st.integers(1, 60))
+    net = make_path_network(n, seed=draw(st.integers(0, 99)),
+                            segments=draw(st.integers(1, min(n, 6))))
+    if draw(st.booleans()):
+        net = permute_network(net, seed=draw(st.integers(0, 99)))
+    kind = draw(st.sampled_from(["random", "periodic", "ruling"]))
+    if kind == "random":
+        members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    elif kind == "periodic":
+        period = draw(st.integers(1, 8))
+        iters = net.to_graph().forward_iterates()
+        members = [k % period == 0 for k in iters]
+    else:
+        members = run_local(RulingSetAlgorithm(draw(st.integers(1, 5))),
+                            net, engine="reference").outputs
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        members[i] = not members[i]
+    return (net, members, draw(st.integers(1, 5)),
+            draw(st.integers(1, 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=ruling_instances())
+def test_verify_ruling_matches_graph_oracle(instance):
+    net, members, spacing, gap_bound = instance
+    assert (verify_ruling(net, members, spacing, gap_bound)
+            == oracles.verify_ruling_by_graph(net, members, spacing,
+                                              gap_bound))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 40), seed=st.integers(0, 99),
+       shuffle=st.booleans(), data=st.data(),
+       fault=st.sampled_from(["duplicate id", "id above n^3",
+                              "in-degree two", "cycle", "successor range"]))
+def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
+    net = make_path_network(n, seed=seed,
+                            segments=data.draw(st.integers(1, n)))
+    if shuffle:
+        net = permute_network(net, seed=seed)
+    ids, succ = list(net.ids), list(net.succ)
+    node = st.integers(0, n - 1)
+    if fault == "duplicate id":
+        if n < 2:
+            return
+        i, j = data.draw(st.lists(node, min_size=2, max_size=2,
+                                  unique=True))
+        ids[j] = ids[i]
+    elif fault == "id above n^3":
+        ids[data.draw(node)] = n ** 3 + data.draw(
+            st.sampled_from([1, 2, 10 ** 6, 2 ** 63, 2 ** 70]))
+    elif fault == "in-degree two":
+        targets = [s for s in succ if s is not None]
+        if not targets:
+            return
+        t = data.draw(st.sampled_from(targets))
+        i = data.draw(node.filter(lambda x: succ[x] != t))
+        succ[i] = t
+    elif fault == "cycle":
+        cyc = data.draw(st.lists(node, min_size=1, max_size=min(n, 5),
+                                 unique=True))
+        # detach the cycle's nodes from their predecessors, so that only
+        # acyclicity is violated
+        succ = [None if s in cyc else s for s in succ]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[a] = b
+    else:
+        succ[data.draw(node)] = data.draw(st.sampled_from(
+            [n, n + 1, -1, -2, 2 ** 63, -2 ** 70]))
+    with pytest.raises(ValueError):
+        PathNetwork(ids, succ, None)
