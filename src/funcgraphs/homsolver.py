@@ -131,8 +131,7 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
 
 
 def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
-                  data: ErgodicSolverData | None = None
-                  ) -> list[int | None]:
+                  data: ErgodicSolverData | None = None) -> list[int | None]:
     """Label an acyclic graph into an ergodic loopless template.
 
     The hitting set must be forward-independent at the template's
@@ -140,13 +139,15 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
     every vertex, the steps to the first member ahead and that member's
     own steps to the next one; :meth:`ErgodicSolverData.label` turns the
     pair into a label.  Vertices whose forward data is cut off by a sink
-    stay None.  A caller that already holds ``ergodic_solver_data(h)``
-    passes it as ``data``.
+    stay None.  ``data``, if given, must be ``ergodic_solver_data(h)``.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
     if data is None:
         data = ergodic_solver_data(h)
+    elif not {(data.to_orig[u], data.to_orig[v])
+              for u, v in data.h_sub.edges} <= h.edges:
+        raise ValueError("template data was not built from this template")
     ell0 = data.reach_all
     members = hitting.members
     if not is_forward_independent(g, members, ell0):

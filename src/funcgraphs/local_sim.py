@@ -6,10 +6,8 @@ delivers the messages returned by the previous round and lets every
 node step once; the engine may execute node updates of a round in any
 order (delivery is double buffered, so update order cannot leak).
 
-A network is array-backed: numpy checks its identifiers and wiring,
-and caches each node's path end (``tail``) and steps to it (``depth``),
-which is all the centralized ruling-set verifier reads.  Identifiers
-are int64, so n is at most ``MAX_NODES`` (n**3 must stay below 2**63).
+Networks are numpy arrays: int64 identifiers (so n <= ``MAX_NODES``)
+and each node's path end and steps to it, all the verifier reads.
 
 Two engines produce identical results: a per-node reference engine
 that runs any algorithm object, and a vectorized fast path for the
@@ -21,15 +19,14 @@ six colors, an independent-set phase picks members two to three apart,
 and each doubling level re-runs both on the virtual path of current
 members with relayed messages, tripling the round block each time.
 After level K = bit_length(spacing) - 1 members are more than
-``spacing`` apart yet every node sees one within 3**(K+1) steps.  The
-schedule is static, so it is decoded once per n, not once per step.
+``spacing`` apart yet every node sees one within 3**(K+1) steps.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Any, NamedTuple
 
 import numpy as np
@@ -58,17 +55,13 @@ class PathNetwork:
 
     ``segments`` lists index-contiguous runs [start, end) when the
     wiring follows index order (the builder's layout); it is None for
-    arbitrary wirings, which only the reference engine accepts.  Given
-    segments must match the wiring.  Construction caches ``id_array``
-    and, per node, ``depth`` (steps to its path's end) and ``tail``.
+    arbitrary wirings, which only the reference engine accepts.  Checks
+    set ``id_array`` and, per node, ``depth`` and ``tail`` (its path end).
     """
 
     ids: list[int]
     succ: list[int | None]
     segments: list[tuple[int, int]] | None = None
-    id_array: np.ndarray = field(init=False, repr=False, compare=False)
-    depth: np.ndarray = field(init=False, repr=False, compare=False)
-    tail: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -96,8 +89,15 @@ class PathNetwork:
         if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
             raise ValueError("a node has two predecessors")
         self.id_array = ids
-        self.depth, self.tail = (_path_ends(nxt) if self.segments is None
-                                 else _segment_ends(nxt, self.segments))
+        self.depth, self.tail = _path_ends(nxt)
+        if self.segments is not None:
+            # wired i -> i + 1 iff each node i is tail[i] - i steps from
+            # its end; the segments are then the runs ending at sinks
+            ends = (np.flatnonzero(nxt < 0) + 1).tolist()
+            if (np.any(self.depth != self.tail - np.arange(n))
+                    or list(map(tuple, self.segments))
+                    != list(zip([0] + ends[:-1], ends))):
+                raise ValueError("the wiring does not follow the segments")
 
     @property
     def n(self) -> int:
@@ -115,35 +115,10 @@ class PathNetwork:
     def to_graph(self) -> FunctionalGraph:
         return FunctionalGraph(list(self.succ))
 
-    def view(self, i: int) -> NodeView:
-        return NodeView(self.ids[i], self.pred[i] is not None,
-                        self.succ[i] is not None, self.n)
-
-
-def _segment_ends(nxt: np.ndarray, segments: list[tuple[int, int]]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """(depth, tail) of a wiring that must follow its segments.
-
-    They tile [0, n) in order, each wired i -> i + 1 up to a sink, so
-    every node's path ends at the last node of its segment.
-    """
-    wired = np.flatnonzero(nxt >= 0)
-    ends = np.flatnonzero(nxt < 0) + 1
-    if (not np.array_equal(nxt[wired], wired + 1)
-            or list(map(tuple, segments))
-            != list(zip([0, *ends[:-1].tolist()], ends.tolist()))):
-        raise ValueError("the wiring does not follow the segments")
-    tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
-    return tail - np.arange(len(nxt)), tail
-
 
 def _path_ends(nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(depth, tail) of any wiring with in-degree at most one.
-
-    Pointer jumping (Wyllie 1979): after j jumps each node points
-    min(2**j, depth) steps ahead, so once 2**j >= n every node on a path
-    points at its end; one that does not lies on a cycle.
-    """
+    """(depth, tail) by pointer jumping (Wyllie 1979): after j jumps a
+    node points min(2**j, depth) steps ahead; one on a cycle never ends."""
     sink = nxt < 0
     tail = np.where(sink, np.arange(len(nxt)), nxt)
     depth = (~sink).astype(np.int64)
@@ -215,8 +190,9 @@ def run_local(alg, net: PathNetwork, engine: str = "auto",
     order = list(range(n))
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
-    views = [net.view(i) for i in range(n)]
     pred, succ = net.pred, net.succ
+    views = [NodeView(ident, p is not None, s is not None, n)
+             for ident, p, s in zip(net.ids, pred, succ)]
     states: list[Any] = [None] * n
     to_pred: list[Any] = [None] * n
     to_succ: list[Any] = [None] * n
@@ -256,18 +232,14 @@ def _cv_combine(color: int, pred_color: int | None) -> int:
     return 2 * i + ((color >> i) & 1)
 
 
-@cache
+@lru_cache(maxsize=4)
 def _ruling_schedule(levels: int, n: int) -> tuple[tuple[int, ...], ...]:
     """(level, virtual round, sub-round, color-reduction iterations) per
-    round, decoded once per (levels, n); entry 0 is unused.  Level k runs
-    cv_iterations(n) + 6 virtual rounds of 3**k rounds each."""
+    round (entry 0 unused); level k has cv_iterations(n) + 6 blocks of 3**k."""
     iters = cv_iterations(n)
-    rounds = [(0, 0, 0, iters)]
-    for k in range(levels + 1):
-        b = 3 ** k
-        rounds += [(k, off // b, off % b, iters)
-                   for off in range(b * (iters + 6))]
-    return tuple(rounds)
+    return ((0, 0, 0, iters),) + tuple(
+        (k, off // 3 ** k, off % 3 ** k, iters)
+        for k in range(levels + 1) for off in range(3 ** k * (iters + 6)))
 
 
 class RulingSetAlgorithm:
@@ -289,7 +261,8 @@ class RulingSetAlgorithm:
         return 3 ** (self.levels + 1)
 
     def total_rounds(self, n: int) -> int:
-        return len(_ruling_schedule(self.levels, n)) - 1
+        blocks = cv_iterations(n) + 6
+        return blocks * sum(3 ** k for k in range(self.levels + 1))
 
     # ---- reference engine protocol ----
 
@@ -350,9 +323,7 @@ class RulingSetAlgorithm:
         cur = np.arange(n)
         for _ in range(self.levels + 1):
             segs = net.tail[cur]  # one tail per segment
-            heads = np.empty(len(cur), dtype=bool)
-            heads[0] = True
-            heads[1:] = segs[1:] != segs[:-1]
+            heads = np.r_[True, segs[1:] != segs[:-1]]
             colors = _cv_vector(net.id_array[cur], heads, iters)
             joined = _mis_vector(colors, heads)
             cur = cur[joined]
@@ -365,11 +336,7 @@ def _cv_vector(colors: np.ndarray, heads: np.ndarray,
                iters: int) -> np.ndarray:
     colors = colors.copy()
     for _ in range(iters):
-        pc = np.empty_like(colors)
-        if len(colors) > 1:
-            pc[1:] = colors[:-1]
-        pc[0] = 0
-        diff = colors ^ pc
+        diff = colors ^ np.r_[0, colors[:-1]]
         assert bool(np.all(diff[~heads] != 0)), "adjacent equal colors"
         diff = np.where(heads, 1, diff)
         low = diff & -diff
@@ -382,14 +349,11 @@ def _cv_vector(colors: np.ndarray, heads: np.ndarray,
 def _mis_vector(colors: np.ndarray, heads: np.ndarray) -> np.ndarray:
     m = len(colors)
     joined = np.zeros(m, dtype=bool)
-    tails = np.empty(m, dtype=bool)
-    tails[-1] = True
-    tails[:-1] = heads[1:]
+    tails = np.r_[heads[1:], True]
     for phase in range(6):
         nb = np.zeros(m, dtype=bool)
-        if m > 1:
-            nb[1:] |= joined[:-1] & ~tails[:-1]
-            nb[:-1] |= joined[1:] & ~heads[1:]
+        nb[1:] |= joined[:-1] & ~tails[:-1]
+        nb[:-1] |= joined[1:] & ~heads[1:]
         joined |= (colors == phase) & ~nb
     return joined
 
@@ -398,16 +362,12 @@ def verify_ruling(net: PathNetwork, members: list[bool],
                   spacing: int, gap_bound: int) -> dict:
     """Centralized check: independence at ``spacing``, hit by ``gap_bound``.
 
-    Works on any wiring, as the nodes with one ``tail`` form a path in
-    ``depth`` order: consecutive members on a path must be more than
-    ``spacing`` apart, and every node of depth >= ``gap_bound`` needs a
-    member of smaller depth on its path.
-    """
-    if spacing < 1 or gap_bound < 0:
-        raise ValueError("need spacing >= 1 and gap_bound >= 0")
+    Any wiring: consecutive members on one ``tail`` differ in ``depth``
+    by more than ``spacing``; a node of depth >= ``gap_bound`` has a
+    member of smaller depth on its path."""
     flags = np.asarray(members, dtype=bool)
-    if flags.shape != (net.n,):
-        raise ValueError("need one membership flag per node")
+    if spacing < 1 or gap_bound < 0 or flags.shape != (net.n,):
+        raise ValueError("need spacing >= 1, gap_bound >= 0, n flags")
     where = np.flatnonzero(flags)
     order = np.lexsort((net.depth[where], net.tail[where]))
     tail, depth = net.tail[where[order]], net.depth[where[order]]
@@ -455,7 +415,7 @@ class TemplateSolverAlgorithm:
 
     def boot(self, view: NodeView):
         inner, tp, ts = self.ruling.boot(view)
-        base = self.ruling.total_rounds(view.n)
+        base = len(inner["plan"]) - 1
         return {"inner": inner, "bits": None, "base": base}, tp, ts
 
     def step(self, view: NodeView, state, rnd, from_pred, from_succ):

@@ -64,6 +64,18 @@ def test_solve_ergodic_on_path():
     assert all(psi[x] is not None for x in g.interior(horizon))
 
 
+def test_solve_ergodic_checks_passed_template_data():
+    h = two_three_cycles()
+    g = gen_random_forest(300, 3)
+    hs = greedy_hitting(g, 4)
+    assert (solve_ergodic(g, h, hs, ergodic_solver_data(h))
+            == solve_ergodic(g, h, hs))
+    # the same shape on other labels: its edges (0, 2) and (2, 0) miss h
+    other = Digraph(4, [(0, 2), (2, 0), (0, 1), (1, 3), (3, 0)])
+    with pytest.raises(ValueError):
+        solve_ergodic(g, h, hs, ergodic_solver_data(other))
+
+
 def test_solve_ergodic_on_forests_and_periodic_sets():
     h = two_three_cycles()
     for seed in range(5):

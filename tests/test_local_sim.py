@@ -211,6 +211,24 @@ def test_ruling_set_on_small_path():
         run_local(alg, net, round_cap=trace.rounds - 1)
 
 
+def test_round_cap_is_checked_before_the_schedule_is_built(monkeypatch):
+    # about 1.5 * 3**20 * 10 rounds: far too many to tabulate
+    def no_schedule(levels, n):
+        raise AssertionError("schedule built")
+
+    monkeypatch.setattr(local_sim, "_ruling_schedule", no_schedule)
+    alg = RulingSetAlgorithm(2 ** 20)
+    net = make_path_network(10, seed=1)
+    with pytest.raises(RoundLimitError):
+        run_local(alg, net, engine="reference", round_cap=10)
+    trace = run_local(alg, net, round_cap=alg.total_rounds(10))
+    assert trace.engine == "vector"
+    assert verify_ruling(net, trace.outputs, 2 ** 20, alg.gap_bound())["ok"]
+    h = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 0)])
+    with pytest.raises(RoundLimitError):
+        run_local(TemplateSolverAlgorithm(h), net, round_cap=10)
+
+
 def test_ruling_set_midsize_passes_central_verifiers():
     net = make_path_network(1024, seed=2)
     alg = RulingSetAlgorithm(2)
