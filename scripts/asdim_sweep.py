@@ -15,14 +15,8 @@ import time
 from funcgraphs.asdim import (
     WitnessParams, cover_from_hitting, equivalence_from_hitting,
     verify_cover_witness, verify_eqrel_witness)
-from funcgraphs.graphs import gen_path, gen_random_forest
+from funcgraphs.cli import make_graph
 from funcgraphs.hitting import greedy_hitting, periodic_hitting
-
-
-def build_graph(kind: str, n: int, seed: int):
-    if kind == "path":
-        return gen_path(n)
-    return gen_random_forest(n, seed)
 
 
 def main(argv=None) -> int:
@@ -46,7 +40,7 @@ def main(argv=None) -> int:
         params = WitnessParams(t)
         for kind in args.kinds:
             for n in args.n:
-                g = build_graph(kind, n, args.seed)
+                g = make_graph(kind, n, args.seed)
                 start = time.perf_counter()
                 if args.periodic:
                     hs = periodic_hitting(g, params.spacing + params.stripe + 1)

@@ -18,8 +18,12 @@ sinks that definedness is guaranteed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .graphs import FunctionalGraph, class_diameters, proximity_classes
+import numpy as np
+
+from .graphs import UNBOUNDED, FunctionalGraph, ball_class_counts, \
+    class_diameters, csr_rows, proximity_classes
 from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting
 from .partition import Partition
@@ -204,12 +208,31 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]
     return flip
 
 
+def _array(values: Sequence[int | None]) -> np.ndarray:
+    """A per-vertex list as an int array, -1 for None."""
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+def _inside(g: FunctionalGraph, horizon: int) -> np.ndarray:
+    """:meth:`FunctionalGraph.interior` as a vertex mask."""
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    depth = g.arrays()[1]
+    return (depth == UNBOUNDED) | (depth >= horizon)
+
+
+def _deep(cid: np.ndarray, ok: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the k classes all of whose members are ``ok``."""
+    return np.bincount(cid[(cid >= 0) & ~ok], minlength=k) == 0
+
+
 def anchors(g: FunctionalGraph, params: WitnessParams,
             flip: list[int | None]) -> list[int | None]:
     """Anchor vertex f^(stripe/3 + flip(x))(x), per vertex."""
-    skip = params.anchor_skip
-    return [g.iterate(x, skip + j) if j is not None else None
-            for x, j in enumerate(flip)]
+    f = _array(flip)
+    out = g.jump(np.arange(g.n), np.where(f < 0, 0, params.anchor_skip + f))
+    return [None if j < 0 or a < 0 else a
+            for j, a in zip(f.tolist(), out.tolist())]
 
 
 @dataclass
@@ -218,19 +241,31 @@ class CoverWitness:
 
     coloring: ParityColoring
     sets: tuple[frozenset[int], frozenset[int]]
+    _classes: list | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def params(self) -> WitnessParams:
         return self.coloring.params
+
+    def classes(self, g: FunctionalGraph
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per set, the class id of each vertex (-1 outside the set) and
+        the diameters of its proximity classes at radius t, built once."""
+        if self._classes is None:
+            parts = [proximity_classes(g, u, self.params.t)
+                     for u in self.sets]
+            self._classes = [(p.id_array(g.n), np.array(
+                class_diameters(g, p), dtype=np.int64)) for p in parts]
+        return self._classes
 
 
 def cover_from_hitting(g: FunctionalGraph,
                        members: frozenset[int] | set[int],
                        t: int) -> CoverWitness:
     coloring = distance_parity_coloring(g, members, t)
-    u0 = frozenset(x for x, b in enumerate(coloring.bit) if b == 0)
-    u1 = frozenset(x for x, b in enumerate(coloring.bit) if b == 1)
-    return CoverWitness(coloring, (u0, u1))
+    return CoverWitness(coloring, tuple(frozenset(
+        x for x, b in enumerate(coloring.bit) if b == c) for c in (0, 1)))
 
 
 @dataclass
@@ -244,30 +279,36 @@ class EquivalenceWitness:
     coloring: ParityColoring
     classes: Partition
     key: dict[int, int] = field(repr=False)
+    _diameters: np.ndarray | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     @property
     def params(self) -> WitnessParams:
         return self.coloring.params
 
+    def diameters(self, g: FunctionalGraph) -> np.ndarray:
+        """Class diameters by class id, built once."""
+        if self._diameters is None:
+            self._diameters = np.array(class_diameters(g, self.classes),
+                                       dtype=np.int64)
+        return self._diameters
+
 
 def equivalence_from_hitting(g: FunctionalGraph,
-                             members: frozenset[int] | set[int],
-                             t: int) -> EquivalenceWitness:
-    coloring = distance_parity_coloring(g, members, t)
-    flip = flip_dists(g, coloring)
-    key: dict[int, int] = {}
-    for x in range(g.n):
-        y = g.iterate(x, t)
-        if y is None or flip[y] is None:
-            continue
-        target = g.iterate(y, flip[y])
-        assert target is not None
-        key[x] = target
-    buckets: dict[int, list[int]] = {}
-    for x, v in key.items():
-        buckets.setdefault(v, []).append(x)
-    classes = Partition.from_classes(buckets.values())
-    return EquivalenceWitness(coloring, classes, key)
+                             members: frozenset[int] | set[int], t: int,
+                             coloring: ParityColoring | None = None,
+                             flip: list[int | None] | None = None
+                             ) -> EquivalenceWitness:
+    """Key x by f^flip(y)(y) for y = f^t(x).  ``coloring`` and ``flip``,
+    when given, must be the ones these members and t produce."""
+    if coloring is None:
+        coloring = distance_parity_coloring(g, members, t)
+    f = _array(flip_dists(g, coloring) if flip is None else flip)
+    y = g.jump(np.arange(g.n), t)
+    xs = np.flatnonzero(y >= 0)
+    xs = xs[f[y[xs]] >= 0]
+    key = dict(zip(xs.tolist(), g.jump(y[xs], f[y[xs]]).tolist()))
+    return EquivalenceWitness(coloring, Partition(key), key)
 
 
 def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
@@ -279,10 +320,9 @@ def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
     reported separately so slack in the documented bound stays visible.
     """
     params = witness.params
-    t = params.t
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
+    inside = _inside(g, horizon)
     report: dict = {
         "bound": params.diameter_bound,
         "sharp_bound": params.sharp_diameter_bound,
@@ -293,19 +333,16 @@ def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
         "violations": 0,
         "sharp_violations": 0,
     }
-    for u in witness.sets:
-        classes = proximity_classes(g, u, t)
-        diams = class_diameters(g, classes)
-        for cls, diam in zip(classes.classes(), diams):
-            if not all(x in inside for x in cls):
-                report["skipped_classes"] += 1
-                continue
-            report["checked_classes"] += 1
-            report["max_diameter"] = max(report["max_diameter"], diam)
-            if diam > params.diameter_bound:
-                report["violations"] += 1
-            if diam > params.sharp_diameter_bound:
-                report["sharp_violations"] += 1
+    for cid, diams in witness.classes(g):
+        deep = diams[_deep(cid, inside, len(diams))]
+        report["checked_classes"] += len(deep)
+        report["skipped_classes"] += len(diams) - len(deep)
+        report["max_diameter"] = max(report["max_diameter"],
+                                     int(deep.max(initial=0)))
+        report["violations"] += int(np.count_nonzero(
+            deep > params.diameter_bound))
+        report["sharp_violations"] += int(np.count_nonzero(
+            deep > params.sharp_diameter_bound))
     report["ok"] = report["violations"] == 0
     return report
 
@@ -313,44 +350,33 @@ def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
 def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
                          d: int = 1, diameter_bound: int | None = None,
                          horizon: int | None = None) -> dict:
-    """Check class diameters and that small balls meet few classes."""
+    """Check class diameters and that small balls meet few classes.
+
+    Each classified interior vertex's ball of radius t must meet at most
+    d + 1 classes; the counts are exact (:func:`ball_class_counts`).
+    """
     params = witness.params
     t = params.t
     if horizon is None:
         horizon = params.verify_depth + t
     if diameter_bound is None:
         diameter_bound = params.diameter_bound
-    inside = g.interior(horizon)
-    classes = witness.classes
-    diams = class_diameters(g, classes)
+    inside = _inside(g, horizon)
+    cid, diams = witness.classes.id_array(g.n), witness.diameters(g)
+    deep = diams[_deep(cid, inside, len(diams))]
+    balls = ball_class_counts(g, cid, t)[inside & (cid >= 0)]
     report: dict = {
         "bound": diameter_bound,
         "horizon": horizon,
-        "checked_classes": 0,
-        "skipped_classes": 0,
-        "max_diameter": 0,
-        "diameter_violations": 0,
+        "checked_classes": len(deep),
+        "skipped_classes": len(diams) - len(deep),
+        "max_diameter": int(deep.max(initial=0)),
+        "diameter_violations": int(np.count_nonzero(deep > diameter_bound)),
         "ball_limit": d + 1,
-        "checked_balls": 0,
-        "max_ball_classes": 0,
-        "ball_violations": 0,
+        "checked_balls": len(balls),
+        "max_ball_classes": int(balls.max(initial=0)),
+        "ball_violations": int(np.count_nonzero(balls > d + 1)),
     }
-    for cls, diam in zip(classes.classes(), diams):
-        if not all(x in inside for x in cls):
-            report["skipped_classes"] += 1
-            continue
-        report["checked_classes"] += 1
-        report["max_diameter"] = max(report["max_diameter"], diam)
-        if diam > diameter_bound:
-            report["diameter_violations"] += 1
-    for x in inside:
-        if x not in classes:
-            continue
-        seen = {classes.class_id(y) for y in g.ball(x, t) if y in classes}
-        report["checked_balls"] += 1
-        report["max_ball_classes"] = max(report["max_ball_classes"], len(seen))
-        if len(seen) > d + 1:
-            report["ball_violations"] += 1
     report["ok"] = (report["diameter_violations"] == 0
                     and report["ball_violations"] == 0)
     return report
@@ -363,21 +389,14 @@ def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
-    report = {"horizon": horizon, "checked": 0, "unlabeled": 0,
-              "undefined_flips": 0, "max_flip": 0, "violations": 0}
-    for x in inside:
-        report["checked"] += 1
-        if coloring.bit[x] is None:
-            report["unlabeled"] += 1
-            continue
-        j = flip[x]
-        if j is None:
-            report["undefined_flips"] += 1
-            continue
-        report["max_flip"] = max(report["max_flip"], j)
-        if j > params.flip_bound:
-            report["violations"] += 1
+    inside = _inside(g, horizon)
+    bit, j = _array(coloring.bit)[inside], _array(flip)[inside]
+    j = j[bit >= 0]
+    report = {"horizon": horizon, "checked": len(bit),
+              "unlabeled": int(np.count_nonzero(bit < 0)),
+              "undefined_flips": int(np.count_nonzero(j < 0)),
+              "max_flip": int(j.max(initial=0)),
+              "violations": int(np.count_nonzero(j > params.flip_bound))}
     report["ok"] = (report["violations"] == 0 and report["unlabeled"] == 0
                     and report["undefined_flips"] == 0)
     return report
@@ -390,41 +409,22 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
 
     For every deep vertex x, each colored vertex w with f^j(w) equal to
     the anchor of x for some j <= stripe/3 must have the color 1 -
-    bit(x).  Preimage color sets are memoized per anchor vertex.
+    bit(x).  Each colored w marks its color on f^0(w), ..., f^(stripe/3)(w).
     """
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
-    preds = g.predecessors()
-    skip = params.anchor_skip
-    bit = coloring.bit
-    cache: dict[int, set[int]] = {}
-
-    def preimage_bits(e: int) -> set[int]:
-        if e in cache:
-            return cache[e]
-        seen = {b for b in (bit[e],) if b is not None}
-        frontier = [e]
-        for _ in range(skip):
-            nxt: list[int] = []
-            for v in frontier:
-                for w in preds[v]:
-                    nxt.append(w)
-                    if bit[w] is not None:
-                        seen.add(bit[w])
-            frontier = nxt
-        cache[e] = seen
-        return seen
-
-    report = {"horizon": horizon, "checked": 0, "violations": 0}
-    for x in inside:
-        e = anchor[x]
-        if e is None or bit[x] is None:
-            continue
-        report["checked"] += 1
-        if bit[x] in preimage_bits(e):
-            report["violations"] += 1
+    succ = g.arrays()[0]
+    bit, anc = _array(coloring.bit), _array(anchor)
+    near = np.zeros((2, g.n), dtype=bool)  # near[b, e]: a b-colored preimage
+    w = np.flatnonzero(bit >= 0)
+    v = w
+    for _ in range(params.anchor_skip + 1):
+        near[bit[w], v] = True
+        w, v = w[succ[v] >= 0], succ[v[succ[v] >= 0]]
+    x = np.flatnonzero(_inside(g, horizon) & (anc >= 0) & (bit >= 0))
+    report = {"horizon": horizon, "checked": len(x),
+              "violations": int(np.count_nonzero(near[bit[x], anc[x]]))}
     report["ok"] = report["violations"] == 0
     return report
 
@@ -435,33 +435,40 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
     """Every member of a proximity class walks onto every class anchor.
 
     The forward walk allowed is one class diameter plus the anchor
-    offset; classes with any shallow member are skipped.
+    offset; classes with a shallow member or an undefined anchor are
+    skipped, and a failing member counts once.  On a forest, z is on
+    y's orbit within ``walk`` steps exactly when k = depth(y) - depth(z)
+    is in [0, walk] and f^k(y) = z, so every (member, anchor) pair is
+    tested at once; as f^j(y) has depth depth(y) - j, clipping k into
+    [0, walk] keeps the test exact.  A graph with cycles raises
+    ``ValueError``: there depth does not order orbits.
     """
+    if not g.acyclic:
+        raise ValueError("the reach check requires an acyclic graph")
     params = witness.params
-    t = params.t
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
+    depth, anc = g.arrays()[1], _array(anchor)
+    ok = _inside(g, horizon) & (anc >= 0)
     walk = (params.diameter_bound + params.anchor_skip
             + params.flip_bound + 2)
     report = {"horizon": horizon, "checked_classes": 0,
               "skipped_classes": 0, "checked_pairs": 0, "violations": 0}
-    for u in witness.sets:
-        classes = proximity_classes(g, u, t)
-        for cls in classes.classes():
-            if not all(x in inside for x in cls):
-                report["skipped_classes"] += 1
-                continue
-            targets = {anchor[x] for x in cls}
-            if None in targets:
-                report["skipped_classes"] += 1
-                continue
-            report["checked_classes"] += 1
-            for y in cls:
-                reached = set(g.forward_orbit(y, walk + 1))
-                report["checked_pairs"] += len(targets)
-                if not targets <= reached:
-                    report["violations"] += 1
+    for cid, diams in witness.classes(g):
+        deep = _deep(cid, ok, len(diams))
+        report["checked_classes"] += int(np.count_nonzero(deep))
+        report["skipped_classes"] += int(np.count_nonzero(~deep))
+        ys = np.flatnonzero(cid >= 0)
+        ys = ys[deep[cid[ys]]]
+        # each class's distinct anchors, as CSR rows by class id
+        cls, targets = np.divmod(np.unique(cid[ys] * g.n + anc[ys]), g.n)
+        indptr = np.r_[0, np.cumsum(np.bincount(cls, minlength=len(diams)))]
+        pos, row = csr_rows(indptr, cid[ys])
+        y, z = ys[row], targets[pos]
+        k = depth[y] - depth[z]
+        reached = g.jump(y, k.clip(0, walk)) == z
+        report["checked_pairs"] += len(pos)
+        report["violations"] += len(np.unique(row[~reached]))
     report["ok"] = report["violations"] == 0
     return report
 
@@ -484,14 +491,16 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
         cover = cover_from_hitting(g, hs.members, t)
         flip = flip_dists(g, cover.coloring)
         anc = anchors(g, params, flip)
-        eq = equivalence_from_hitting(g, hs.members, t)
+        eq = equivalence_from_hitting(g, hs.members, t, cover.coloring,
+                                      flip)
         cover_report = verify_cover_witness(g, cover)
         eq_report = verify_eqrel_witness(g, eq, d=d)
         flips_report = check_flip_bounds(g, cover.coloring, flip)
         anchors_report = check_anchor_preimages(g, cover.coloring, anc)
         reach_report = check_class_reaches_anchor(g, cover, anc)
 
-        rev_cover = hitting_from_cover(g, cover.sets[0], t)
+        rev_cover = hitting_from_cover(g, cover.sets[0], t,
+                                       cover.classes(g)[0][1])
         depth5 = (params.label_depth + params.flip_bound
                   + rev_cover.horizon + 2)
         rev_cover_ok = (
@@ -499,7 +508,7 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
             and is_hitting(g, rev_cover.members, depth5))
 
         rev_eq, eq_extract_report = hitting_from_equivalence(
-            g, eq.classes, t, d)
+            g, eq.classes, t, d, eq.diameters(g))
         depth6 = (params.label_depth + params.flip_bound + t
                   + rev_eq.horizon + 1)
         rev_eq_ok = (

@@ -68,7 +68,8 @@ def _load_template(path: str) -> Digraph:
         raise _Malformed(f"{path}: not a digraph: {exc}")
 
 
-def _make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
+def make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
+    """The generator ``kind`` at size n; bad input is a usage error."""
     try:
         if kind == "path":
             return graphs.gen_path(n)
@@ -84,7 +85,7 @@ def _make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
 def _graph_from_args(args) -> tuple[FunctionalGraph, dict]:
     if args.graph is not None:
         return _load_graph(args.graph), {"source": args.graph}
-    g = _make_graph(args.kind, args.n, args.seed)
+    g = make_graph(args.kind, args.n, args.seed)
     return g, {"source": {"kind": args.kind, "n": args.n, "seed": args.seed}}
 
 
@@ -100,7 +101,7 @@ def _add_graph_opts(p: argparse.ArgumentParser, default_n: int) -> None:
 # ---- subcommands ----
 
 def _cmd_gen(args) -> int:
-    g = _make_graph(args.kind, args.n, args.seed)
+    g = make_graph(args.kind, args.n, args.seed)
     doc = g.to_json_dict()
     if args.out:
         with open(args.out, "w") as fh:

@@ -23,7 +23,9 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Sequence
 
-from .partition import Partition, UnionFind
+import numpy as np
+
+from .partition import Partition
 
 UNBOUNDED = -1  # sentinel for "arbitrarily many forward iterates"
 
@@ -32,7 +34,7 @@ class FunctionalGraph:
     """Immutable-by-convention functional graph.
 
     ``succ[i]`` is the successor of vertex ``i`` or ``None`` for a sink.
-    Derived structure (adjacency, the tree order, forward-iterate
+    Derived structure (arrays, the tree order, forward-iterate
     counts, cycles) is computed lazily and cached; do not mutate
     ``succ`` after construction.
     """
@@ -44,11 +46,12 @@ class FunctionalGraph:
                 raise ValueError(f"successor of {i} out of range: {s}")
         self.n = n
         self.succ: tuple[int | None, ...] = tuple(succ)
-        self._adj: list[list[int]] | None = None
-        self._preds: list[list[int]] | None = None
         self._iters: list[int] | None = None
         self._tree: list[int] | None = None
         self._cycles: list[list[int]] | None = None
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
+        self._jumps: list[np.ndarray] = []
 
     # ---- construction ----
 
@@ -77,28 +80,49 @@ class FunctionalGraph:
     def is_total(self) -> bool:
         return all(s is not None for s in self.succ)
 
-    def adjacency(self) -> list[list[int]]:
-        """Undirected adjacency lists (successor and predecessors)."""
-        if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for i, s in enumerate(self.succ):
-                if s is not None:
-                    adj[i].append(s)
-                    if s != i:
-                        adj[s].append(i)
-            self._adj = adj
-        return self._adj
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Undirected adjacency as CSR arrays (indptr, neighbours), cached;
+        loops are left out, as they change no distance."""
+        if self._csr_arrays is None:
+            succ = self.arrays()[0]
+            src = np.flatnonzero((succ >= 0) & (succ != np.arange(self.n)))
+            a, b = np.r_[src, succ[src]], np.r_[succ[src], src]
+            self._csr_arrays = (
+                np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))],
+                b[np.argsort(a, kind="stable")])
+        return self._csr_arrays
 
-    def predecessors(self) -> list[list[int]]:
-        if self._preds is None:
-            preds: list[list[int]] = [[] for _ in range(self.n)]
-            for i, s in enumerate(self.succ):
-                if s is not None:
-                    preds[s].append(i)
-            self._preds = preds
-        return self._preds
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``succ`` (-1 for a sink) and :meth:`forward_iterates` as int64
+        arrays, cached."""
+        if self._arrays is None:
+            self._arrays = (
+                np.array([-1 if s is None else s for s in self.succ],
+                         dtype=np.int64),
+                np.array(self.forward_iterates(), dtype=np.int64))
+        return self._arrays
 
     # ---- forward iteration ----
+
+    def jump(self, x, k) -> np.ndarray:
+        """f^k(x) elementwise over vertex and step-count arrays, -1 where
+        the orbit stops at a sink first.
+
+        Pointer jumping (Wyllie 1979) over cached tables of f^(2^i); an
+        extra absorbing vertex n stands for "past a sink".
+        """
+        x = np.array(x, dtype=np.int64)
+        k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
+        if not self._jumps:
+            succ = self.arrays()[0]
+            self._jumps.append(np.append(np.where(succ < 0, self.n, succ),
+                                         self.n))
+        for i in range(int(k.max(initial=0)).bit_length()):
+            if i == len(self._jumps):
+                self._jumps.append(self._jumps[-1][self._jumps[-1]])
+            sel = (k >> i) & 1 == 1
+            x[sel] = self._jumps[i][x[sel]]
+        return np.where(x == self.n, -1, x)
 
     def iterate(self, x: int, k: int) -> int | None:
         """f^k(x), or None when some intermediate vertex is a sink."""
@@ -200,20 +224,69 @@ class FunctionalGraph:
         """All vertices within undirected distance ``radius`` of x."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        adj = self.adjacency()
         seen = {x}
-        frontier = [x]
-        for _ in range(radius):
-            nxt: list[int] = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
+        levels = _bfs_levels(self, np.array([x]), np.array([0]))
+        for _, (v, _) in zip(range(radius), levels):
+            seen.update(v.tolist())
         return seen
+
+
+def csr_rows(indptr: np.ndarray, rows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of CSR ``rows``, row after row, and the
+    index into ``rows`` that each position came from."""
+    lens = indptr[rows + 1] - indptr[rows]
+    ends = np.cumsum(lens)
+    pos = np.arange(ends[-1] if len(ends) else 0) \
+        + np.repeat(indptr[rows] - ends + lens, lens)
+    return pos, np.repeat(np.arange(len(rows)), lens)
+
+
+def _bfs_levels(g: FunctionalGraph, verts: np.ndarray, srcs: np.ndarray,
+                live: np.ndarray | None = None):
+    """One BFS per source id, all run together level by level.
+
+    Vertex ``verts[i]`` starts in the BFS of source ``srcs[i]``.  Yields
+    the (vertices, sources) of each new level.  A (vertex, source) key is
+    new when it is in neither the current nor the previous level, since
+    an undirected BFS level only borders its neighbouring levels.  One
+    sort finds them: keys get a low bit, 0 in the old levels and 1 in
+    the candidates, and a new key is a first occurrence with bit 1.
+    Sources whose ``live`` flag the caller clears stop growing.
+    """
+    indptr, nbr = g.csr()
+    k = int(srcs.max(initial=-1)) + 1
+    front, prev = np.unique(verts * k + srcs), verts[:0]
+    while True:
+        if live is not None:
+            front = front[live[front % k]]
+        if not len(front):
+            return
+        pos, row = csr_rows(indptr, front // k)
+        keys = np.sort(np.r_[front * 2, prev * 2,
+                             (nbr[pos] * k + (front % k)[row]) * 2 + 1])
+        first = np.r_[True, keys[1:] >> 1 != keys[:-1] >> 1]
+        front, prev = keys[first & (keys & 1 == 1)] >> 1, front
+        yield np.divmod(front, k)
+
+
+def ball_class_counts(g: FunctionalGraph, cid: np.ndarray,
+                      radius: int) -> np.ndarray:
+    """Per vertex, how many classes lie within distance ``radius``.
+
+    ``cid`` gives each vertex's class id, -1 when it has none.  A class
+    meets the radius-R ball around x exactly when x is within R of a
+    member, so one BFS per class answers every ball at once.  Each
+    vertex starts in at most one class, so the work is the sum of the
+    counts, not of the ball sizes.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    verts = np.flatnonzero(cid >= 0)
+    counts = np.bincount(verts, minlength=g.n)
+    for _, (v, _) in zip(range(radius), _bfs_levels(g, verts, cid[verts])):
+        counts += np.bincount(v, minlength=g.n)
+    return counts
 
 
 # ---- proximity classes ----
@@ -223,91 +296,71 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
     """Partition of ``subset`` generated by pairs at distance <= radius.
 
     Computed exactly with one multi-source BFS: every vertex is tagged
-    with its nearest subset member, and an edge whose two endpoint tags
+    with a nearest subset member, and an edge whose two endpoint tags
     sit at combined distance <= radius merges the tags' classes.  Along
     a shortest path between two subset members at distance <= radius,
     every edge triggers such a merge, so the chain of merges connects
-    them; conversely merged tags really are within the radius.
+    them; conversely merged tags really are within the radius.  The
+    merges become classes by hooking roots and pointer jumping.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    members = sorted(set(subset))
-    for x in members:
-        if not (0 <= x < g.n):
-            raise ValueError(f"subset vertex {x} out of range")
-    uf = UnionFind(members)
-    if not members:
-        return uf.to_partition()
-    adj = g.adjacency()
-    dist = [-1] * g.n
-    tag = [-1] * g.n
-    frontier = []
-    for x in members:
-        dist[x] = 0
-        tag[x] = x
-        frontier.append(x)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in adj[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    tag[w] = tag[v]
-                    nxt.append(w)
-        frontier = nxt
-    for u, v in g.edges():
-        if tag[u] != -1 and tag[v] != -1 and tag[u] != tag[v]:
-            if dist[u] + 1 + dist[v] <= radius:
-                uf.union(tag[u], tag[v])
-    return uf.to_partition()
+    members = np.array(sorted(set(subset)), dtype=np.int64)
+    bad = members[(members < 0) | (members >= g.n)]
+    if len(bad):
+        raise ValueError(f"subset vertex {bad[0]} out of range")
+    succ, indptr, nbr = g.arrays()[0], *g.csr()
+    dist, tag = np.full(g.n, -1), np.full(g.n, -1)
+    dist[members], tag[members], front = 0, members, members
+    for level in range(1, radius):  # deeper tags never merge
+        pos, row = csr_rows(indptr, front)
+        w, src = nbr[pos], front[row]
+        new = dist[w] < 0
+        dist[w[new]], tag[w[new]] = level, tag[src[new]]
+        front = np.flatnonzero(dist == level)
+    u = np.flatnonzero((tag >= 0) & (succ >= 0))
+    u = u[(tag[succ[u]] >= 0) & (dist[u] + dist[succ[u]] < radius)]
+    a, b, root = tag[u], tag[succ[u]], np.arange(g.n)
+    while not np.array_equal(root[a], root[b]):
+        lo, hi = np.minimum(root[a], root[b]), np.maximum(root[a], root[b])
+        np.minimum.at(root, hi, lo)  # hi is a root: hook it lower
+        while not np.array_equal(root[root], root):
+            root = root[root]
+    return Partition(dict(zip(members.tolist(), root[members].tolist())))
 
 
 def class_diameters(g: FunctionalGraph, classes: Partition) -> list[int]:
     """Max pairwise distance within each class (indexed by class id).
 
-    On acyclic graphs the metric is a tree metric, so a double sweep
-    from any member finds the diameter; both sweeps stop as soon as the
-    whole class has been seen.  On graphs with cycles every member is
-    swept.
+    Every BFS stops once it has seen its whole class.  On acyclic graphs
+    the metric is a tree metric, so a double sweep finds the diameter:
+    one BFS from each class's least member, one from the farthest member
+    it met.  On graphs with cycles every member is swept.
     """
-    adj = g.adjacency()
+    cid = classes.id_array(g.n)
+    sizes = np.bincount(cid[cid >= 0])
 
-    def sweep(start: int, targets: set[int]) -> tuple[int, int]:
-        # BFS from start until all targets seen; returns (farthest
-        # target, its distance).
-        seen = {start}
-        frontier = [start]
-        left = len(targets) - (1 if start in targets else 0)
-        best, best_d = start, 0
-        d = 0
-        while frontier and left > 0:
-            d += 1
-            nxt = []
-            for v in frontier:
-                for w in adj[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                        if w in targets:
-                            best, best_d = w, d
-                            left -= 1
-            frontier = nxt
-        return best, best_d
+    def sweep(starts: np.ndarray, cls: np.ndarray):
+        # farthest member of its class seen from each start, and its distance
+        far, dist = starts.copy(), np.zeros(len(starts), dtype=np.int64)
+        seen = np.ones(len(starts), dtype=np.int64)
+        live = seen < sizes[cls]
+        levels = _bfs_levels(g, starts, np.arange(len(starts)), live)
+        for d, (v, src) in enumerate(levels, 1):
+            hit = cid[v] == cls[src]
+            far[src[hit]], dist[src[hit]] = v[hit], d
+            seen += np.bincount(src[hit], minlength=len(starts))
+            live &= seen < sizes[cls]
+        return far, dist
 
-    acyclic = g.acyclic
-    out: list[int] = []
-    for cls in classes:
-        targets = set(cls)
-        if len(targets) == 1:
-            out.append(0)
-            continue
-        if acyclic:
-            far, _ = sweep(cls[0], targets)
-            _, diam = sweep(far, targets)
-            out.append(diam)
-        else:
-            out.append(max(sweep(x, targets)[1] for x in cls))
-    return out
+    members = np.flatnonzero(cid >= 0)
+    if g.acyclic:
+        order = np.arange(len(sizes))
+        first = members[np.unique(cid[members], return_index=True)[1]]
+        return sweep(sweep(first, order)[0], order)[1].tolist()
+    diam = np.zeros(len(sizes), dtype=np.int64)
+    np.maximum.at(diam, cid[members], sweep(members, cid[members])[1])
+    return diam.tolist()
 
 
 # ---- generators ----

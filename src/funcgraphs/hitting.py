@@ -15,8 +15,12 @@ promised on the interior at each construction's documented horizon).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .graphs import FunctionalGraph, class_diameters, proximity_classes
+import numpy as np
+
+from .graphs import FunctionalGraph, ball_class_counts, class_diameters, \
+    proximity_classes
 from .partition import Partition
 
 
@@ -183,41 +187,51 @@ def hitting_from_labeling(g: FunctionalGraph, labels: list[int | None],
     return HittingSet(members, spacing, horizon)
 
 
+def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,
+                 steps: int) -> np.ndarray:
+    """Per x in ``xs``: key[f^j(x)] == key[x] for some 1 <= j <= steps."""
+    hit = np.zeros(len(xs), dtype=bool)
+    idx, v = np.arange(len(xs)), xs
+    for _ in range(steps):
+        v = succ[v]
+        idx, v = idx[v >= 0], v[v >= 0]
+        same = key[v] == key[xs[idx]]
+        hit[idx[same]] = True
+        idx, v = idx[~same], v[~same]
+        if not len(idx):
+            break
+    return hit
+
+
 def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
-                       spacing: int) -> HittingSet:
+                       spacing: int,
+                       diameters: Sequence[int] | None = None) -> HittingSet:
     """Members of the cover whose next ``spacing`` iterates leave it.
 
     Forward independence is unconditional.  When every vertex sees the
     cover within ``spacing`` steps, the result hits the interior at
     horizon D + spacing where D is the largest diameter of a proximity
     class of the cover at radius ``spacing`` (the last cover vertex of
-    each class visit is kept).
+    each class visit is kept).  ``diameters`` are those classes'
+    diameters when the caller already has them.
     """
     if spacing < 1:
         raise ValueError("spacing must be >= 1")
     if not g.acyclic:
         raise ValueError("cover extraction requires an acyclic graph")
-    cover = set(cover)
-    members = set()
-    for x in cover:
-        v: int | None = x
-        keep = True
-        for _ in range(spacing):
-            v = g.succ[v]  # type: ignore[index]
-            if v is None:
-                break
-            if v in cover:
-                keep = False
-                break
-        if keep:
-            members.add(x)
-    classes = proximity_classes(g, cover, spacing)
-    diam = max(class_diameters(g, classes), default=0)
-    return HittingSet(frozenset(members), spacing, diam + spacing)
+    if diameters is None:
+        diameters = class_diameters(g, proximity_classes(g, cover, spacing))
+    diam = max(diameters, default=0)
+    xs = np.array(sorted(cover), dtype=np.int64)
+    in_cover = np.bincount(xs, minlength=g.n) > 0
+    members = xs[~_meets_ahead(g.arrays()[0], in_cover, xs, spacing)]
+    return HittingSet(frozenset(members.tolist()), spacing,
+                      int(diam) + spacing)
 
 
 def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
-                             d: int) -> tuple[HittingSet, dict]:
+                             d: int, diameters: Sequence[int] | None = None
+                             ) -> tuple[HittingSet, dict]:
     """Hitting set from an equivalence relation with small balls.
 
     A is the set of vertices never related to a later vertex of their
@@ -225,57 +239,31 @@ def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
     The hypothesis that every ball of radius 2t(d+1) meets at most d+1
     classes is checked and reported (the construction is still returned
     when it fails).  Vertices outside the partition count as unrelated.
+    ``diameters`` are the class diameters when the caller has them.
     """
     if t < 1 or d < 0:
         raise ValueError("t must be >= 1 and d >= 0")
     if not g.acyclic:
         raise ValueError("equivalence extraction requires an acyclic graph")
-    diams = class_diameters(g, eq)
-    max_diam = max(diams, default=0)
-    in_a = [False] * g.n
-    for x in range(g.n):
-        ok = True
-        if x in eq:
-            cid = eq.class_id(x)
-            v: int | None = x
-            # related iterates are at most max_diam steps ahead
-            for _ in range(max_diam):
-                v = g.succ[v]  # type: ignore[index]
-                if v is None:
-                    break
-                if v in eq and eq.class_id(v) == cid:
-                    ok = False
-                    break
-        in_a[x] = ok
-    members = set()
-    for x in range(g.n):
-        if not in_a[x]:
-            continue
-        v = g.succ[x]
-        keep = True
-        for _ in range(t):
-            if v is None:
-                break
-            if in_a[v]:
-                keep = False
-                break
-            v = g.succ[v]
-        if keep:
-            members.add(x)
+    if diameters is None:
+        diameters = class_diameters(g, eq)
+    max_diam = int(max(diameters, default=0))
+    succ, cid = g.arrays()[0], eq.id_array(g.n)
+    # related iterates are at most max_diam steps ahead
+    related = np.flatnonzero(cid >= 0)
+    in_a = np.ones(g.n, dtype=bool)
+    in_a[related[_meets_ahead(succ, cid, related, max_diam)]] = False
+    a = np.flatnonzero(in_a)
+    members = a[~_meets_ahead(succ, in_a, a, t)]
     radius = 2 * t * (d + 1)
-    max_ball = 0
-    violations = 0
-    for x in range(g.n):
-        cids = {eq.class_id(y) for y in g.ball(x, radius) if y in eq}
-        max_ball = max(max_ball, len(cids))
-        if len(cids) > d + 1:
-            violations += 1
+    counts = ball_class_counts(g, cid, radius)
+    violations = int(np.count_nonzero(counts > d + 1))
     report = {
         "max_class_diameter": max_diam,
         "ball_radius": radius,
-        "max_classes_per_ball": max_ball,
+        "max_classes_per_ball": int(counts.max(initial=0)),
         "ball_violations": violations,
         "hypothesis_ok": violations == 0,
     }
     horizon = max_diam + 1 + t * (d + 1)
-    return HittingSet(frozenset(members), t, horizon), report
+    return HittingSet(frozenset(members.tolist()), t, horizon), report

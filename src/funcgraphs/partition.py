@@ -5,6 +5,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 
 class Partition:
     """An equivalence relation on a finite set of ints, stored as a map
@@ -52,6 +54,12 @@ class Partition:
 
     def class_id(self, x: int) -> int:
         return self._class_of[x]
+
+    def id_array(self, n: int) -> np.ndarray:
+        """Class id of each of 0..n-1 as an int array, -1 outside."""
+        ids = np.full(n, -1, dtype=np.int64)
+        ids[list(self._class_of)] = list(self._class_of.values())
+        return ids
 
     def same_class(self, x: int, y: int) -> bool:
         return self._class_of[x] == self._class_of[y]

@@ -26,6 +26,13 @@ def undirected_adj(succ: list[int | None]) -> list[list[int]]:
     return adj
 
 
+def predecessors(g) -> list[list[int]]:
+    preds: list[list[int]] = [[] for _ in range(g.n)]
+    for x, y in g.edges():
+        preds[y].append(x)
+    return preds
+
+
 def bfs_dists(succ: list[int | None], source: int) -> list[int | None]:
     adj = undirected_adj(succ)
     dist: list[int | None] = [None] * len(succ)
@@ -233,7 +240,7 @@ def brute_force_hom(succ: list[int | None], m: int,
 def weak_components(g) -> list[list[int]]:
     seen = [False] * g.n
     out = []
-    adjacency = g.adjacency()
+    adjacency = undirected_adj(list(g.succ))
     for start in range(g.n):
         if seen[start]:
             continue
@@ -258,7 +265,7 @@ def feasible_sets(g, h, comp: list[int],
     strictly above x admits a homomorphism sending x to v.  Returns
     None as soon as some vertex has no feasible label.
     """
-    preds = g.predecessors()
+    preds = predecessors(g)
     radj = h.radj()
     depth: dict[int, int] = {}
     for x in comp:
@@ -315,7 +322,7 @@ def decide_hom_by_components(g, h) -> list[int] | None:
         for x, v in zip(cyc, labels):
             psi[x] = v
         # outward tree labels: parents of labeled vertices, nearest first
-        preds = g.predecessors()
+        preds = predecessors(g)
         frontier = list(cyc)
         while frontier:
             nxt = []
@@ -343,7 +350,7 @@ def retract_by_components(g, psi: list[int], h):
     tail_k = [0] * n
     land = list(range(n))
     target = [0] * n
-    preds = g.predecessors()
+    preds = predecessors(g)
     for comp in weak_components(g):
         inset = set(comp)
         cyc = next(c for c in g.cycles() if set(c) & inset)
@@ -410,7 +417,7 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
             f"hitting set is not {ell0}-forward-independent")
     n = g.n
     window: list[tuple[int, int] | None] = [None] * n
-    preds = g.predecessors()
+    preds = predecessors(g)
     for z in hitting.members:
         frontier = [z]
         for j in range(1, ell0 + 1):
@@ -522,3 +529,208 @@ def window_member_oracle(x: tuple[int, ...], y: tuple[int, ...],
             # never be certified nonempty
             return None
         n += 1
+
+
+# ---- asdim verifiers and reverse extractions, one vertex at a time ----
+# The per-vertex and per-class loops that the array verifiers in
+# ``funcgraphs.asdim`` and ``funcgraphs.hitting`` replaced.  Balls come
+# from a radius-limited BFS here rather than from the library.
+
+def ball_class_count(adj: list[list[int]], cid: list[int], x: int,
+                     radius: int) -> int:
+    """How many classes (``cid[y] >= 0``) meet the radius ball around x."""
+    dist = {x: 0}
+    q = deque([x])
+    while q:
+        u = q.popleft()
+        if dist[u] < radius:
+            for w in adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+    return len({cid[y] for y in dist if cid[y] >= 0})
+
+
+def ball_class_counts(g, cid: list[int], radius: int) -> list[int]:
+    adj = undirected_adj(list(g.succ))
+    return [ball_class_count(adj, cid, x, radius) for x in range(g.n)]
+
+
+def _deep_classes(classes, diams, inside):
+    for cls, diam in zip(classes.classes(), diams):
+        yield all(x in inside for x in cls), cls, diam
+
+
+def verify_cover_witness(g, witness, horizon=None) -> dict:
+    from funcgraphs.graphs import class_diameters, proximity_classes
+    params = witness.params
+    if horizon is None:
+        horizon = params.verify_depth
+    inside = g.interior(horizon)
+    report = {"bound": params.diameter_bound,
+              "sharp_bound": params.sharp_diameter_bound,
+              "horizon": horizon, "checked_classes": 0,
+              "skipped_classes": 0, "max_diameter": 0, "violations": 0,
+              "sharp_violations": 0}
+    for u in witness.sets:
+        classes = proximity_classes(g, u, params.t)
+        diams = class_diameters(g, classes)
+        for deep, _, diam in _deep_classes(classes, diams, inside):
+            if not deep:
+                report["skipped_classes"] += 1
+                continue
+            report["checked_classes"] += 1
+            report["max_diameter"] = max(report["max_diameter"], diam)
+            report["violations"] += diam > params.diameter_bound
+            report["sharp_violations"] += diam > params.sharp_diameter_bound
+    report["ok"] = report["violations"] == 0
+    return report
+
+
+def verify_eqrel_witness(g, witness, d=1, diameter_bound=None,
+                         horizon=None) -> dict:
+    from funcgraphs.graphs import class_diameters
+    params = witness.params
+    t = params.t
+    if horizon is None:
+        horizon = params.verify_depth + t
+    if diameter_bound is None:
+        diameter_bound = params.diameter_bound
+    inside = g.interior(horizon)
+    classes = witness.classes
+    diams = class_diameters(g, classes)
+    report = {"bound": diameter_bound, "horizon": horizon,
+              "checked_classes": 0, "skipped_classes": 0,
+              "max_diameter": 0, "diameter_violations": 0,
+              "ball_limit": d + 1, "checked_balls": 0,
+              "max_ball_classes": 0, "ball_violations": 0}
+    for deep, _, diam in _deep_classes(classes, diams, inside):
+        if not deep:
+            report["skipped_classes"] += 1
+            continue
+        report["checked_classes"] += 1
+        report["max_diameter"] = max(report["max_diameter"], diam)
+        report["diameter_violations"] += diam > diameter_bound
+    adj = undirected_adj(list(g.succ))
+    cid = [classes.class_id(x) if x in classes else -1 for x in range(g.n)]
+    for x in inside:
+        if x not in classes:
+            continue
+        count = ball_class_count(adj, cid, x, t)
+        report["checked_balls"] += 1
+        report["max_ball_classes"] = max(report["max_ball_classes"], count)
+        report["ball_violations"] += count > d + 1
+    report["ok"] = (report["diameter_violations"] == 0
+                    and report["ball_violations"] == 0)
+    return report
+
+
+def check_flip_bounds(g, coloring, flip, horizon=None) -> dict:
+    params = coloring.params
+    if horizon is None:
+        horizon = params.verify_depth
+    report = {"horizon": horizon, "checked": 0, "unlabeled": 0,
+              "undefined_flips": 0, "max_flip": 0, "violations": 0}
+    for x in g.interior(horizon):
+        report["checked"] += 1
+        if coloring.bit[x] is None:
+            report["unlabeled"] += 1
+        elif flip[x] is None:
+            report["undefined_flips"] += 1
+        else:
+            report["max_flip"] = max(report["max_flip"], flip[x])
+            report["violations"] += flip[x] > params.flip_bound
+    report["ok"] = (report["violations"] == 0 and report["unlabeled"] == 0
+                    and report["undefined_flips"] == 0)
+    return report
+
+
+def check_anchor_preimages(g, coloring, anchor, horizon=None) -> dict:
+    params = coloring.params
+    if horizon is None:
+        horizon = params.verify_depth
+    preds = predecessors(g)
+    bit = coloring.bit
+
+    def preimage_bits(e: int) -> set[int]:
+        seen = {b for b in (bit[e],) if b is not None}
+        frontier = [e]
+        for _ in range(params.anchor_skip):
+            frontier = [w for v in frontier for w in preds[v]]
+            seen |= {bit[w] for w in frontier if bit[w] is not None}
+        return seen
+
+    report = {"horizon": horizon, "checked": 0, "violations": 0}
+    for x in g.interior(horizon):
+        e = anchor[x]
+        if e is None or bit[x] is None:
+            continue
+        report["checked"] += 1
+        report["violations"] += bit[x] in preimage_bits(e)
+    report["ok"] = report["violations"] == 0
+    return report
+
+
+def check_class_reaches_anchor(g, witness, anchor, horizon=None) -> dict:
+    """Walks ``forward_orbit(y, walk + 1)`` from every class member."""
+    from funcgraphs.graphs import proximity_classes
+    params = witness.params
+    if horizon is None:
+        horizon = params.verify_depth
+    inside = g.interior(horizon)
+    walk = (params.diameter_bound + params.anchor_skip
+            + params.flip_bound + 2)
+    report = {"horizon": horizon, "checked_classes": 0,
+              "skipped_classes": 0, "checked_pairs": 0, "violations": 0}
+    for u in witness.sets:
+        for cls in proximity_classes(g, u, params.t).classes():
+            targets = {anchor[x] for x in cls}
+            if not all(x in inside for x in cls) or None in targets:
+                report["skipped_classes"] += 1
+                continue
+            report["checked_classes"] += 1
+            for y in cls:
+                reached = set(g.forward_orbit(y, walk + 1))
+                report["checked_pairs"] += len(targets)
+                report["violations"] += not targets <= reached
+    report["ok"] = report["violations"] == 0
+    return report
+
+
+def _window_free(g, x: int, inside: set[int], steps: int) -> bool:
+    """None of f^1(x) .. f^steps(x) lies in ``inside``."""
+    v = x
+    for _ in range(steps):
+        v = g.succ[v]
+        if v is None:
+            return True
+        if v in inside:
+            return False
+    return True
+
+
+def hitting_from_cover(g, cover, spacing: int) -> frozenset[int]:
+    """Members of the cover whose next ``spacing`` iterates leave it."""
+    cover = set(cover)
+    return frozenset(x for x in cover if _window_free(g, x, cover, spacing))
+
+
+def hitting_from_equivalence(g, eq, t: int, d: int
+                             ) -> tuple[frozenset[int], dict]:
+    """Members and hypothesis report, one vertex and one ball at a time."""
+    from funcgraphs.graphs import class_diameters
+    max_diam = max(class_diameters(g, eq), default=0)
+    in_a = set()
+    for x in range(g.n):
+        same = {y for y in eq.classes()[eq.class_id(x)]} if x in eq else set()
+        if _window_free(g, x, same, max_diam):
+            in_a.add(x)
+    members = frozenset(x for x in in_a if _window_free(g, x, in_a, t))
+    radius = 2 * t * (d + 1)
+    cid = [eq.class_id(x) if x in eq else -1 for x in range(g.n)]
+    counts = ball_class_counts(g, cid, radius)
+    violations = sum(c > d + 1 for c in counts)
+    return members, {"max_class_diameter": max_diam, "ball_radius": radius,
+                     "max_classes_per_ball": max(counts, default=0),
+                     "ball_violations": violations,
+                     "hypothesis_ok": violations == 0}

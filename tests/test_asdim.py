@@ -3,12 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from funcgraphs.asdim import (
+    CoverWitness, EquivalenceWitness, ParityColoring,
     WitnessParams, anchors, asdim_pipeline, check_anchor_preimages,
     check_class_reaches_anchor, check_flip_bounds, cover_from_hitting,
     distance_parity_coloring, equivalence_from_hitting, flip_dists,
     stripe_intervals, verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
-from funcgraphs.hitting import greedy_hitting, periodic_hitting
+from funcgraphs.hitting import (
+    greedy_hitting, hitting_from_cover, hitting_from_equivalence,
+    periodic_hitting)
 from funcgraphs.partition import Partition
 from strategies import forest_graphs
 
@@ -214,3 +217,206 @@ def test_cover_diameters_match_bfs_oracle_on_subsample():
         diams = class_diameters(g, classes)
         for cid, cls in enumerate(classes.classes()):
             assert diams[cid] == oracles.naive_class_diameter(succ, set(cls))
+
+
+# ---- array verifiers against the scalar loops they replaced ----
+
+def _compare_all(g, cover, eq, flip, anc, horizon, d=1):
+    """Assert every verifier and extraction equals its scalar oracle;
+    return the library reports by name."""
+    t = cover.params.t
+    reports = {
+        "cover": (verify_cover_witness(g, cover, horizon),
+                  oracles.verify_cover_witness(g, cover, horizon)),
+        "eqrel": (verify_eqrel_witness(g, eq, d, horizon=horizon),
+                  oracles.verify_eqrel_witness(g, eq, d, horizon=horizon)),
+        "flips": (check_flip_bounds(g, cover.coloring, flip, horizon),
+                  oracles.check_flip_bounds(g, cover.coloring, flip,
+                                            horizon)),
+        "preimages": (check_anchor_preimages(g, cover.coloring, anc, horizon),
+                      oracles.check_anchor_preimages(g, cover.coloring, anc,
+                                                     horizon)),
+        "reach": (check_class_reaches_anchor(g, cover, anc, horizon),
+                  oracles.check_class_reaches_anchor(g, cover, anc,
+                                                     horizon)),
+    }
+    for name, (got, want) in reports.items():
+        assert got == want, (name, got, want)
+    hs = hitting_from_cover(g, cover.sets[0], t)
+    assert hs.members == oracles.hitting_from_cover(g, cover.sets[0], t)
+    hs, hyp = hitting_from_equivalence(g, eq.classes, t, d)
+    assert (hs.members, hyp) == oracles.hitting_from_equivalence(
+        g, eq.classes, t, d)
+    return {name: got for name, (got, _) in reports.items()}
+
+
+def _recolor(cover, xs, color):
+    """The cover with the vertices ``xs`` given ``color``."""
+    col = cover.coloring
+    bit = list(col.bit)
+    for x in xs:
+        bit[x] = color(bit[x])
+    col = ParityColoring(col.params, col.members, col.dist, col.landing, bit)
+    return CoverWitness(col, tuple(
+        frozenset(v for v, b in enumerate(bit) if b == c) for c in (0, 1)))
+
+
+def _mutate(g, cover, eq, flip, anc, kind, pick):
+    """One defect of the named kind, at a vertex or class chosen by
+    ``pick`` (a float in [0, 1)).  Anchors, and flips except after a
+    recolored run, stay as they were, as a faulty witness carries them."""
+    classes = eq.classes.classes()
+    labeled = cover.coloring.labeled()
+    if kind == "merge" and len(classes) > 1:
+        # classes five apart lie more than a diameter bound apart
+        i = int(pick * (len(classes) - 1))
+        j = min(i + 5, len(classes) - 1)
+        rest = [c for k, c in enumerate(classes) if k not in (i, j)]
+        eq = EquivalenceWitness(cover.coloring, Partition.from_classes(
+            rest + [classes[i] + classes[j]]), eq.key)
+    if kind == "drop" and classes:
+        i = int(pick * len(classes))
+        rest = classes[:i] + classes[i + 1:] + [classes[i][1:]]
+        eq = EquivalenceWitness(cover.coloring, Partition.from_classes(
+            rest), eq.key)
+    if kind == "flip" and labeled:
+        x = labeled[int(pick * len(labeled))]
+        cover = _recolor(cover, [x], lambda b: 1 - b)
+    if kind == "run" and labeled:
+        # one color along 40 steps: a long class, and late flips
+        x = labeled[int(pick * len(labeled))]
+        cover = _recolor(cover, g.forward_orbit(x, 40),
+                         lambda b: b if b is None else 0)
+        flip = flip_dists(g, cover.coloring)
+    defined = [x for x, e in enumerate(anc) if e is not None]
+    if kind == "shift" and defined:
+        # one step off the orbit when the anchor has a side branch
+        x = defined[int(pick * len(defined))]
+        orbit = set(g.forward_orbit(x, g.n))
+        side = [w for w, s in enumerate(g.succ)
+                if s == anc[x] and w not in orbit]
+        anc = list(anc)
+        anc[x] = side[0] if side else g.succ[anc[x]]
+    return cover, eq, flip, anc
+
+
+MUTATIONS = ["none", "merge", "drop", "flip", "run", "shift"]
+
+
+def _pipeline_witnesses(g, t):
+    hs = greedy_hitting(g, WitnessParams(t).spacing)
+    cover = cover_from_hitting(g, hs.members, t)
+    flip = flip_dists(g, cover.coloring)
+    eq = equivalence_from_hitting(g, hs.members, t, cover.coloring, flip)
+    return cover, eq, flip, anchors(g, cover.params, flip)
+
+
+def test_array_verifiers_match_oracles_on_mutated_witnesses():
+    seen = {"cover": 0, "eqrel": 0, "flips": 0, "preimages": 0, "reach": 0}
+
+    # derandomized, so that the assertion after the run is not flaky
+    @settings(max_examples=40, derandomize=True)
+    @given(st.sampled_from(["forest", "path"]), st.integers(800, 1600),
+           st.integers(0, 10 ** 6), st.sampled_from([1, 2]),
+           st.sampled_from(MUTATIONS), st.floats(0, 0.999),
+           st.sampled_from([None, 0, 150]))
+    def check(kind, n, seed, t, mutation, pick, horizon):
+        g = gen_path(n) if kind == "path" else gen_random_forest(n, seed)
+        witnesses = _mutate(g, *_pipeline_witnesses(g, t), mutation, pick)
+        reports = _compare_all(g, *witnesses, horizon)
+        for name, rep in reports.items():
+            bad = [v for k, v in rep.items() if k.endswith("violations")]
+            seen[name] += sum(bad) > 0
+
+    check()
+    # the mutations really break witnesses, so the comparisons above
+    # cover nonzero violation counts, not only clean reports
+    assert all(seen.values()), seen
+
+
+@st.composite
+def hand_built_witnesses(draw):
+    """Arbitrary colors, classes, flips and anchors on a small forest."""
+    g = draw(forest_graphs())
+    n = g.n
+    vertex = st.integers(0, n - 1)
+    bit = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n,
+                        max_size=n))
+    params = WitnessParams(draw(st.sampled_from([1, 2])))
+    coloring = ParityColoring(params, frozenset(), [None] * n, [None] * n,
+                              bit)
+    cover = CoverWitness(coloring, tuple(
+        frozenset(x for x, b in enumerate(bit) if b == c) for c in (0, 1)))
+    ids = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)),
+                        min_size=n, max_size=n))
+    part = Partition({x: c for x, c in enumerate(ids) if c is not None})
+    eq = EquivalenceWitness(coloring, part, {})
+    flip = draw(st.lists(st.one_of(st.none(), st.integers(1, 30)),
+                         min_size=n, max_size=n))
+    anc = draw(st.lists(st.one_of(st.none(), vertex), min_size=n,
+                        max_size=n))
+    return g, cover, eq, flip, anc, draw(st.integers(0, 4))
+
+
+@settings(max_examples=150)
+@given(hand_built_witnesses(), st.integers(0, 2))
+def test_array_verifiers_match_oracles_on_hand_built_witnesses(wit, d):
+    g, cover, eq, flip, anc, horizon = wit
+    _compare_all(g, cover, eq, flip, anc, horizon, d)
+
+
+@settings(max_examples=30)
+@given(forest_graphs(), st.sampled_from([1, 2]))
+def test_array_verifiers_match_oracles_on_strategy_forests(g, t):
+    _compare_all(g, *_pipeline_witnesses(g, t), 0)
+
+
+def test_reach_check_rejects_cyclic_graphs():
+    g = FunctionalGraph([1, 2, 0, 0])
+    params = WitnessParams(1)
+    col = ParityColoring(params, frozenset(), [None] * 4, [None] * 4,
+                         [0, 1, 0, 1])
+    wit = CoverWitness(col, (frozenset({0, 2}), frozenset({1, 3})))
+    with pytest.raises(ValueError, match="acyclic"):
+        check_class_reaches_anchor(g, wit, [1, 2, 0, 0], horizon=0)
+    # the other verifiers still answer on cyclic graphs
+    assert verify_cover_witness(g, wit, horizon=0)["checked_classes"] > 0
+
+
+def test_pipeline_builds_each_shared_quantity_once(monkeypatch):
+    import funcgraphs.asdim as asdim_mod
+    import funcgraphs.hitting as hitting_mod
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("distance_parity_coloring", "flip_dists",
+                 "proximity_classes", "class_diameters"):
+        counted(asdim_mod, name)
+    counted(hitting_mod, "proximity_classes")
+    counted(hitting_mod, "class_diameters")
+    assert asdim_pipeline(gen_random_forest(600, 4), (1,))["ok"]
+    # one coloring and one flip table; the two cover sets' proximity
+    # classes and diameters, plus the equivalence's diameters
+    assert calls == {"distance_parity_coloring": 1, "flip_dists": 1,
+                     "proximity_classes": 2, "class_diameters": 3}, calls
+
+
+@pytest.mark.parametrize("offset,ok", [(1, True), (53, True), (54, False)])
+def test_reach_window_ends_at_walk_steps(offset, ok):
+    # t = 1 allows 35 + 2 + 14 + 2 = 53 forward steps from each member
+    g = gen_path(120)
+    col = ParityColoring(WitnessParams(1), frozenset(), [None] * g.n,
+                         [None] * g.n, [0, 0] + [None] * (g.n - 2))
+    wit = CoverWitness(col, (frozenset({0, 1}), frozenset()))
+    anc = [offset, offset] + [None] * (g.n - 2)
+    rep = check_class_reaches_anchor(g, wit, anc, horizon=0)
+    assert rep == oracles.check_class_reaches_anchor(g, wit, anc, horizon=0)
+    assert rep["checked_pairs"] == 2 and rep["ok"] == ok
+    assert rep["violations"] == (0 if ok else 1)

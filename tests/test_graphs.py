@@ -1,13 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
 from funcgraphs.graphs import (
-    UNBOUNDED, FunctionalGraph, class_diameters, gen_path,
+    UNBOUNDED, FunctionalGraph, ball_class_counts, class_diameters, gen_path,
     gen_random_forest, gen_random_total, proximity_classes)
-from strategies import forest_graphs, partial_graphs
+from strategies import forest_graphs, partial_graphs, total_graphs
 
 
 def rho_shape():
@@ -185,3 +186,42 @@ def test_acyclic_strategy_graphs_have_no_cycles(g):
     assert UNBOUNDED not in g.forward_iterates()
     total = sum(1 for _ in g.edges())
     assert total == g.n - g.succ.count(None)
+
+
+@st.composite
+def classed_graphs(draw):
+    """A graph (forest, partial with cycles, or total) and class ids."""
+    g = draw(st.one_of(forest_graphs(), partial_graphs(), total_graphs()))
+    ids = draw(st.lists(st.integers(-1, 5), min_size=g.n, max_size=g.n))
+    return g, ids
+
+
+@settings(max_examples=150)
+@given(classed_graphs(), st.integers(0, 6))
+def test_ball_class_counts_match_bfs_oracle(case, radius):
+    g, ids = case
+    got = ball_class_counts(g, np.array(ids), radius)
+    assert got.tolist() == oracles.ball_class_counts(g, ids, radius)
+    for x in range(g.n):  # and the plain BFS ball
+        assert len({ids[y] for y in oracles.bfs_ball(list(g.succ), x, radius)
+                    if ids[y] >= 0}) == got[x]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("radius", [1, 2, 4])
+def test_ball_class_counts_on_random_total_maps(seed, radius):
+    g = gen_random_total(300, seed)
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(-1, 40, g.n)
+    assert ball_class_counts(g, ids, radius).tolist() == \
+        oracles.ball_class_counts(g, ids.tolist(), radius)
+
+
+@given(partial_graphs(), st.data())
+def test_jump_matches_iterate(g, data):
+    xs = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1))
+    ks = data.draw(st.lists(st.integers(0, 70), min_size=len(xs),
+                            max_size=len(xs)))
+    got = g.jump(np.array(xs), np.array(ks)).tolist()
+    assert got == [-1 if y is None else y
+                   for y in map(g.iterate, xs, ks)]
