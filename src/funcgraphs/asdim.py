@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import UNBOUNDED, FunctionalGraph, ball_class_counts, \
+from .graphs import FunctionalGraph, ball_class_counts, \
     class_diameters, csr_rows, proximity_classes
 from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting
@@ -213,14 +213,6 @@ def _array(values: Sequence[int | None]) -> np.ndarray:
     return np.array([-1 if v is None else v for v in values], dtype=np.int64)
 
 
-def _inside(g: FunctionalGraph, horizon: int) -> np.ndarray:
-    """:meth:`FunctionalGraph.interior` as a vertex mask."""
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    depth = g.arrays()[1]
-    return (depth == UNBOUNDED) | (depth >= horizon)
-
-
 def _deep(cid: np.ndarray, ok: np.ndarray, k: int) -> np.ndarray:
     """Mask of the k classes all of whose members are ``ok``."""
     return np.bincount(cid[(cid >= 0) & ~ok], minlength=k) == 0
@@ -322,7 +314,7 @@ def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
     params = witness.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = _inside(g, horizon)
+    inside = g.interior_mask(horizon)
     report: dict = {
         "bound": params.diameter_bound,
         "sharp_bound": params.sharp_diameter_bound,
@@ -361,7 +353,7 @@ def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
         horizon = params.verify_depth + t
     if diameter_bound is None:
         diameter_bound = params.diameter_bound
-    inside = _inside(g, horizon)
+    inside = g.interior_mask(horizon)
     cid, diams = witness.classes.id_array(g.n), witness.diameters(g)
     deep = diams[_deep(cid, inside, len(diams))]
     balls = ball_class_counts(g, cid, t)[inside & (cid >= 0)]
@@ -389,7 +381,7 @@ def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = _inside(g, horizon)
+    inside = g.interior_mask(horizon)
     bit, j = _array(coloring.bit)[inside], _array(flip)[inside]
     j = j[bit >= 0]
     report = {"horizon": horizon, "checked": len(bit),
@@ -422,7 +414,7 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
     for _ in range(params.anchor_skip + 1):
         near[bit[w], v] = True
         w, v = w[succ[v] >= 0], succ[v[succ[v] >= 0]]
-    x = np.flatnonzero(_inside(g, horizon) & (anc >= 0) & (bit >= 0))
+    x = np.flatnonzero(g.interior_mask(horizon) & (anc >= 0) & (bit >= 0))
     report = {"horizon": horizon, "checked": len(x),
               "violations": int(np.count_nonzero(near[bit[x], anc[x]]))}
     report["ok"] = report["violations"] == 0
@@ -449,7 +441,7 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
     if horizon is None:
         horizon = params.verify_depth
     depth, anc = g.arrays()[1], _array(anchor)
-    ok = _inside(g, horizon) & (anc >= 0)
+    ok = g.interior_mask(horizon) & (anc >= 0)
     walk = (params.diameter_bound + params.anchor_skip
             + params.flip_bound + 2)
     report = {"horizon": horizon, "checked_classes": 0,

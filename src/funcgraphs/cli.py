@@ -231,8 +231,8 @@ def _cmd_hom(args) -> int:
         raise _Malformed(
             "acyclic solving supports loop or ergodic templates only")
     bad = homsolver.hom_violations(g, psi, h)
-    interior = set(g.interior(horizon))
-    bad_interior = [e for e in bad if e[0] in interior]
+    inside = g.interior_mask(horizon)
+    bad_interior = [e for e in bad if inside[e[0]]]
     labeled = sum(1 for v in psi if v is not None)
     ok = not bad_interior
     report = {**src, "mode": "solve", "template_class": cls.value,

@@ -10,17 +10,19 @@ Distances are measured in the undirected version of the graph (follow
 edges either way).  Forward iteration ``x, f(x), f(f(x)), ...`` stops at
 sinks and may wrap around cycles.
 
-Values defined along forward orbits (iterate counts, hitting flags,
-countdown labels, colorings, homomorphism labels) are folds in which
-the value at x comes from the value at f(x).  They all run over one
-cached order, :meth:`FunctionalGraph.tree_order`, which lists every
-vertex off the cycles after its successor; the cycles themselves come
-from :meth:`FunctionalGraph.cycles`.
+Depths (steps to the sink an orbit ends at) come from one
+pointer-jumping pass, :func:`path_ends`; hitting flags and countdown
+labels are depths in the graph with the members' out-edges cut.  The
+remaining folds along forward orbits (colorings, homomorphism labels)
+run over one cached order, :meth:`FunctionalGraph.tree_order`, which
+lists every vertex off the cycles after its successor; the cycles
+themselves come from :meth:`FunctionalGraph.cycles`.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,9 +36,8 @@ class FunctionalGraph:
     """Immutable-by-convention functional graph.
 
     ``succ[i]`` is the successor of vertex ``i`` or ``None`` for a sink.
-    Derived structure (arrays, the tree order, forward-iterate
-    counts, cycles) is computed lazily and cached; do not mutate
-    ``succ`` after construction.
+    Derived structure (depths, the tree order, cycles) is computed
+    lazily and cached; do not mutate ``succ`` after construction.
     """
 
     def __init__(self, succ: Sequence[int | None]):
@@ -46,10 +47,8 @@ class FunctionalGraph:
                 raise ValueError(f"successor of {i} out of range: {s}")
         self.n = n
         self.succ: tuple[int | None, ...] = tuple(succ)
-        self._iters: list[int] | None = None
         self._tree: list[int] | None = None
         self._cycles: list[list[int]] | None = None
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._jumps: list[np.ndarray] = []
 
@@ -64,7 +63,9 @@ class FunctionalGraph:
             raise ValueError("n and every successor must be integers")
         if len(succ) != n:
             raise ValueError(f"succ has {len(succ)} entries, expected n={n}")
-        return cls([None if s == -1 else s for s in succ])
+        g = cls([None if s == -1 else s for s in succ])
+        g._succ = np.array(succ, dtype=np.int64)  # the constructor checked it
+        return g
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "succ": [-1 if s is None else s for s in self.succ]}
@@ -84,7 +85,7 @@ class FunctionalGraph:
         """Undirected adjacency as CSR arrays (indptr, neighbours), cached;
         loops are left out, as they change no distance."""
         if self._csr_arrays is None:
-            succ = self.arrays()[0]
+            succ = self._succ
             src = np.flatnonzero((succ >= 0) & (succ != np.arange(self.n)))
             a, b = np.r_[src, succ[src]], np.r_[succ[src], src]
             self._csr_arrays = (
@@ -92,15 +93,20 @@ class FunctionalGraph:
                 b[np.argsort(a, kind="stable")])
         return self._csr_arrays
 
+    @cached_property
+    def _succ(self) -> np.ndarray:
+        return np.array([-1 if s is None else s for s in self.succ],
+                        dtype=np.int64)
+
+    @cached_property
+    def _depth(self) -> np.ndarray:
+        return path_ends(self._succ)[0]
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``succ`` (-1 for a sink) and :meth:`forward_iterates` as int64
-        arrays, cached."""
-        if self._arrays is None:
-            self._arrays = (
-                np.array([-1 if s is None else s for s in self.succ],
-                         dtype=np.int64),
-                np.array(self.forward_iterates(), dtype=np.int64))
-        return self._arrays
+        """``succ`` (-1 for a sink) and each vertex's count of defined
+        forward iterates (its depth from :func:`path_ends`, ``UNBOUNDED``
+        when the orbit reaches a cycle) as int64 arrays, cached."""
+        return self._succ, self._depth
 
     # ---- forward iteration ----
 
@@ -114,7 +120,7 @@ class FunctionalGraph:
         x = np.array(x, dtype=np.int64)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
         if not self._jumps:
-            succ = self.arrays()[0]
+            succ = self._succ
             self._jumps.append(np.append(np.where(succ < 0, self.n, succ),
                                          self.n))
         for i in range(int(k.max(initial=0)).bit_length()):
@@ -181,20 +187,9 @@ class FunctionalGraph:
         return order
 
     def forward_iterates(self) -> list[int]:
-        """Per-vertex count of defined forward iterates.
-
-        ``UNBOUNDED`` marks vertices whose orbit reaches a directed cycle.
-        """
-        if self._iters is None:
-            iters = [UNBOUNDED] * self.n
-            for x in self.tree_order():
-                s = self.succ[x]
-                if s is None:
-                    iters[x] = 0
-                elif iters[s] != UNBOUNDED:
-                    iters[x] = iters[s] + 1
-            self._iters = iters
-        return self._iters
+        """Per-vertex count of defined forward iterates, ``UNBOUNDED``
+        where the orbit reaches a directed cycle."""
+        return self.arrays()[1].tolist()
 
     def cycles(self) -> list[list[int]]:
         """Vertex lists of all directed cycles, in successor order.
@@ -208,15 +203,19 @@ class FunctionalGraph:
 
     @property
     def acyclic(self) -> bool:
-        return not self.cycles()
+        return not np.any(self.arrays()[1] == UNBOUNDED)
+
+    def interior_mask(self, horizon: int) -> np.ndarray:
+        """Mask of the vertices with >= ``horizon`` defined forward
+        iterates."""
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
+        depth = self.arrays()[1]
+        return (depth == UNBOUNDED) | (depth >= horizon)
 
     def interior(self, horizon: int) -> set[int]:
         """Vertices with at least ``horizon`` defined forward iterates."""
-        if horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        iters = self.forward_iterates()
-        return {x for x in range(self.n)
-                if iters[x] == UNBOUNDED or iters[x] >= horizon}
+        return set(np.flatnonzero(self.interior_mask(horizon)).tolist())
 
     # ---- metric ----
 
@@ -229,6 +228,41 @@ class FunctionalGraph:
         for _, (v, _) in zip(range(radius), levels):
             seen.update(v.tolist())
         return seen
+
+
+def label_array(labels: Sequence[int | None]) -> np.ndarray:
+    """``labels`` with -1 for None: int64 when every label fits, else an
+    object array of the exact Python ints.  Labels must be >= 0."""
+    lab = np.array([-1 if v is None else v for v in labels], dtype=object)
+    if np.count_nonzero(lab < 0) != labels.count(None):
+        raise ValueError("labels must be None or >= 0")
+    try:
+        return lab.astype(np.int64)
+    except OverflowError:
+        return lab
+
+
+def path_ends(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex, its steps to the sink its orbit ends at, and that sink;
+    ``UNBOUNDED`` and -1 where the orbit reaches a cycle instead.
+
+    Pointer jumping (Wyllie 1979) over a successor array with -1 for a
+    sink: after j jumps each vertex points min(2**j, depth) steps ahead.
+    Depths are below n, so a vertex whose pointer has not reached a
+    sink after bit_length(n - 1) jumps never does.
+    """
+    n = len(succ)
+    sink = succ < 0
+    end = np.where(sink, np.arange(n), succ)
+    depth = (~sink).astype(np.int64)
+    for _ in range(max(n - 1, 1).bit_length()):
+        if sink[end].all():
+            break
+        depth += depth[end]
+        end = end[end]
+    cyclic = ~sink[end]
+    depth[cyclic], end[cyclic] = UNBOUNDED, -1
+    return depth, end
 
 
 def csr_rows(indptr: np.ndarray, rows: np.ndarray

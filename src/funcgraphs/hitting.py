@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FunctionalGraph, ball_class_counts, class_diameters, \
-    proximity_classes
+    label_array, path_ends, proximity_classes
 from .partition import Partition
 
 
@@ -40,72 +40,67 @@ class HittingSet:
         return sorted(self.members)
 
 
+def _member_mask(n: int, members: set[int] | frozenset[int]) -> np.ndarray:
+    """The member set as a mask over the vertices 0..n-1."""
+    if members and not 0 <= min(members) <= max(members) < n:
+        raise ValueError("member out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    return mask
+
+
 def is_forward_independent(g: FunctionalGraph, members: set[int] | frozenset[int],
                            spacing: int) -> bool:
     """No member reaches another member in 1..spacing forward steps."""
     if spacing < 1:
         raise ValueError("spacing must be >= 1")
-    for x in members:
-        v: int | None = x
-        for _ in range(spacing):
-            v = g.succ[v]  # type: ignore[index]
-            if v is None:
-                break
-            if v in members:
-                return False
-    return True
+    mask = _member_mask(g.n, members)
+    return not _meets_ahead(g.arrays()[0], mask, np.flatnonzero(mask),
+                            spacing).any()
 
 
-def _hits_forward(g: FunctionalGraph, members: set[int] | frozenset[int]) -> list[bool]:
-    """hits[x]: some strictly positive forward iterate of x is a member."""
-    hits = [False] * g.n
-    for cyc in g.cycles():
-        on_cycle = any(v in members for v in cyc)
-        for v in cyc:
-            hits[v] = on_cycle
-    for x in g.tree_order():
-        s = g.succ[x]
-        hits[x] = s is not None and (hits[s] or s in members)
-    return hits
+def _nearest(g: FunctionalGraph, members: set[int] | frozenset[int]
+             ) -> np.ndarray:
+    """Least k >= 0 with f^k(x) a member, per vertex, -1 if never.
+
+    Cutting the members' out-edges makes them sinks; x's answer is then
+    its depth when its orbit ends at a member, and none when it ends at
+    another sink or on a member-free cycle.
+    """
+    mask = _member_mask(g.n, members)
+    depth, end = path_ends(np.where(mask, -1, g.arrays()[0]))
+    return np.where((end >= 0) & mask[end], depth, -1)
 
 
 def is_hitting(g: FunctionalGraph, members: set[int] | frozenset[int],
                horizon: int) -> bool:
-    """Every vertex with >= horizon forward iterates is hit by the set."""
-    hits = _hits_forward(g, members)
-    return all(hits[x] for x in g.interior(horizon))
+    """Every vertex with >= horizon forward iterates is hit by the set:
+    some strictly positive iterate of it is a member."""
+    succ, near = g.arrays()[0], _nearest(g, members)
+    hit = (succ >= 0) & (near[succ] >= 0)
+    return bool(hit[g.interior_mask(horizon)].all())
 
 
 def greedy_hitting(g: FunctionalGraph, spacing: int) -> HittingSet:
     """Deepest-last greedy construction on an acyclic graph.
 
-    Vertices are processed in tree order, each after its successor; a
-    vertex joins whenever no member sits within ``spacing`` forward
-    steps (in particular every sink joins).  The result is
-    spacing-forward-independent and hits the interior at horizon
-    spacing + 1.  Consecutive members along any
-    orbit end up exactly spacing + 1 steps apart: no member can sit
-    strictly between a member and the next one ahead of it, so the
-    forward distance recorded when a vertex joins is spacing + 1 on the
-    nose.  Use :func:`periodic_hitting` when wider gaps are wanted.
+    Vertices are processed each after its successor; a vertex joins
+    whenever no member sits within ``spacing`` forward steps (in
+    particular every sink joins).  This is :func:`periodic_hitting` with
+    period p = spacing + 1.  By induction along that order, the
+    greedy's distance ``nearest[x]`` from x to the closest member at
+    >= 0 steps is depth(x) mod p.  A sink has depth 0 and joins.  If
+    f(x) = y, the closest member ahead of x is nearest[y] + 1 =
+    (depth(y) mod p) + 1 steps away, which is at most p; x joins exactly
+    when it is p, that is when depth(x) = depth(y) + 1 is a multiple of
+    p, and otherwise nearest[x] is that distance, depth(x) mod p.  So
+    the result is spacing-forward-independent, consecutive members
+    along any orbit are exactly spacing + 1 apart, and it hits the
+    interior at horizon spacing + 1.
     """
     if spacing < 1:
         raise ValueError("spacing must be >= 1")
-    if not g.acyclic:
-        raise ValueError("greedy construction requires an acyclic graph")
-    members: set[int] = set()
-    # nearest[x]: distance from x to closest member at >= 0 steps, once
-    # x has been processed
-    nearest = [0] * g.n
-    for x in g.tree_order():
-        s = g.succ[x]
-        strict = None if s is None else nearest[s] + 1
-        if strict is None or strict > spacing:
-            members.add(x)
-            nearest[x] = 0
-        else:
-            nearest[x] = strict
-    return HittingSet(frozenset(members), spacing, spacing + 1)
+    return periodic_hitting(g, spacing + 1)
 
 
 def periodic_hitting(g: FunctionalGraph, period: int) -> HittingSet:
@@ -121,35 +116,31 @@ def periodic_hitting(g: FunctionalGraph, period: int) -> HittingSet:
     if period < 2:
         raise ValueError("period must be >= 2")
     if not g.acyclic:
-        raise ValueError("periodic construction requires an acyclic graph")
-    iters = g.forward_iterates()
-    members = frozenset(x for x in range(g.n) if iters[x] % period == 0)
-    return HittingSet(members, period - 1, period)
+        raise ValueError("greedy and periodic constructions require an "
+                         "acyclic graph")
+    # depths are below n, so a longer period only keeps the sinks
+    members = np.flatnonzero(g.arrays()[1] % min(period, g.n + 1) == 0)
+    return HittingSet(frozenset(members.tolist()), period - 1, period)
 
 
 def labeling_from_hitting(g: FunctionalGraph,
                           members: set[int] | frozenset[int]) -> list[int | None]:
-    """Least k >= 0 with f^k(x) a member, per vertex (None if never).
+    """Least k >= 0 with f^k(x) a member, per vertex (None if never)."""
+    near = _nearest(g, members)
+    return np.where(near < 0, None, near).tolist()
 
-    Walking a cycle backwards twice gives every cycle vertex the nearest
-    member ahead of it; tree vertices then fold over the tree order.
-    """
-    labels: list[int | None] = [None] * g.n
-    for cyc in g.cycles():
-        ahead: int | None = None
-        for v in reversed(cyc + cyc):
-            if v in members:
-                ahead = 0
-            elif ahead is not None:
-                ahead += 1
-            labels[v] = ahead
-    for x in g.tree_order():
-        s = g.succ[x]
-        if x in members:
-            labels[x] = 0
-        elif s is not None and labels[s] is not None:
-            labels[x] = labels[s] + 1
-    return labels
+
+def _countdown_check(g: FunctionalGraph, labels: Sequence[int | None],
+                     spacing: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The labels as :func:`label_array` gives them, and the edges that
+    break the countdown invariant, in edge order."""
+    if len(labels) != g.n:
+        raise ValueError("labeling length does not match vertex count")
+    lab, succ = label_array(labels), g.arrays()[0]
+    x = np.flatnonzero(succ >= 0)
+    a, b = lab[x], lab[succ[x]]
+    x = x[(a >= 0) & (b >= 0) & np.where(a > 0, b != a - 1, b < spacing)]
+    return lab, list(zip(x.tolist(), succ[x].tolist()))
 
 
 def countdown_violations(g: FunctionalGraph, labels: list[int | None],
@@ -159,32 +150,19 @@ def countdown_violations(g: FunctionalGraph, labels: list[int | None],
     Positive labels must decrement along the edge; a zero label must be
     followed by a label >= spacing.
     """
-    bad = []
-    for x, y in g.edges():
-        a, b = labels[x], labels[y]
-        if a is None or b is None:
-            continue
-        if a > 0:
-            if b != a - 1:
-                bad.append((x, y))
-        elif b < spacing:
-            bad.append((x, y))
-    return bad
+    return _countdown_check(g, labels, spacing)[1]
 
 
 def hitting_from_labeling(g: FunctionalGraph, labels: list[int | None],
                           spacing: int) -> HittingSet:
     """Members are the zero-labeled vertices; the labeling must satisfy
     the countdown invariant."""
-    if len(labels) != g.n:
-        raise ValueError("labeling length does not match vertex count")
-    bad = countdown_violations(g, labels, spacing)
+    lab, bad = _countdown_check(g, labels, spacing)
     if bad:
         raise ValueError(f"countdown invariant violated on edges {bad[:5]}"
                          + ("..." if len(bad) > 5 else ""))
-    members = frozenset(x for x in range(g.n) if labels[x] == 0)
-    horizon = max((k for k in labels if k is not None), default=0)
-    return HittingSet(members, spacing, horizon)
+    members = frozenset(np.flatnonzero(lab == 0).tolist())
+    return HittingSet(members, spacing, int(lab.max(initial=0)))
 
 
 def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,
@@ -222,8 +200,8 @@ def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
     if diameters is None:
         diameters = class_diameters(g, proximity_classes(g, cover, spacing))
     diam = max(diameters, default=0)
-    xs = np.array(sorted(cover), dtype=np.int64)
-    in_cover = np.bincount(xs, minlength=g.n) > 0
+    in_cover = _member_mask(g.n, cover)
+    xs = np.flatnonzero(in_cover)
     members = xs[~_meets_ahead(g.arrays()[0], in_cover, xs, spacing)]
     return HittingSet(frozenset(members.tolist()), spacing,
                       int(diam) + spacing)

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraphs import Digraph, GraphShapeError, path_of_length
-from .graphs import FunctionalGraph
+from .graphs import FunctionalGraph, label_array
 from .hitting import HittingSet, is_forward_independent
 from .partition import Partition
 
@@ -35,17 +37,20 @@ def hom_violations(g: FunctionalGraph, psi: list[int | None],
     """Edges of G whose images are not edges of H (None labels skip)."""
     if len(psi) != g.n:
         raise ValueError("labeling length must match the graph")
-    for v in psi:
-        if v is not None and not 0 <= v < h.m:
-            raise ValueError(f"label {v} outside the template")
-    bad = []
-    for x, y in g.edges():
-        a, b = psi[x], psi[y]
-        if a is None or b is None:
-            continue
-        if (a, b) not in h.edges:
-            bad.append((x, y))
-    return bad
+    try:
+        lab = label_array(psi)
+    except ValueError:
+        lab = None
+    if lab is None or lab.max(initial=-1) >= h.m:
+        v = next(v for v in psi if v is not None and not 0 <= v < h.m)
+        raise ValueError(f"label {v} outside the template")
+    adj = np.zeros((h.m, h.m), dtype=bool)
+    adj[[a for a, _ in h.edges], [b for _, b in h.edges]] = True
+    succ = g.arrays()[0]
+    x = np.flatnonzero(succ >= 0)
+    x = x[(lab[x] >= 0) & (lab[succ[x]] >= 0)]
+    x = x[~adj[lab[x], lab[succ[x]]]]
+    return list(zip(x.tolist(), succ[x].tolist()))
 
 
 def verify_hom(g: FunctionalGraph, psi: list[int], h: Digraph) -> bool:

@@ -32,7 +32,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from .digraphs import Digraph
-from .graphs import FunctionalGraph
+from .graphs import FunctionalGraph, path_ends
 from .homsolver import ErgodicSolverData, ergodic_solver_data
 
 MAX_NODES = 2 ** 21 - 1  # the largest n with n**3 < 2**63
@@ -89,7 +89,9 @@ class PathNetwork:
         if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
             raise ValueError("a node has two predecessors")
         self.id_array = ids
-        self.depth, self.tail = _path_ends(nxt)
+        self.depth, self.tail = path_ends(nxt)
+        if np.any(self.tail < 0):
+            raise ValueError("the wiring must be acyclic")
         if self.segments is not None:
             # wired i -> i + 1 iff each node i is tail[i] - i steps from
             # its end; the segments are then the runs ending at sinks
@@ -114,22 +116,6 @@ class PathNetwork:
 
     def to_graph(self) -> FunctionalGraph:
         return FunctionalGraph(list(self.succ))
-
-
-def _path_ends(nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(depth, tail) by pointer jumping (Wyllie 1979): after j jumps a
-    node points min(2**j, depth) steps ahead; one on a cycle never ends."""
-    sink = nxt < 0
-    tail = np.where(sink, np.arange(len(nxt)), nxt)
-    depth = (~sink).astype(np.int64)
-    jumps = 0
-    while not sink[tail].all():
-        if 1 << jumps >= len(nxt):
-            raise ValueError("the wiring must be acyclic")
-        depth += depth[tail]
-        tail = tail[tail]
-        jumps += 1
-    return depth, tail
 
 
 def make_path_network(n: int, seed: int = 0, segments: int = 1,

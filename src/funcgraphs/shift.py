@@ -17,6 +17,7 @@ change when the sequences are extended.
 from __future__ import annotations
 
 from bisect import bisect_left
+import operator
 import random
 
 Seq = tuple[int, ...]
@@ -29,9 +30,8 @@ def validate_seq(xs) -> Seq:
         raise ValueError("sequence must be nonempty")
     if out[0] < 0:
         raise ValueError("sequence values must be >= 0")
-    for a, b in zip(out, out[1:]):
-        if b <= a:
-            raise ValueError("sequence must be strictly increasing")
+    if not all(map(operator.lt, out, out[1:])):
+        raise ValueError("sequence must be strictly increasing")
     return out
 
 
@@ -43,6 +43,8 @@ def shift_seq(y) -> Seq | None:
 
 def _window(x: Seq, r: int, n: int) -> tuple[int, int] | None:
     """Endpoints [left, right) of window n, None when x is too short."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     right_idx = 2 * r * n + r
     if right_idx >= len(x):
         return None
@@ -57,38 +59,39 @@ def window_member(x, y, r: int) -> bool | None:
     answer needs that window's right endpoint (an entry of x) and the
     window's full contents (y known through right - 1); otherwise None.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    x = validate_seq(x)
-    y = validate_seq(y)
+    return _window_member(validate_seq(x), validate_seq(y), r)
+
+
+def _window_member(x: Seq, y: Seq, r: int, lo: int = 0) -> bool | None:
+    """:func:`window_member` of the validated x and y[lo:]."""
     n = 0
     while True:
         win = _window(x, r, n)
         if win is None:
             return None
         left, right = win
-        if y[0] >= right:
+        if y[lo] >= right:
             n += 1
             continue
         if y[-1] < right - 1:
             return None
-        count = bisect_left(y, right) - bisect_left(y, left)
+        count = bisect_left(y, right, lo) - bisect_left(y, left, lo)
         return count % (2 * r) == 0
 
 
 def countdown_index(x, y, r: int) -> int | None:
     """Shifts until window membership; None when data runs out first."""
-    x = validate_seq(x)
-    cur: Seq | None = validate_seq(y)
-    k = 0
-    while cur is not None:
-        verdict = window_member(x, cur, r)
+    return _countdown_index(validate_seq(x), validate_seq(y), r)
+
+
+def _countdown_index(x: Seq, y: Seq, r: int, lo: int = 0) -> int | None:
+    """:func:`countdown_index` of the validated x and y[lo:]."""
+    for k in range(lo, len(y)):
+        verdict = _window_member(x, y, r, k)
         if verdict is None:
             return None
         if verdict:
-            return k
-        cur = shift_seq(cur)
-        k += 1
+            return k - lo
     return None
 
 
@@ -98,8 +101,6 @@ def dense_window_index(x, y, r: int) -> int | None:
     A window certifies the bound as soon as 2r known points land in it;
     certifying that an earlier window fails needs its full contents.
     """
-    if r < 1:
-        raise ValueError("r must be >= 1")
     x = validate_seq(x)
     y = validate_seq(y)
     n = 0
@@ -128,12 +129,11 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
                     "resets": 0, "min_reset": None}
     for y in ys:
         y = validate_seq(y)
-        tail = shift_seq(y)
-        if tail is None:
+        if len(y) == 1:  # the shift leaves nothing
             report["skipped"] += 1
             continue
-        a = countdown_index(x, y, r)
-        b = countdown_index(x, tail, r)
+        a = _countdown_index(x, y, r)
+        b = _countdown_index(x, y, r, 1)
         if a is None or b is None:
             report["skipped"] += 1
             continue

@@ -121,6 +121,117 @@ def naive_least_hit(succ: list[int | None], x: int,
     return None
 
 
+def path_end(succ: list[int | None], x: int) -> tuple[int, int] | None:
+    """(steps, sink) where x's orbit ends; None when it cycles."""
+    steps = naive_forward_iterates(succ, x)
+    if steps is None:
+        return None
+    for _ in range(steps):
+        x = succ[x]
+    return steps, x
+
+
+# ---- orbit folds over the tree order ----
+# The scalar folds that ``funcgraphs.graphs.path_ends`` and the label
+# arrays in ``funcgraphs.hitting`` replaced: each vertex's value comes
+# from its successor's, over ``g.tree_order()`` and ``g.cycles()``.
+
+def forward_iterates_fold(g) -> list[int]:
+    """Defined forward iterates per vertex, -1 when the orbit cycles."""
+    iters = [-1] * g.n
+    for x in g.tree_order():
+        s = g.succ[x]
+        if s is None:
+            iters[x] = 0
+        elif iters[s] != -1:
+            iters[x] = iters[s] + 1
+    return iters
+
+
+def greedy_hitting_fold(g, spacing: int) -> frozenset[int]:
+    """Deepest-last greedy: a vertex joins when no member is within
+    ``spacing`` forward steps; nearest[x] is its distance to the closest
+    member at >= 0 steps."""
+    members: set[int] = set()
+    nearest = [0] * g.n
+    for x in g.tree_order():
+        s = g.succ[x]
+        strict = None if s is None else nearest[s] + 1
+        if strict is None or strict > spacing:
+            members.add(x)
+            nearest[x] = 0
+        else:
+            nearest[x] = strict
+    return frozenset(members)
+
+
+def hits_forward_fold(g, members) -> list[bool]:
+    """hits[x]: some strictly positive forward iterate of x is a member."""
+    hits = [False] * g.n
+    for cyc in g.cycles():
+        on_cycle = any(v in members for v in cyc)
+        for v in cyc:
+            hits[v] = on_cycle
+    for x in g.tree_order():
+        s = g.succ[x]
+        hits[x] = s is not None and (hits[s] or s in members)
+    return hits
+
+
+def labeling_fold(g, members) -> list[int | None]:
+    """Least k >= 0 with f^k(x) a member: cycles walked backwards twice,
+    then the tree order."""
+    labels: list[int | None] = [None] * g.n
+    for cyc in g.cycles():
+        ahead: int | None = None
+        for v in reversed(cyc + cyc):
+            if v in members:
+                ahead = 0
+            elif ahead is not None:
+                ahead += 1
+            labels[v] = ahead
+    for x in g.tree_order():
+        s = g.succ[x]
+        if x in members:
+            labels[x] = 0
+        elif s is not None and labels[s] is not None:
+            labels[x] = labels[s] + 1
+    return labels
+
+
+def is_forward_independent_walk(g, members, spacing: int) -> bool:
+    """No member reaches another member in 1..spacing forward steps."""
+    for x in members:
+        v = x
+        for _ in range(spacing):
+            v = g.succ[v]
+            if v is None:
+                break
+            if v in members:
+                return False
+    return True
+
+
+# ---- edge checks, one edge at a time ----
+
+def countdown_violations_loop(g, labels, spacing: int
+                              ) -> list[tuple[int, int]]:
+    bad = []
+    for x, y in g.edges():
+        a, b = labels[x], labels[y]
+        if a is None or b is None:
+            continue
+        if (b != a - 1) if a > 0 else (b < spacing):
+            bad.append((x, y))
+    return bad
+
+
+def hom_violations_loop(g, psi, h) -> list[tuple[int, int]]:
+    return [(x, y) for x, y in g.edges()
+            if psi[x] is not None and psi[y] is not None
+            and (psi[x], psi[y]) not in h.edges]
+
+
 # ---- digraph facts by boolean matrix powers ----
 
 def adjacency_matrix(m: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -529,6 +640,30 @@ def window_member_oracle(x: tuple[int, ...], y: tuple[int, ...],
             # never be certified nonempty
             return None
         n += 1
+
+
+def check_countdown_pairs_reference(x, ys, r: int) -> dict:
+    """The countdown edge check through the public, validating
+    ``countdown_index`` and ``shift_seq`` on every call."""
+    from funcgraphs.shift import countdown_index, shift_seq
+    report: dict = {"checked": 0, "skipped": 0, "violations": [],
+                    "resets": 0, "min_reset": None}
+    for y in ys:
+        tail = shift_seq(y)
+        a = None if tail is None else countdown_index(x, y, r)
+        b = None if a is None else countdown_index(x, tail, r)
+        if b is None:
+            report["skipped"] += 1
+            continue
+        report["checked"] += 1
+        if a == 0:
+            report["resets"] += 1
+            if report["min_reset"] is None or b < report["min_reset"]:
+                report["min_reset"] = b
+        if (b != a - 1) if a > 0 else (b < r):
+            report["violations"].append((y[0], a, b))
+    report["ok"] = not report["violations"]
+    return report
 
 
 # ---- asdim verifiers and reverse extractions, one vertex at a time ----

@@ -38,6 +38,25 @@ def partial_graphs(draw, max_n: int = 30):
     return FunctionalGraph(succ)
 
 
+def functional_graphs():
+    """Forests, partial graphs (self-loops, short cycles, trees hanging
+    off them) and total graphs."""
+    return st.one_of(forest_graphs(), partial_graphs(), total_graphs())
+
+
+@st.composite
+def member_sets(draw, g: FunctionalGraph):
+    """A vertex subset of g: empty, arbitrary, every p-th depth level, or
+    one depth level (whose members no other member follows)."""
+    depth = g.forward_iterates()
+    return draw(st.one_of(
+        st.just(set()), st.sets(st.integers(0, g.n - 1)),
+        st.integers(2, 5).map(lambda p: {
+            x for x, k in enumerate(depth) if k >= 0 and k % p == 0}),
+        st.integers(1, 4).map(lambda d: {
+            x for x, k in enumerate(depth) if k == d})))
+
+
 @st.composite
 def digraph_templates(draw, max_m: int = 5, sinkless: bool = False):
     m = draw(st.integers(1, max_m))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import funcgraphs
 from funcgraphs import homsolver
@@ -192,6 +193,18 @@ def test_hom_solve_builds_template_data_once(tmp_path, capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_hom_solve_counts_interior_violations_only(tmp_path, capsys,
+                                                  monkeypatch):
+    # label 0 everywhere: (0, 0) is no edge of the template, so every edge
+    # of the path breaks, but only the interior ones count
+    monkeypatch.setattr(homsolver, "solve_ergodic",
+                        lambda g, h, hs, data: [0] * g.n)
+    code, report, _ = run(capsys, "hom", "--template", two_three_path(tmp_path),
+                          "--kind", "path", "--n", "30")
+    assert code == 1 and 0 < report["interior_horizon"] < 30
+    assert report["violations"] == 30 - report["interior_horizon"]
+
+
 def test_shift_countdown_report(capsys):
     code, report, err = run(capsys, "shift", "-r", "1", "--length", "120",
                             "--count", "60", "--seed", "4")
@@ -326,3 +339,174 @@ def test_out_of_domain_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
     for name, labels in bad_labels.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"labels": labels}))
     assert_one_line_error(*run(capsys, *argv))
+
+
+def test_drhom_labels_beyond_int64(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path.json").write_text(json.dumps({"n": 2, "succ": [1, -1]}))
+    labels = tmp_path / "big.json"
+    labels.write_text(json.dumps({"labels": [2 ** 70, 2 ** 70 - 1]}))
+    code, report, _ = run(capsys, "drhom", "--graph", "path.json",
+                          "--labels", "big.json")
+    assert code == 0
+    assert report == {"source": "path.json", "spacing": 4, "members": [],
+                      "ok": True}
+    # off by one at 2**70 is still a countdown violation
+    labels.write_text(json.dumps({"labels": [2 ** 70, 2 ** 70]}))
+    assert_one_line_error(*run(capsys, "drhom", "--graph", "path.json",
+                               "--labels", "big.json"))
+
+
+@pytest.mark.parametrize("spacing", [2 ** 63 - 1, 2 ** 63, 2 ** 70])
+def test_spacings_beyond_int64(capsys, spacing):
+    code, report, _ = run(capsys, "hit", "--kind", "path", "--n", "5",
+                          "-r", str(spacing))
+    assert code == 0 and report["members"] == [4]
+    code, report, _ = run(capsys, "drhom", "--kind", "path", "--n", "5",
+                          "-r", str(spacing))
+    assert code == 0 and report["labels"] == [4, 3, 2, 1, 0]
+
+
+NEAR_INTS = st.sampled_from([0.0, 1.0, 0.5, True, False, "0", [0]])
+JUNK = st.one_of(NEAR_INTS, st.floats(), st.text(max_size=3),
+                 st.lists(st.integers(), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(),
+                                 max_size=1))
+
+
+@st.composite
+def graph_files(draw):
+    """(JSON text of a graph file, whether it is malformed)."""
+    n = draw(st.integers(0, 8))
+    succ = draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    doc: object = {"n": n, "succ": succ}
+    kind = draw(st.sampled_from(
+        ["ok", "ok", "ok", "length", "range", "entry", "entry", "n", "shape",
+         "text"]))
+    if kind in ("range", "entry") and n:
+        i = draw(st.integers(0, n - 1))
+        succ[i] = draw(st.one_of(st.integers(max_value=-2),
+                                 st.integers(min_value=n)) if kind == "range"
+                       else st.one_of(NEAR_INTS, st.none(), JUNK))
+    elif kind == "length":
+        doc["succ"] = succ + [-1]
+    elif kind == "n":
+        doc["n"] = draw(st.one_of(st.none(), JUNK, st.integers().filter(
+            lambda k: k != n)))
+    elif kind == "shape":
+        doc = draw(st.sampled_from(
+            [[], succ, "graph", n, {"n": n}, {"succ": succ},
+             {"n": n, "succ": n + 1}, {"n": n, "succ": "ab"}]))
+    elif kind == "text":
+        return draw(st.sampled_from(["", "{", "nul", "[1,", "{\"n\": }"])), True
+    return json.dumps(doc), kind != "ok" and (n or kind not in ("range",
+                                                                 "entry"))
+
+
+@st.composite
+def labels_files(draw, n: int):
+    """(JSON text of a labels file for n vertices, whether it is
+    malformed)."""
+    labels = draw(st.lists(st.one_of(
+        st.none(), st.integers(0, 9), st.integers(2 ** 62, 2 ** 72)),
+        min_size=n, max_size=n))
+    doc: object = {"labels": labels}
+    kind = draw(st.sampled_from(
+        ["ok", "ok", "entry", "entry", "negative", "length", "shape"]))
+    if kind in ("entry", "negative"):
+        if draw(st.booleans()):  # no other label, so no countdown breaks
+            labels[:] = [None] * n
+        labels[draw(st.integers(0, n - 1))] = draw(
+            JUNK if kind == "entry" else st.integers(max_value=-1))
+    elif kind == "length":
+        labels.append(0)
+    elif kind == "shape":
+        doc = draw(st.sampled_from([labels, {"labels": 5}, {"labels": "ab"},
+                                    {"labels": {"a": 1}}, {"label": labels}]))
+    return json.dumps(doc), kind != "ok"
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph_files(), st.sampled_from(["hit", "drhom", "hom"]),
+       st.integers(1, 3))
+def test_fuzzed_graph_files_give_a_verdict_or_a_usage_error(
+        tmp_path, capsys, case, command, spacing):
+    text, malformed = case
+    graph = tmp_path / "g.json"
+    graph.write_text(text)
+    argv = [command, "--graph", str(graph)]
+    argv += (["--template", write_template(tmp_path, "loop.json", 1,
+                                           [(0, 0)])]
+             if command == "hom" else ["-r", str(spacing)])
+    code, report, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    if malformed:
+        assert_one_line_error(code, report, err)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data(), st.integers(1, 3))
+def test_fuzzed_labels_files_give_a_verdict_or_a_usage_error(
+        tmp_path, capsys, data, spacing):
+    n = data.draw(st.integers(1, 8))
+    succ = data.draw(st.lists(st.integers(-1, n - 1), min_size=n,
+                              max_size=n))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"n": n, "succ": succ}))
+    text, malformed = data.draw(labels_files(n))
+    labels = tmp_path / "labels.json"
+    labels.write_text(text)
+    code, report, err = run(capsys, "drhom", "--graph", str(graph),
+                            "--labels", str(labels), "-r", str(spacing))
+    assert code in (0, 2)
+    if malformed:
+        assert_one_line_error(code, report, err)
+    if code == 0:
+        assert report["members"] == [x for x, v in enumerate(
+            json.loads(text)["labels"]) if v == 0]
+
+
+@st.composite
+def template_files(draw):
+    """(JSON text of a template file, whether it is malformed)."""
+    m = draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    edges = [list(e) for e in sorted(draw(st.sets(pairs, min_size=1)))]
+    doc: object = {"m": m, "edges": edges}
+    kind = draw(st.sampled_from(["ok", "ok", "ok", "range", "entry", "arity",
+                                 "duplicate", "m", "shape"]))
+    i = draw(st.integers(0, len(edges) - 1))
+    if kind == "range":
+        edges[i][draw(st.integers(0, 1))] = draw(st.one_of(
+            st.integers(max_value=-1), st.integers(min_value=m)))
+    elif kind == "entry":
+        edges[i][draw(st.integers(0, 1))] = draw(st.one_of(
+            NEAR_INTS, st.none(), JUNK))
+    elif kind == "arity":
+        edges[i] = draw(st.sampled_from([edges[i][:1], edges[i] + [0], []]))
+    elif kind == "duplicate":
+        edges.append(list(edges[i]))
+    elif kind == "m":
+        doc["m"] = draw(st.one_of(st.none(), JUNK))
+    elif kind == "shape":
+        doc = draw(st.sampled_from([[], edges, "h", {"m": m}, {"edges": edges},
+                                    {"m": m, "edges": 3}]))
+    return json.dumps(doc), kind != "ok"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(template_files(), st.sampled_from([
+    ["classify"], ["power", "-p", "2"], ["hom", "--kind", "total", "--n", "6"],
+    ["hom", "--kind", "forest", "--n", "40"]]))
+def test_fuzzed_template_files_give_a_verdict_or_a_usage_error(
+        tmp_path, capsys, case, command):
+    text, malformed = case
+    template = tmp_path / "h.json"
+    template.write_text(text)
+    code, report, err = run(capsys, *command, "--template", str(template))
+    assert code in (0, 1, 2)
+    if malformed:
+        assert_one_line_error(code, report, err)

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs.graphs import (
     UNBOUNDED, FunctionalGraph, ball_class_counts, class_diameters, gen_path,
-    gen_random_forest, gen_random_total, proximity_classes)
-from strategies import forest_graphs, partial_graphs, total_graphs
+    gen_random_forest, gen_random_total, path_ends, proximity_classes)
+from strategies import (
+    forest_graphs, functional_graphs, partial_graphs, total_graphs)
 
 
 def rho_shape():
@@ -225,3 +226,46 @@ def test_jump_matches_iterate(g, data):
     got = g.jump(np.array(xs), np.array(ks)).tolist()
     assert got == [-1 if y is None else y
                    for y in map(g.iterate, xs, ks)]
+
+
+@settings(max_examples=200)
+@given(functional_graphs())
+def test_path_ends_match_naive_walk_and_fold(g):
+    depth, end = path_ends(g.arrays()[0])
+    succ = list(g.succ)
+    for x in range(g.n):
+        assert (depth[x], end[x]) == (oracles.path_end(succ, x)
+                                     or (UNBOUNDED, -1))
+    assert depth.tolist() == oracles.forward_iterates_fold(g) \
+        == g.forward_iterates()
+    assert g.acyclic == (not g.cycles())
+    for horizon in (0, 1, 3, g.n):
+        assert g.interior(horizon) == {
+            x for x in range(g.n) if depth[x] == UNBOUNDED
+            or depth[x] >= horizon}
+
+
+@pytest.mark.parametrize("g", [gen_path(1), gen_path(2), gen_path(300),
+                               gen_random_forest(3000, 1),
+                               gen_random_total(500, 2)])
+def test_path_ends_on_deep_and_cyclic_graphs(g):
+    depth, end = path_ends(g.arrays()[0])
+    assert depth.tolist() == oracles.forward_iterates_fold(g)
+    assert end.tolist() == [
+        -1 if k == UNBOUNDED else g.forward_orbit(x, k + 1)[-1]
+        for x, k in enumerate(depth.tolist())]
+
+
+def test_path_ends_examples():
+    # 0 -> 1 -> 2 (sink), 3 -> 3 (loop), 4 -> 3, 5 -> 6 -> 5 (2-cycle)
+    depth, end = path_ends(np.array([1, 2, -1, 3, 3, 6, 5]))
+    assert depth.tolist() == [2, 1, 0] + [UNBOUNDED] * 4
+    assert end.tolist() == [2, 2, 2] + [-1] * 4
+    depth, end = path_ends(np.array([], dtype=np.int64))
+    assert depth.tolist() == end.tolist() == []
+
+
+def test_successor_given_as_minus_one_or_huge_rejected():
+    for succ in ([1, -1], [2 ** 70, None], [None, -5]):
+        with pytest.raises(ValueError, match="out of range"):
+            FunctionalGraph(succ)

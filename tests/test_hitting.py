@@ -8,7 +8,8 @@ from funcgraphs.hitting import (
     hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
     is_hitting, labeling_from_hitting, periodic_hitting)
 from funcgraphs.partition import Partition
-from strategies import forest_graphs, partial_graphs
+from strategies import (
+    forest_graphs, functional_graphs, member_sets, partial_graphs)
 
 
 def test_independence_fails_inside_short_cycle():
@@ -193,3 +194,103 @@ def test_spacing_below_one_rejected():
         is_forward_independent(g, {0}, 0)
     with pytest.raises(ValueError):
         periodic_hitting(g, 1)
+
+
+@settings(max_examples=200)
+@given(functional_graphs(), st.data())
+def test_label_arrays_match_orbit_folds(g, data):
+    members = data.draw(member_sets(g))
+    assert labeling_from_hitting(g, members) == \
+        oracles.labeling_fold(g, members)
+    hits = oracles.hits_forward_fold(g, members)
+    for horizon in range(g.n + 2):
+        assert is_hitting(g, members, horizon) == all(
+            hits[x] for x in g.interior(horizon))
+    for spacing in (1, 2, 3, 7):
+        assert is_forward_independent(g, members, spacing) == \
+            oracles.is_forward_independent_walk(g, members, spacing)
+
+
+@settings(max_examples=100)
+@given(forest_graphs(), st.integers(1, 9))
+def test_greedy_is_depth_mod_spacing_plus_one(g, spacing):
+    hs = greedy_hitting(g, spacing)
+    assert hs.members == oracles.greedy_hitting_fold(g, spacing)
+    assert (hs.spacing, hs.horizon) == (spacing, spacing + 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_greedy_fold_on_generated_forests(seed):
+    g = gen_random_forest(3000, seed)
+    for spacing in (1, 4, 8, 144, 2999, 2 ** 63 - 1, 2 ** 70):
+        assert greedy_hitting(g, spacing).members == \
+            oracles.greedy_hitting_fold(g, spacing)
+
+
+def test_member_free_cycles_are_unlabeled_and_unhit():
+    # cycles {0, 1} (no member) and {2, 3} (member 3); 4 -> 2
+    g = FunctionalGraph([1, 0, 3, 2, 2])
+    assert labeling_from_hitting(g, {3}) == [None, None, 1, 0, 2]
+    assert not is_hitting(g, {3}, 0)
+    assert is_hitting(g, {0, 3}, 0)
+    assert labeling_from_hitting(g, set()) == [None] * 5
+    assert not is_hitting(g, set(), 0)
+    assert is_hitting(gen_path(3), set(), 1) is False
+    assert is_hitting(gen_path(3), set(), 3) is True
+
+
+@st.composite
+def labeled_graphs(draw):
+    """A graph and labels: countdown labels of a member set, perturbed,
+    random, or lifted past the int64 range."""
+    g = draw(functional_graphs())
+    labels = oracles.labeling_fold(g, draw(member_sets(g)))
+    mode = draw(st.sampled_from(["exact", "noise", "random", "huge"]))
+    small = st.one_of(st.none(), st.integers(0, 8))
+    if mode == "noise":
+        for x in draw(st.sets(st.integers(0, g.n - 1), max_size=3)):
+            labels[x] = draw(small)
+    elif mode == "random":
+        labels = draw(st.lists(small, min_size=g.n, max_size=g.n))
+    elif mode == "huge":
+        lift = draw(st.sampled_from([2 ** 63 - 4, 2 ** 64, 2 ** 70]))
+        labels = [None if v is None else v + lift for v in labels]
+    return g, labels
+
+
+@settings(max_examples=300)
+@given(labeled_graphs(), st.integers(1, 5))
+def test_countdown_edge_checks_match_edge_loop(case, spacing):
+    g, labels = case
+    want = oracles.countdown_violations_loop(g, labels, spacing)
+    assert countdown_violations(g, labels, spacing) == want
+    if want:
+        with pytest.raises(ValueError):
+            hitting_from_labeling(g, labels, spacing)
+        return
+    hs = hitting_from_labeling(g, labels, spacing)
+    assert hs.members == {x for x, v in enumerate(labels) if v == 0}
+    assert hs.horizon == max((v for v in labels if v is not None),
+                             default=0)
+
+
+def test_members_must_be_vertices():
+    g = gen_path(3)
+    for members in ({3}, {-1}, {0, 2 ** 70}):
+        with pytest.raises(ValueError):
+            is_forward_independent(g, members, 1)
+        with pytest.raises(ValueError):
+            is_hitting(g, members, 0)
+        with pytest.raises(ValueError):
+            labeling_from_hitting(g, members)
+
+
+def test_labels_must_be_none_or_non_negative():
+    g = gen_path(3)
+    for labels in ([2, -1, 0], [None, 1, -(2 ** 70)]):
+        with pytest.raises(ValueError):
+            countdown_violations(g, labels, 1)
+        with pytest.raises(ValueError):
+            hitting_from_labeling(g, labels, 1)
+    with pytest.raises(ValueError):
+        countdown_violations(g, [1, 0], 1)

@@ -12,7 +12,8 @@ from funcgraphs.homsolver import (
     decide_hom, ergodic_solver_data, hom_violations,
     retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
 from strategies import (
-    digraph_templates, ergodic_templates, forest_graphs, total_graphs)
+    digraph_templates, ergodic_templates, forest_graphs, functional_graphs,
+    total_graphs)
 
 
 def two_three_cycles():
@@ -272,3 +273,19 @@ def test_many_disjoint_two_cycles():
     psi2, parts = retract_to_strong_components(g, psi, h)
     assert verify_hom(g, psi2, h)
     assert parts.num_classes == 1
+
+
+@settings(max_examples=200)
+@given(functional_graphs(), digraph_templates(), st.data())
+def test_hom_violations_match_edge_loop(g, h, data):
+    psi = data.draw(st.lists(st.one_of(st.none(), st.integers(0, h.m - 1)),
+                             min_size=g.n, max_size=g.n))
+    assert hom_violations(g, psi, h) == oracles.hom_violations_loop(g, psi, h)
+
+
+def test_hom_violations_names_a_label_outside_the_template():
+    g = gen_path(3)
+    h = Digraph(2, [(0, 1), (1, 0)])
+    for bad in (-1, 2, 2 ** 70, -(2 ** 70)):
+        with pytest.raises(ValueError, match=f"label {bad} outside"):
+            hom_violations(g, [0, None, bad], h)

@@ -156,3 +156,45 @@ def test_countdown_pairs_invariant_pointwise(x, y, r):
         assert b == a - 1
     else:
         assert b >= r
+
+
+@settings(max_examples=200)
+@given(increasing_seqs(max_len=50),
+       st.lists(increasing_seqs(max_len=40), max_size=6), st.integers(1, 3))
+def test_countdown_pairs_match_validating_reference(x, ys, r):
+    assert check_countdown_pairs(x, ys, r) == \
+        oracles.check_countdown_pairs_reference(x, ys, r)
+
+
+def test_countdown_pairs_on_dominated_samples_match_reference():
+    for r in (1, 2, 3):
+        x = gen_increasing_seq(300, seed=30 + r)
+        ys = sample_dominated(x, 60, seed=40 + r)
+        ys += [y[k:] for y in ys[:20] for k in (1, 5, 299)]
+        assert check_countdown_pairs(x, ys, r) == \
+            oracles.check_countdown_pairs_reference(x, ys, r)
+
+
+@pytest.mark.parametrize("bad", [(0, 2, 2), (3, 1), (), (-1, 0)])
+def test_public_queries_reject_non_increasing_input(bad):
+    good = odds(10)
+    calls = [lambda: window_member(good, bad, 1),
+             lambda: window_member(bad, (1, 2), 1),
+             lambda: countdown_index(good, bad, 1),
+             lambda: countdown_index(bad, (1, 2), 1),
+             lambda: dense_window_index(good, bad, 1),
+             lambda: check_countdown_pairs(good, [(1, 2), bad], 1),
+             lambda: check_countdown_pairs(bad, [(1, 2)], 1)]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_spacing_below_one_rejected_when_a_window_is_needed():
+    x = odds(10)
+    for call in (lambda: window_member(x, (1, 2), 0),
+                 lambda: countdown_index(x, (1, 2), 0),
+                 lambda: dense_window_index(x, (1, 2), 0),
+                 lambda: check_countdown_pairs(x, [(1, 2)], 0)):
+        with pytest.raises(ValueError, match="r must be"):
+            call()
