@@ -14,16 +14,16 @@ from .graphs import (
     FunctionalGraph, ball_class_counts, class_diameters, gen_path,
     gen_random_forest, gen_random_total, proximity_classes)
 from .hitting import (
-    HittingSet, greedy_hitting, hitting_from_cover, hitting_from_equivalence,
-    hitting_from_labeling, is_forward_independent, is_hitting,
-    labeling_from_hitting, periodic_hitting)
+    HittingSet, check_labeling, greedy_hitting, hitting_from_cover,
+    hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
+    is_hitting, labeling_from_hitting, periodic_hitting)
 from .homsolver import (
     decide_hom, ergodic_solver_data, hom_violations,
     retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
 from .local_sim import (
     PathNetwork, RoundTrace, RulingSetAlgorithm, TemplateSolverAlgorithm,
     make_path_network, run_local, verify_ruling)
-from .partition import Partition, UnionFind
+from .partition import Partition
 from .shift import (
     check_countdown_pairs, countdown_index, dense_window_index,
     gen_increasing_seq, sample_dominated, shift_seq, window_member)

@@ -149,16 +149,13 @@ def _cmd_drhom(args) -> int:
         return PASS
     hs = hitting.greedy_hitting(g, args.spacing)
     labels = hitting.labeling_from_hitting(g, hs.members)
-    bad = hitting.countdown_violations(g, labels, args.spacing)
-    back = hitting.hitting_from_labeling(g, labels, args.spacing) if not bad \
-        else None
-    round_trip = back is not None and back.members == hs.members
-    ok = not bad and round_trip
+    bad, back = hitting.check_labeling(g, labels, args.spacing)
+    ok = back is not None and back.members == hs.members  # None iff bad
     report = {**src, "spacing": args.spacing,
               "labels": labels, "countdown_violations": len(bad),
-              "round_trip": round_trip, "ok": ok}
+              "round_trip": ok, "ok": ok}
     _emit(report, f"countdown labeling: {len(bad)} violations, "
-          f"round trip {'exact' if round_trip else 'BROKEN'}")
+          f"round trip {'exact' if ok else 'BROKEN'}")
     return PASS if ok else FAIL
 
 

@@ -130,39 +130,40 @@ def labeling_from_hitting(g: FunctionalGraph,
     return np.where(near < 0, None, near).tolist()
 
 
-def _countdown_check(g: FunctionalGraph, labels: Sequence[int | None],
-                     spacing: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """The labels as :func:`label_array` gives them, and the edges that
-    break the countdown invariant, in edge order."""
+def check_labeling(g: FunctionalGraph, labels: Sequence[int | None],
+                   spacing: int) -> tuple[list, HittingSet | None]:
+    """The edges whose labeled endpoints break the countdown invariant,
+    in edge order, and with none the hitting set of the zero labels.
+
+    Positive labels must decrement along the edge; a zero label must be
+    followed by a label >= spacing."""
     if len(labels) != g.n:
         raise ValueError("labeling length does not match vertex count")
     lab, succ = label_array(labels), g.arrays()[0]
     x = np.flatnonzero(succ >= 0)
     a, b = lab[x], lab[succ[x]]
     x = x[(a >= 0) & (b >= 0) & np.where(a > 0, b != a - 1, b < spacing)]
-    return lab, list(zip(x.tolist(), succ[x].tolist()))
+    if len(x):
+        return list(zip(x.tolist(), succ[x].tolist())), None
+    members = frozenset(np.flatnonzero(lab == 0).tolist())
+    return [], HittingSet(members, spacing, int(lab.max(initial=0)))
 
 
 def countdown_violations(g: FunctionalGraph, labels: list[int | None],
                          spacing: int) -> list[tuple[int, int]]:
-    """Edges breaking the countdown invariant (both endpoints labeled).
-
-    Positive labels must decrement along the edge; a zero label must be
-    followed by a label >= spacing.
-    """
-    return _countdown_check(g, labels, spacing)[1]
+    """The edges :func:`check_labeling` finds breaking the invariant."""
+    return check_labeling(g, labels, spacing)[0]
 
 
 def hitting_from_labeling(g: FunctionalGraph, labels: list[int | None],
                           spacing: int) -> HittingSet:
     """Members are the zero-labeled vertices; the labeling must satisfy
     the countdown invariant."""
-    lab, bad = _countdown_check(g, labels, spacing)
-    if bad:
+    bad, hs = check_labeling(g, labels, spacing)
+    if hs is None:
         raise ValueError(f"countdown invariant violated on edges {bad[:5]}"
                          + ("..." if len(bad) > 5 else ""))
-    members = frozenset(np.flatnonzero(lab == 0).tolist())
-    return HittingSet(members, spacing, int(lab.max(initial=0)))
+    return hs
 
 
 def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,

@@ -118,6 +118,34 @@ class PathNetwork:
         return FunctionalGraph(list(self.succ))
 
 
+def _sample_ids(rng: random.Random, n: int) -> np.ndarray:
+    """``rng.sample(range(n**3 + 1), n)`` replayed in bulk from the same
+    MT19937 words: past n = 2 it redraws ``getrandbits(k)`` while > n**3
+    or taken, and ``getrandbits`` keeps a word's top k bits, or for
+    k > 32 puts the next word's top k - 32 bits above the first word."""
+    size = n ** 3 + 1
+    if n <= 2:  # sample's pool branch: size <= its setsize, 21 here
+        return np.array(rng.sample(range(size), n))
+    k, (*key, pos) = size.bit_length(), rng.getstate()[1]
+    mt = np.random.MT19937()
+    mt.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    drawn = np.empty(0, dtype=np.int64)
+    while True:  # enough candidates per pass that a second one is rare
+        count = (n << k) // size + n // 64 + 16
+        if k <= 32:
+            values = mt.random_raw(count) >> (32 - k)
+        else:
+            w = mt.random_raw(2 * count)
+            values = w[::2] | w[1::2] >> (64 - k) << 32
+        drawn = np.concatenate([drawn, values[values < size].view(np.int64)])
+        ordered = np.sort(drawn[:n])  # repeats are rare: try the first n
+        if len(drawn) >= n and np.all(ordered[1:] != ordered[:-1]):
+            return drawn[:n]
+        _, first = np.unique(drawn, return_index=True)
+        if len(first) >= n:
+            return drawn[np.sort(first)[:n]]
+
+
 def make_path_network(n: int, seed: int = 0, segments: int = 1,
                       id_mode: str = "random") -> PathNetwork:
     """Index-contiguous paths with sampled identifiers.
@@ -128,12 +156,11 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     """
     if not 1 <= segments <= n <= MAX_NODES:
         raise ValueError(f"need 1 <= segments <= n <= {MAX_NODES}")
-    rng = random.Random(seed)
-    ids = rng.sample(range(n ** 3 + 1), n)
+    ids = _sample_ids(random.Random(seed), n)
     if id_mode == "sorted":
-        ids.sort()
+        ids = np.sort(ids)
     elif id_mode == "reversed":
-        ids.sort(reverse=True)
+        ids = np.sort(ids)[::-1]
     elif id_mode != "random":
         raise ValueError(f"unknown id_mode {id_mode!r}")
     base, extra = divmod(n, segments)  # the first `extra` get one more
@@ -141,7 +168,7 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     succ: list[int | None] = list(range(1, n + 1))
     for end in ends:
         succ[end - 1] = None
-    return PathNetwork(ids, succ, list(zip([0] + ends[:-1], ends)))
+    return PathNetwork(ids.tolist(), succ, list(zip([0] + ends[:-1], ends)))
 
 
 @dataclass

@@ -83,33 +83,3 @@ class Partition:
 
     def __repr__(self) -> str:
         return f"Partition({self.num_classes} classes, {len(self._class_of)} elements)"
-
-
-class UnionFind:
-    """Union-find over an arbitrary set of int keys."""
-
-    def __init__(self, keys: Iterable[int] = ()):
-        self.parent = {k: k for k in keys}
-
-    def add(self, k: int) -> None:
-        self.parent.setdefault(k, k)
-
-    def find(self, k: int) -> int:
-        p = self.parent
-        root = k
-        while p[root] != root:
-            root = p[root]
-        while p[k] != root:
-            p[k], k = root, p[k]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller key as root for determinism
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-    def to_partition(self) -> Partition:
-        return Partition({k: self.find(k) for k in self.parent})

@@ -41,10 +41,14 @@ def shift_seq(y) -> Seq | None:
     return y[1:] if len(y) > 1 else None
 
 
-def _window(x: Seq, r: int, n: int) -> tuple[int, int] | None:
-    """Endpoints [left, right) of window n, None when x is too short."""
+def _reference(x, r: int) -> Seq:
     if r < 1:
         raise ValueError("r must be >= 1")
+    return validate_seq(x)
+
+
+def _window(x: Seq, r: int, n: int) -> tuple[int, int] | None:
+    """Endpoints [left, right) of window n, None when x is too short."""
     right_idx = 2 * r * n + r
     if right_idx >= len(x):
         return None
@@ -59,7 +63,7 @@ def window_member(x, y, r: int) -> bool | None:
     answer needs that window's right endpoint (an entry of x) and the
     window's full contents (y known through right - 1); otherwise None.
     """
-    return _window_member(validate_seq(x), validate_seq(y), r)
+    return _window_member(_reference(x, r), validate_seq(y), r)
 
 
 def _window_member(x: Seq, y: Seq, r: int, lo: int = 0) -> bool | None:
@@ -81,7 +85,7 @@ def _window_member(x: Seq, y: Seq, r: int, lo: int = 0) -> bool | None:
 
 def countdown_index(x, y, r: int) -> int | None:
     """Shifts until window membership; None when data runs out first."""
-    return _countdown_index(validate_seq(x), validate_seq(y), r)
+    return _countdown_index(_reference(x, r), validate_seq(y), r)
 
 
 def _countdown_index(x: Seq, y: Seq, r: int, lo: int = 0) -> int | None:
@@ -101,7 +105,7 @@ def dense_window_index(x, y, r: int) -> int | None:
     A window certifies the bound as soon as 2r known points land in it;
     certifying that an earlier window fails needs its full contents.
     """
-    x = validate_seq(x)
+    x = _reference(x, r)
     y = validate_seq(y)
     n = 0
     while True:
@@ -124,7 +128,7 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
     down by one, or reset to at least r after a zero.  Pairs with an
     uncertified side are skipped, never failed.
     """
-    x = validate_seq(x)
+    x = _reference(x, r)
     report: dict = {"checked": 0, "skipped": 0, "violations": [],
                     "resets": 0, "min_reset": None}
     for y in ys:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import gcd
+from typing import Iterable
 
 import numpy as np
 
@@ -869,3 +870,37 @@ def hitting_from_equivalence(g, eq, t: int, d: int
                      "max_classes_per_ball": max(counts, default=0),
                      "ball_violations": violations,
                      "hypothesis_ok": violations == 0}
+
+
+# ---- union-find over dicts ----
+# What ``graphs.proximity_classes`` did before it merged with arrays.
+
+class UnionFind:
+    """Union-find over an arbitrary set of int keys."""
+
+    def __init__(self, keys: Iterable[int] = ()):
+        self.parent = {k: k for k in keys}
+
+    def add(self, k: int) -> None:
+        self.parent.setdefault(k, k)
+
+    def find(self, k: int) -> int:
+        p = self.parent
+        root = k
+        while p[root] != root:
+            root = p[root]
+        while p[k] != root:
+            p[k], k = root, p[k]
+        return root
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # keep the smaller key as root for determinism
+            if rb < ra:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+    def to_partition(self):
+        from funcgraphs.partition import Partition
+        return Partition({k: self.find(k) for k in self.parent})

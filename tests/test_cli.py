@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import funcgraphs
-from funcgraphs import homsolver
+from funcgraphs import hitting, homsolver
 from funcgraphs.cli import main
 
 
@@ -322,6 +322,7 @@ def test_module_entry_point():
     ["drhom", "--kind", "path", "--n", "10", "-r", "0"],
     ["asdim", "--kind", "path", "--n", "10", "--t", "0"],
     ["shift", "--length", "0"],
+    ["shift", "-r", "0", "--count", "0"],
     ["local", "-r", "1", "--n", "5", "--segments", "9"],
     ["local", "-r", "1", "--n", "2097152"],
     ["drhom", "--graph", "path.json", "--labels", "nested.json"],
@@ -355,6 +356,24 @@ def test_drhom_labels_beyond_int64(tmp_path, capsys, monkeypatch):
     labels.write_text(json.dumps({"labels": [2 ** 70, 2 ** 70]}))
     assert_one_line_error(*run(capsys, "drhom", "--graph", "path.json",
                                "--labels", "big.json"))
+
+
+def test_drhom_checks_the_labels_once(capsys, monkeypatch):
+    calls = []
+    label_array = hitting.label_array
+    monkeypatch.setattr(hitting, "label_array",
+                        lambda labels: calls.append(1) or label_array(labels))
+    code, report, _ = run(capsys, "drhom", "--kind", "forest", "--n", "200")
+    assert code == 0 and report["round_trip"] and len(calls) == 1
+
+
+def test_drhom_reports_a_broken_labeling(capsys, monkeypatch):
+    monkeypatch.setattr(hitting, "labeling_from_hitting",
+                        lambda g, members: [0] * g.n)
+    code, report, err = run(capsys, "drhom", "--kind", "path", "--n", "5")
+    assert code == 1 and report["countdown_violations"] == 4
+    assert not report["round_trip"] and not report["ok"]
+    assert "round trip BROKEN" in err
 
 
 @pytest.mark.parametrize("spacing", [2 ** 63 - 1, 2 ** 63, 2 ** 70])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,6 +133,50 @@ def test_network_size_limit_is_checked_before_sampling(monkeypatch):
         make_path_network(MAX_NODES + 1)
     with pytest.raises(ValueError):
         PathNetwork(range(MAX_NODES + 1), range(MAX_NODES + 1))
+
+
+SEEDS = st.one_of(st.integers(-2 ** 70, -1), st.just(0),
+                  st.integers(2 ** 32, 2 ** 33), st.integers(2 ** 64, 2 ** 65))
+
+
+def stdlib_ids(n, seed):
+    return random.Random(seed).sample(range(n ** 3 + 1), n)
+
+
+# n <= 2 takes sample's pool branch; 1625**3 + 1 < 2**32 < 1626**3 + 1,
+# so those two sizes build each value from one word and from two
+@settings(max_examples=150, deadline=None)
+@given(n=st.one_of(st.integers(1, 3000), st.integers(3, 10),
+                   st.sampled_from([1, 2, 1625, 1626])),
+       seed=SEEDS, id_mode=st.sampled_from(["random", "sorted", "reversed"]))
+def test_bulk_id_draw_replays_stdlib_sample(n, seed, id_mode):
+    ids = stdlib_ids(n, seed)
+    if id_mode != "random":
+        ids.sort(reverse=id_mode == "reversed")
+    assert make_path_network(n, seed, id_mode=id_mode).ids == ids
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_bulk_id_draw_small_n_every_seed(n):
+    # rejections and repeats are common here, and a draw of exactly
+    # n**3 + 1 comes up often enough to be caught
+    for seed in range(200):
+        assert make_path_network(n, seed).ids == stdlib_ids(n, seed)
+
+
+def test_bulk_id_draw_at_1e5():
+    assert make_path_network(10 ** 5, 7).ids == stdlib_ids(10 ** 5, 7)
+
+
+@pytest.mark.parametrize("n", [3, 5, 1626])
+def test_bulk_id_draw_tops_up_a_short_first_batch(monkeypatch, n):
+    class MT19937(np.random.MT19937):  # the state setter checks the name
+        def random_raw(self, size=None, output=True):
+            return super().random_raw(min(size, 6))
+
+    monkeypatch.setattr(np.random, "MT19937", MT19937)
+    for seed in range(20):
+        assert make_path_network(n, seed).ids == stdlib_ids(n, seed)
 
 
 def test_path_ends_match_forward_orbits():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from funcgraphs.partition import Partition, UnionFind
+from funcgraphs.partition import Partition
+from oracles import UnionFind
 
 
 def test_from_classes_round_trip():
