@@ -23,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FunctionalGraph, ball_class_counts, \
-    class_diameters, csr_rows, proximity_classes
+    class_diameters, csr_rows, path_ends, proximity_classes
 from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
-    hitting_from_equivalence, is_forward_independent, is_hitting
+    hitting_from_equivalence, is_forward_independent, is_hitting, next_member
 from .partition import Partition
 
 
@@ -53,14 +53,15 @@ class WitnessParams:
     ``stripe`` is the parity stripe width (6t) and ``spacing`` the
     hitting-set spacing (4 * stripe**2).  The interval decomposition
     splits {0, ..., spacing/2 - 1} into stripe-1 pieces of size stripe
-    followed by stripe pieces of size stripe+1.
+    followed by stripe pieces of size stripe+1.  The deepest horizon,
+    216t^2 + 22t + 2, must fit int64, so t is at most 206,641,710.
     """
 
     t: int
 
     def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError("t must be >= 1")
+        if self.t < 1 or self.verify_depth + self.t >= 2 ** 63:
+            raise ValueError(f"t must be in 1..206641710, got {self.t}")
 
     @property
     def stripe(self) -> int:
@@ -106,17 +107,14 @@ class WitnessParams:
     def intervals(self) -> list[range]:
         return stripe_intervals(self.stripe)
 
+    def interval_of(self, p: np.ndarray) -> np.ndarray:
+        """Interval number of each point of {0, ..., half - 1} in ``p``."""
+        s, cut = self.stripe, self.stripe * (self.stripe - 1)
+        return np.where(p < cut, p // s, s - 1 + (p - cut) // (s + 1))
+
     def interval_index(self) -> list[int]:
         """Interval number for each point of {0, ..., half - 1}."""
-        s = self.stripe
-        cut = s * (s - 1)
-        idx = []
-        for p in range(self.half):
-            if p < cut:
-                idx.append(p // s)
-            else:
-                idx.append((s - 1) + (p - cut) // (s + 1))
-        return idx
+        return self.interval_of(np.arange(self.half)).tolist()
 
 
 @dataclass
@@ -144,73 +142,55 @@ class ParityColoring:
 def distance_parity_coloring(g: FunctionalGraph,
                              members: frozenset[int] | set[int],
                              t: int) -> ParityColoring:
-    """Build the parity coloring for a spacing-independent member set."""
+    """Build the parity coloring for a spacing-independent member set.
+
+    ``dist`` and ``landing`` come from one :func:`next_member` call.  A
+    member's next member is more than spacing >= spacing/2 steps ahead,
+    so its color is its own stripe parity (or None), and every other
+    color follows from it in closed form.
+    """
     params = WitnessParams(t)
     if not g.acyclic:
         raise ValueError("parity coloring requires an acyclic graph")
     if not is_forward_independent(g, members, params.spacing):
         raise ValueError(
             f"member set is not {params.spacing}-forward-independent")
-    n = g.n
-    s = params.stripe
-    half = params.half
-    idx_of = params.interval_index()
-    dist: list[int | None] = [None] * n
-    landing: list[int | None] = [None] * n
-    bit: list[int | None] = [None] * n
-    for x in g.tree_order():
-        nxt = g.succ[x]
-        if nxt is None:
-            continue
-        if nxt in members:
-            dist[x] = 1
-            landing[x] = nxt
-        elif dist[nxt] is not None:
-            dist[x] = dist[nxt] + 1
-            landing[x] = landing[nxt]
-        k = dist[x]
-        if k is None:
-            continue
-        if k >= half:
-            bit[x] = (k // s) % 2
-        else:
-            z = landing[x]
-            assert z is not None
-            zbit = bit[z]
-            if zbit is None:
-                continue
-            if zbit == 0:
-                bit[x] = (k // s) % 2
-            else:
-                bit[x] = (idx_of[k] + 1) % 2
-    return ParityColoring(params, frozenset(members), dist, landing, bit)
+    dist, landing = next_member(g, members)
+    stripe = np.where(dist < 0, -1, dist // params.stripe % 2)
+    zbit = np.where(landing < 0, -1, stripe[landing])
+    below = np.where(zbit == 1, (params.interval_of(dist) + 1) % 2,
+                     np.where(zbit == 0, stripe, -1))
+    bit = np.where(dist >= params.half, stripe, below)
+    return ParityColoring(params, frozenset(members), _list(dist),
+                          _list(landing), _list(bit))
 
 
 def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]:
-    """Least j >= 1 with a different color at f^j(x), per vertex.
+    """Least j >= 1 with a different color at f^j(x), per vertex; None
+    when an undefined color or the end of the orbit comes first, or the
+    color never changes.
 
-    Colors become undefined only along orbit suffixes, so propagating
-    None through the recursion matches the scan definition.
+    Cutting every edge that leaves a one-color run, one
+    :func:`path_ends` call gives each vertex the steps to the end of its
+    run; the color changes one step later if the successor there is
+    colored.
     """
-    n = g.n
-    bit = coloring.bit
-    flip: list[int | None] = [None] * n
-    for x in g.tree_order():
-        if bit[x] is None:
-            continue
-        nxt = g.succ[x]
-        if nxt is None or bit[nxt] is None:
-            continue
-        if bit[nxt] != bit[x]:
-            flip[x] = 1
-        elif flip[nxt] is not None:
-            flip[x] = flip[nxt] + 1
-    return flip
+    succ, colored = g.arrays()[0], _array(coloring.bit)
+    bit = np.r_[colored, -1]  # bit[-1]: no color past a sink
+    same = (colored >= 0) & (bit[succ] == colored)
+    steps, end = path_ends(np.where(same, succ, -1))
+    flips = (colored >= 0) & (end >= 0) & (bit[succ[end]] >= 0)
+    return _list(np.where(flips, steps + 1, -1))
 
 
 def _array(values: Sequence[int | None]) -> np.ndarray:
     """A per-vertex list as an int array, -1 for None."""
     return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+def _list(values: np.ndarray) -> list[int | None]:
+    """An int array as a per-vertex list, None for -1."""
+    return np.where(values < 0, None, values).tolist()
 
 
 def _deep(cid: np.ndarray, ok: np.ndarray, k: int) -> np.ndarray:
@@ -223,8 +203,7 @@ def anchors(g: FunctionalGraph, params: WitnessParams,
     """Anchor vertex f^(stripe/3 + flip(x))(x), per vertex."""
     f = _array(flip)
     out = g.jump(np.arange(g.n), np.where(f < 0, 0, params.anchor_skip + f))
-    return [None if j < 0 or a < 0 else a
-            for j, a in zip(f.tolist(), out.tolist())]
+    return _list(np.where(f < 0, -1, out))
 
 
 @dataclass
@@ -256,8 +235,9 @@ def cover_from_hitting(g: FunctionalGraph,
                        members: frozenset[int] | set[int],
                        t: int) -> CoverWitness:
     coloring = distance_parity_coloring(g, members, t)
-    return CoverWitness(coloring, tuple(frozenset(
-        x for x, b in enumerate(coloring.bit) if b == c) for c in (0, 1)))
+    bit = _array(coloring.bit)
+    return CoverWitness(coloring, tuple(
+        frozenset(np.flatnonzero(bit == c).tolist()) for c in (0, 1)))
 
 
 @dataclass
@@ -270,7 +250,7 @@ class EquivalenceWitness:
 
     coloring: ParityColoring
     classes: Partition
-    key: dict[int, int] = field(repr=False)
+    key: np.ndarray = field(repr=False, compare=False)  # -1: unclassified
     _diameters: np.ndarray | None = field(default=None, init=False,
                                           repr=False, compare=False)
 
@@ -299,7 +279,8 @@ def equivalence_from_hitting(g: FunctionalGraph,
     y = g.jump(np.arange(g.n), t)
     xs = np.flatnonzero(y >= 0)
     xs = xs[f[y[xs]] >= 0]
-    key = dict(zip(xs.tolist(), g.jump(y[xs], f[y[xs]]).tolist()))
+    key = np.full(g.n, -1)
+    key[xs] = g.jump(y[xs], f[y[xs]])
     return EquivalenceWitness(coloring, Partition(key), key)
 
 
@@ -411,7 +392,9 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
     near = np.zeros((2, g.n), dtype=bool)  # near[b, e]: a b-colored preimage
     w = np.flatnonzero(bit >= 0)
     v = w
-    for _ in range(params.anchor_skip + 1):
+    for _ in range(min(params.anchor_skip + 1, g.n)):  # orbits repeat by n
+        if not len(w):
+            break
         near[bit[w], v] = True
         w, v = w[succ[v] >= 0], succ[v[succ[v] >= 0]]
     x = np.flatnonzero(g.interior_mask(horizon) & (anc >= 0) & (bit >= 0))
@@ -477,8 +460,8 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
     if not g.acyclic:
         raise ValueError("the pipeline requires an acyclic graph")
     per_t = {}
-    for t in t_values:
-        params = WitnessParams(t)
+    for params in [WitnessParams(t) for t in t_values]:  # check every t
+        t = params.t
         hs = greedy_hitting(g, params.spacing)
         cover = cover_from_hitting(g, hs.members, t)
         flip = flip_dists(g, cover.coloring)

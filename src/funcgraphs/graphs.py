@@ -10,13 +10,13 @@ Distances are measured in the undirected version of the graph (follow
 edges either way).  Forward iteration ``x, f(x), f(f(x)), ...`` stops at
 sinks and may wrap around cycles.
 
-Depths (steps to the sink an orbit ends at) come from one
-pointer-jumping pass, :func:`path_ends`; hitting flags and countdown
-labels are depths in the graph with the members' out-edges cut.  The
-remaining folds along forward orbits (colorings, homomorphism labels)
-run over one cached order, :meth:`FunctionalGraph.tree_order`, which
-lists every vertex off the cycles after its successor; the cycles
-themselves come from :meth:`FunctionalGraph.cycles`.
+Every "next vertex ahead" question is one pointer-jumping pass,
+:func:`path_ends`: depths (steps to the sink an orbit ends at) and,
+with chosen out-edges cut, the next member of a set (countdown labels,
+hitting, colorings, ergodic labels) or the end of a one-color run.
+Only the homomorphism passes on total graphs walk
+:meth:`FunctionalGraph.tree_order`, every vertex off the cycles after
+its successor, since they need the cycles (:meth:`cycles`).
 """
 
 from __future__ import annotations
@@ -153,10 +153,10 @@ class FunctionalGraph:
     def tree_order(self) -> list[int]:
         """Every vertex off the directed cycles, each after its successor.
 
-        Folds that compute a vertex's value from its successor's run
-        over this order.  It comes from one in-degree peel (Kahn 1962):
-        vertices nobody points to leave first, and whatever never leaves
-        lies on a cycle.  The same pass fills :meth:`cycles`.
+        The total-graph homomorphism passes fold over this order.  It
+        comes from one in-degree peel (Kahn 1962): vertices nobody
+        points to leave first, and whatever never leaves lies on a
+        cycle.  The same pass fills :meth:`cycles`.
         """
         if self._tree is not None:
             return self._tree
@@ -339,14 +339,16 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    members = np.array(sorted(set(subset)), dtype=np.int64)
+    members = np.fromiter(subset, dtype=np.int64)  # repeats are harmless
     bad = members[(members < 0) | (members >= g.n)]
     if len(bad):
-        raise ValueError(f"subset vertex {bad[0]} out of range")
+        raise ValueError(f"subset vertex {bad.min()} out of range")
     succ, indptr, nbr = g.arrays()[0], *g.csr()
     dist, tag = np.full(g.n, -1), np.full(g.n, -1)
     dist[members], tag[members], front = 0, members, members
     for level in range(1, radius):  # deeper tags never merge
+        if not len(front):
+            break
         pos, row = csr_rows(indptr, front)
         w, src = nbr[pos], front[row]
         new = dist[w] < 0
@@ -360,7 +362,7 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
         np.minimum.at(root, hi, lo)  # hi is a root: hook it lower
         while not np.array_equal(root[root], root):
             root = root[root]
-    return Partition(dict(zip(members.tolist(), root[members].tolist())))
+    return Partition(np.where(dist == 0, root, -1))  # members' roots
 
 
 def class_diameters(g: FunctionalGraph, classes: Partition) -> list[int]:

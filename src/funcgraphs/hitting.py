@@ -59,25 +59,29 @@ def is_forward_independent(g: FunctionalGraph, members: set[int] | frozenset[int
                             spacing).any()
 
 
-def _nearest(g: FunctionalGraph, members: set[int] | frozenset[int]
-             ) -> np.ndarray:
-    """Least k >= 0 with f^k(x) a member, per vertex, -1 if never.
+def next_member(g: FunctionalGraph, members: set[int] | frozenset[int]
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Per vertex, the least k >= 1 with f^k(x) a member, and that
+    member; -1 for both where there is none.
 
-    Cutting the members' out-edges makes them sinks; x's answer is then
-    its depth when its orbit ends at a member, and none when it ends at
-    another sink or on a member-free cycle.
+    With the members' out-edges cut, :func:`path_ends` gives each
+    vertex its first member at >= 0 steps: the sink its orbit ends at,
+    if that is a member.  The first one strictly ahead is its
+    successor's.
     """
-    mask = _member_mask(g.n, members)
-    depth, end = path_ends(np.where(mask, -1, g.arrays()[0]))
-    return np.where((end >= 0) & mask[end], depth, -1)
+    mask, succ = _member_mask(g.n, members), g.arrays()[0]
+    depth, end = path_ends(np.where(mask, -1, succ))
+    # the successor's first member at >= 0 steps (the extra -1: no successor)
+    near = np.r_[np.where((end >= 0) & mask[end], depth, -1), -1][succ]
+    ahead = near >= 0
+    return np.where(ahead, near + 1, -1), np.where(ahead, end[succ], -1)
 
 
 def is_hitting(g: FunctionalGraph, members: set[int] | frozenset[int],
                horizon: int) -> bool:
     """Every vertex with >= horizon forward iterates is hit by the set:
     some strictly positive iterate of it is a member."""
-    succ, near = g.arrays()[0], _nearest(g, members)
-    hit = (succ >= 0) & (near[succ] >= 0)
+    hit = next_member(g, members)[0] >= 0
     return bool(hit[g.interior_mask(horizon)].all())
 
 
@@ -126,8 +130,9 @@ def periodic_hitting(g: FunctionalGraph, period: int) -> HittingSet:
 def labeling_from_hitting(g: FunctionalGraph,
                           members: set[int] | frozenset[int]) -> list[int | None]:
     """Least k >= 0 with f^k(x) a member, per vertex (None if never)."""
-    near = _nearest(g, members)
-    return np.where(near < 0, None, near).tolist()
+    dist = next_member(g, members)[0]  # checks the members' range
+    dist[np.fromiter(members, dtype=np.int64, count=len(members))] = 0
+    return np.where(dist < 0, None, dist).tolist()
 
 
 def check_labeling(g: FunctionalGraph, labels: Sequence[int | None],
@@ -171,7 +176,7 @@ def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,
     """Per x in ``xs``: key[f^j(x)] == key[x] for some 1 <= j <= steps."""
     hit = np.zeros(len(xs), dtype=bool)
     idx, v = np.arange(len(xs)), xs
-    for _ in range(steps):
+    for _ in range(min(steps, len(succ))):  # orbits repeat within n steps
         v = succ[v]
         idx, v = idx[v >= 0], v[v >= 0]
         same = key[v] == key[xs[idx]]

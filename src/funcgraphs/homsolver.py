@@ -13,11 +13,11 @@ This module has three layers:
   functional graphs, plus :func:`retract_to_strong_components` which
   pushes an arbitrary homomorphism into the strong components of H.
 
-Both work on the whole graph at once rather than component by
-component: each pass is one sweep of the graph's tree order
-(:meth:`FunctionalGraph.tree_order`, every off-cycle vertex after its
-successor), bottom-up or top-down.  Feasible label sets are Python-int
-bitmasks over the template's vertices.
+The ergodic solver reads each vertex's next member from
+:func:`funcgraphs.hitting.next_member`.  The total-graph passes sweep
+the whole graph's tree order (:meth:`FunctionalGraph.tree_order`, every
+off-cycle vertex after its successor), bottom-up or top-down, with
+feasible label sets as Python-int bitmasks over the template.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .digraphs import Digraph, GraphShapeError, path_of_length
 from .graphs import FunctionalGraph, label_array
-from .hitting import HittingSet, is_forward_independent
+from .hitting import HittingSet, is_forward_independent, next_member
 from .partition import Partition
 
 
@@ -140,11 +140,12 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
     """Label an acyclic graph into an ergodic loopless template.
 
     The hitting set must be forward-independent at the template's
-    reach-all threshold L.  One fold over the tree order finds, for
-    every vertex, the steps to the first member ahead and that member's
-    own steps to the next one; :meth:`ErgodicSolverData.label` turns the
-    pair into a label.  Vertices whose forward data is cut off by a sink
-    stay None.  ``data``, if given, must be ``ergodic_solver_data(h)``.
+    reach-all threshold L.  :meth:`ErgodicSolverData.label` turns each
+    vertex's steps to the first member ahead, and that member's own
+    steps to the next, into a label; both come from one
+    :func:`~funcgraphs.hitting.next_member` call.  Vertices whose
+    forward data is cut off by a sink stay None.  ``data``, if given,
+    must be ``ergodic_solver_data(h)``.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
@@ -158,19 +159,11 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
     if not is_forward_independent(g, members, ell0):
         raise ValueError(
             f"hitting set is not {ell0}-forward-independent")
-    succ = g.succ
-    first: list[int | None] = [None] * g.n
+    first, member = next_member(g, members)
     # after[x]: first[] of the member first[x] steps ahead of x
-    after: list[int | None] = [None] * g.n
-    for x in g.tree_order():
-        y = succ[x]
-        if y is None:
-            continue
-        if y in members:
-            first[x], after[x] = 1, first[y]
-        elif first[y] is not None:
-            first[x], after[x] = first[y] + 1, after[y]
-    return [data.label(f, a) for f, a in zip(first, after)]
+    after = np.where(member < 0, -1, first[member])
+    return [data.label(None if f < 0 else f, None if a < 0 else a)
+            for f, a in zip(first.tolist(), after.tolist())]
 
 
 def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
@@ -323,7 +316,4 @@ def retract_to_strong_components(
     psi2 = [back(psi[land[x]], tail_k[x]) for x in range(n)]
     bad = hom_violations(g, psi2, h)  # type: ignore[arg-type]
     assert not bad, bad
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(target[x], []).append(x)
-    return psi2, Partition.from_classes(groups.values())
+    return psi2, Partition(np.array(target))

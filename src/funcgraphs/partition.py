@@ -3,14 +3,16 @@ proximity classes."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 
 class Partition:
-    """An equivalence relation on a finite set of ints, stored as a map
-    from element to class id.
+    """An equivalence relation on a finite set of non-negative ints,
+    held as one class-id array: entry x is the class of x, -1 when x is
+    not an element.  ``class_of`` is such an array, with any labels
+    >= 0, or a mapping from element to label >= 0.
 
     Class ids are consecutive ints starting at 0, assigned so that the
     class containing the smallest element gets id 0, the class with the
@@ -18,15 +20,24 @@ class Partition:
     partitions over the same element set comparable by equality.
     """
 
-    def __init__(self, class_of: dict[int, int]):
-        # Renumber class ids canonically by least element.
-        reps: dict[int, int] = {}
-        for x in sorted(class_of):
-            cid = class_of[x]
-            if cid not in reps:
-                reps[cid] = len(reps)
-        self._class_of = {x: reps[class_of[x]] for x in class_of}
-        self._classes: list[list[int]] | None = None
+    def __init__(self, class_of: Mapping[int, int] | np.ndarray):
+        if not isinstance(class_of, np.ndarray):
+            elems = np.fromiter(class_of, dtype=np.int64)
+            labels = np.fromiter(class_of.values(), dtype=np.int64)
+            if (elems < 0).any() or (labels < 0).any():
+                raise ValueError("elements and class labels must be >= 0")
+            class_of = np.full(int(elems.max(initial=-1)) + 1, -1)
+            class_of[elems] = labels
+        ids = class_of.astype(np.int64)
+        if (ids < -1).any():
+            raise ValueError("class ids must be >= 0, or -1 outside")
+        # rank the classes by their least elements
+        elems = np.flatnonzero(ids >= 0)
+        _, least, inv = np.unique(ids[elems], return_index=True,
+                                  return_inverse=True)
+        ids[elems] = np.argsort(np.argsort(least))[inv]
+        ids.flags.writeable = False
+        self._ids, self._classes = ids, None
 
     @classmethod
     def from_classes(cls, classes: Iterable[Iterable[int]]) -> "Partition":
@@ -40,37 +51,44 @@ class Partition:
 
     @property
     def elements(self) -> set[int]:
-        return set(self._class_of)
+        return set(np.flatnonzero(self._ids >= 0).tolist())
 
     def __contains__(self, x: int) -> bool:
-        return x in self._class_of
+        return 0 <= x < len(self._ids) and bool(self._ids[x] >= 0)
 
     def __len__(self) -> int:
         return self.num_classes
 
     @property
     def num_classes(self) -> int:
-        return len(self.classes())
+        return int(self._ids.max(initial=-1)) + 1
 
     def class_id(self, x: int) -> int:
-        return self._class_of[x]
+        if x not in self:
+            raise KeyError(x)
+        return int(self._ids[x])
 
     def id_array(self, n: int) -> np.ndarray:
-        """Class id of each of 0..n-1 as an int array, -1 outside."""
-        ids = np.full(n, -1, dtype=np.int64)
-        ids[list(self._class_of)] = list(self._class_of.values())
-        return ids
+        """Class id of each of 0..n-1 as an int array, -1 outside: the
+        stored read-only array itself when it has n entries."""
+        if len(self._ids) == n:
+            return self._ids
+        if (self._ids[n:] >= 0).any():
+            raise ValueError(f"partition has elements >= {n}")
+        return np.pad(self._ids[:n], (0, max(n - len(self._ids), 0)),
+                      constant_values=-1)
 
     def same_class(self, x: int, y: int) -> bool:
-        return self._class_of[x] == self._class_of[y]
+        return self.class_id(x) == self.class_id(y)
 
     def classes(self) -> list[list[int]]:
         """Classes as sorted lists, ordered by class id."""
         if self._classes is None:
-            by_id: dict[int, list[int]] = {}
-            for x, cid in self._class_of.items():
-                by_id.setdefault(cid, []).append(x)
-            self._classes = [sorted(by_id[c]) for c in sorted(by_id)]
+            elems = np.flatnonzero(self._ids >= 0)
+            labels = self._ids[elems]
+            flat = elems[np.argsort(labels, kind="stable")].tolist()
+            ends = np.cumsum(np.bincount(labels)).tolist()
+            self._classes = [flat[a:b] for a, b in zip([0] + ends, ends)]
         return self._classes
 
     def __iter__(self) -> Iterator[list[int]]:
@@ -79,7 +97,8 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self._class_of == other._class_of
+        n = max(len(self._ids), len(other._ids))
+        return np.array_equal(self.id_array(n), other.id_array(n))
 
     def __repr__(self) -> str:
-        return f"Partition({self.num_classes} classes, {len(self._class_of)} elements)"
+        return f"Partition({len(self)} classes, {len(self.elements)} elements)"

@@ -133,9 +133,10 @@ def path_end(succ: list[int | None], x: int) -> tuple[int, int] | None:
 
 
 # ---- orbit folds over the tree order ----
-# The scalar folds that ``funcgraphs.graphs.path_ends`` and the label
-# arrays in ``funcgraphs.hitting`` replaced: each vertex's value comes
-# from its successor's, over ``g.tree_order()`` and ``g.cycles()``.
+# The scalar folds that ``funcgraphs.graphs.path_ends`` and the arrays
+# built on it (``hitting.next_member``, ``asdim.flip_dists``) replaced:
+# each vertex's value comes from its successor's, over
+# ``g.tree_order()`` and ``g.cycles()``.
 
 def forward_iterates_fold(g) -> list[int]:
     """Defined forward iterates per vertex, -1 when the orbit cycles."""
@@ -211,6 +212,89 @@ def is_forward_independent_walk(g, members, spacing: int) -> bool:
             if v in members:
                 return False
     return True
+
+
+def distance_parity_coloring_fold(g, members, t: int):
+    """(dist, landing, bit) of the parity coloring, one vertex after its
+    successor, with the interval of each distance from a table."""
+    from funcgraphs.asdim import WitnessParams
+    params = WitnessParams(t)
+    s, half = params.stripe, params.half
+    idx_of = {p: i for i, r in enumerate(params.intervals()) for p in r}
+    dist: list[int | None] = [None] * g.n
+    landing: list[int | None] = [None] * g.n
+    bit: list[int | None] = [None] * g.n
+    for x in g.tree_order():
+        nxt = g.succ[x]
+        if nxt is None:
+            continue
+        if nxt in members:
+            dist[x], landing[x] = 1, nxt
+        elif dist[nxt] is not None:
+            dist[x], landing[x] = dist[nxt] + 1, landing[nxt]
+        k = dist[x]
+        if k is None:
+            continue
+        if k >= half:
+            bit[x] = (k // s) % 2
+        else:
+            zbit = bit[landing[x]]
+            if zbit is not None:
+                bit[x] = (k // s) % 2 if zbit == 0 else (idx_of[k] + 1) % 2
+    return dist, landing, bit
+
+
+def flip_dists_fold(g, bit) -> list[int | None]:
+    """Least j >= 1 with a different color at f^j(x), one vertex after
+    its successor; vertices on or behind a cycle get None."""
+    flip: list[int | None] = [None] * g.n
+    for x in g.tree_order():
+        nxt = g.succ[x]
+        if bit[x] is None or nxt is None or bit[nxt] is None:
+            continue
+        if bit[nxt] != bit[x]:
+            flip[x] = 1
+        elif flip[nxt] is not None:
+            flip[x] = flip[nxt] + 1
+    return flip
+
+
+def flip_dists_scan(g, bit) -> list[int | None]:
+    """Least j >= 1 with a different color at f^j(x), walking forward
+    until a color changes, a color is undefined, the orbit ends or it
+    repeats a vertex."""
+    flip: list[int | None] = [None] * g.n
+    for x in range(g.n):
+        v, seen = x, {x}
+        for j in range(1, g.n + 1):
+            v = g.succ[v]
+            if bit[x] is None or v is None or bit[v] is None or v in seen:
+                break
+            if bit[v] != bit[x]:
+                flip[x] = j
+                break
+            seen.add(v)
+    return flip
+
+
+def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
+    """``homsolver.solve_ergodic`` as a fold: each vertex's steps to the
+    first member ahead, and that member's own, from its successor's."""
+    from funcgraphs.homsolver import ergodic_solver_data
+
+    data = ergodic_solver_data(h)
+    members = hitting.members
+    first: list[int | None] = [None] * g.n
+    after: list[int | None] = [None] * g.n
+    for x in g.tree_order():
+        y = g.succ[x]
+        if y is None:
+            continue
+        if y in members:
+            first[x], after[x] = 1, first[y]
+        elif first[y] is not None:
+            first[x], after[x] = first[y] + 1, after[y]
+    return [data.label(f, a) for f, a in zip(first, after)]
 
 
 # ---- edge checks, one edge at a time ----

@@ -13,7 +13,7 @@ from funcgraphs.hitting import (
     greedy_hitting, hitting_from_cover, hitting_from_equivalence,
     periodic_hitting)
 from funcgraphs.partition import Partition
-from strategies import forest_graphs
+from strategies import forest_graphs, functional_graphs
 
 
 def test_interval_decomposition_t1():
@@ -420,3 +420,133 @@ def test_reach_window_ends_at_walk_steps(offset, ok):
     assert rep == oracles.check_class_reaches_anchor(g, wit, anc, horizon=0)
     assert rep["checked_pairs"] == 2 and rep["ok"] == ok
     assert rep["violations"] == (0 if ok else 1)
+
+
+# ---- array colorings and flips against the folds they replaced ----
+
+def _member_set(g, t, kind, extra):
+    """Greedy or periodic members at t's spacing; ``extra`` stretches
+    the periodic gaps past spacing + 1, up to where landing members
+    colored 1 fire the interval branch."""
+    params = WitnessParams(t)
+    if kind == "greedy":
+        return greedy_hitting(g, params.spacing).members
+    return periodic_hitting(g, params.spacing + 1 + extra).members
+
+
+def _assert_matches_folds(g, members, t):
+    col = distance_parity_coloring(g, members, t)
+    assert (col.dist, col.landing, col.bit) == \
+        oracles.distance_parity_coloring_fold(g, members, t)
+    assert flip_dists(g, col) == oracles.flip_dists_fold(g, col.bit)
+    return col
+
+
+@settings(max_examples=40)
+@given(st.one_of(
+           forest_graphs(),
+           st.builds(gen_random_forest, st.integers(1, 2500),
+                     st.integers(0, 10 ** 6)),
+           st.builds(gen_path, st.integers(1, 3000))),
+       st.sampled_from([1, 2]), st.sampled_from(["greedy", "periodic"]),
+       st.integers(0, 30))
+def test_coloring_and_flips_match_folds(g, t, kind, extra):
+    _assert_matches_folds(g, _member_set(g, t, kind, extra), t)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_coloring_matches_fold_in_the_interval_branch(t):
+    params = WitnessParams(t)
+    g = gen_path(8000 * t)
+    members = periodic_hitting(g, params.spacing + params.stripe + 1).members
+    col = _assert_matches_folds(g, members, t)
+    # members colored 1 make distances below spacing/2 take the
+    # interval parity, which differs from the stripe parity somewhere
+    below = [x for x in col.labeled() if col.dist[x] < params.half
+             and col.bit[col.landing[x]] == 1]
+    assert any(col.bit[x] != col.dist[x] // params.stripe % 2 for x in below)
+
+
+def _hand_colored(g, bit):
+    n = g.n
+    return ParityColoring(WitnessParams(1), frozenset(), [None] * n,
+                          [None] * n, bit)
+
+
+@settings(max_examples=150)
+@given(forest_graphs(), st.data())
+def test_flip_dists_on_hand_built_colorings(g, data):
+    # runs of None as well as single None colors
+    bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
+                             max_size=g.n))
+    for x in data.draw(st.lists(st.integers(0, g.n - 1), max_size=3)):
+        for v in g.forward_orbit(x, data.draw(st.integers(1, 6))):
+            bit[v] = None
+    flip = flip_dists(g, _hand_colored(g, bit))
+    assert flip == oracles.flip_dists_fold(g, bit)
+    assert flip == oracles.flip_dists_scan(g, bit)
+
+
+@settings(max_examples=150)
+@given(functional_graphs(), st.data())
+def test_flip_dists_follow_the_forward_scan_on_graphs_with_cycles(g, data):
+    bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
+                             max_size=g.n))
+    assert flip_dists(g, _hand_colored(g, bit)) == \
+        oracles.flip_dists_scan(g, bit)
+
+
+def test_flip_dists_on_a_two_colored_cycle():
+    # 0 -> 1 -> 2 -> 0 colored 0, 0, 1, and 3 -> 0; a one-color cycle
+    # 4 <-> 5 never flips
+    g = FunctionalGraph([1, 2, 0, 0, 5, 4])
+    flip = flip_dists(g, _hand_colored(g, [0, 0, 1, 0, 1, 1]))
+    assert flip == [2, 1, 1, 3, None, None]
+    assert oracles.flip_dists_fold(g, [0, 0, 1, 0, 1, 1])[:4] == [None] * 4
+
+
+def test_asdim_pipeline_runs_without_tree_order(monkeypatch):
+    import funcgraphs.homsolver as homsolver
+    from funcgraphs.digraphs import Digraph
+
+    def no_tree_order(self):
+        raise AssertionError("tree_order called")
+    monkeypatch.setattr(FunctionalGraph, "tree_order", no_tree_order)
+    g = gen_random_forest(1500, 3)
+    assert asdim_pipeline(g, (1, 2))["ok"]
+    h = Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
+    psi = homsolver.solve_ergodic(g, h, greedy_hitting(g, 4))
+    assert any(v is not None for v in psi)
+    # the total-graph homomorphism passes still walk it
+    with pytest.raises(AssertionError, match="tree_order"):
+        homsolver.decide_hom(FunctionalGraph([1, 0]), h)
+
+
+def test_witness_params_fit_int64():
+    largest = 206_641_710
+    deepest = WitnessParams(largest).verify_depth + largest
+    assert deepest == 216 * largest ** 2 + 22 * largest + 2 < 2 ** 63
+    with pytest.raises(ValueError, match="206641710"):
+        WitnessParams(largest + 1)
+
+
+@settings(max_examples=150)
+@given(functional_graphs(), st.sampled_from([1, 2, 3]), st.data())
+def test_anchor_preimages_on_graphs_with_cycles(g, t, data):
+    # stripe/3 = 2t steps wrap the short cycles of these graphs
+    bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
+                             max_size=g.n))
+    anc = data.draw(st.lists(st.one_of(st.none(), st.integers(0, g.n - 1)),
+                             min_size=g.n, max_size=g.n))
+    col = ParityColoring(WitnessParams(t), frozenset(), [None] * g.n,
+                         [None] * g.n, bit)
+    assert check_anchor_preimages(g, col, anc, 0) == \
+        oracles.check_anchor_preimages(g, col, anc, 0)
+
+
+def test_anchor_preimages_with_a_huge_t_on_a_cycle():
+    g = FunctionalGraph([1, 0])
+    col = ParityColoring(WitnessParams(10 ** 8), frozenset(), [None] * 2,
+                         [None] * 2, [0, 1])
+    # each vertex of the 2-cycle is a preimage of the other's anchor
+    assert check_anchor_preimages(g, col, [0, 1], 0)["violations"] == 2

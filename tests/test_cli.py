@@ -386,6 +386,19 @@ def test_spacings_beyond_int64(capsys, spacing):
     assert code == 0 and report["labels"] == [4, 3, 2, 1, 0]
 
 
+def test_asdim_with_a_large_t(capsys):
+    code, report, _ = run(capsys, "asdim", "--kind", "path", "--n", "50",
+                          "--t", "1000000")
+    assert code == 0 and report["ok"]
+    params = report["report"]["t"]["1000000"]["params"]
+    assert params["spacing"] == 144 * 10 ** 12
+
+
+def test_asdim_t_beyond_int64_is_a_usage_error(capsys):
+    assert_one_line_error(*run(capsys, "asdim", "--kind", "path", "--n",
+                               "50", "--t", "10000000000"))
+
+
 NEAR_INTS = st.sampled_from([0.0, 1.0, 0.5, True, False, "0", [0]])
 JUNK = st.one_of(NEAR_INTS, st.floats(), st.text(max_size=3),
                  st.lists(st.integers(), max_size=2),

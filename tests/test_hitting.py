@@ -294,3 +294,20 @@ def test_labels_must_be_none_or_non_negative():
             hitting_from_labeling(g, labels, 1)
     with pytest.raises(ValueError):
         countdown_violations(g, [1, 0], 1)
+
+
+@settings(max_examples=150)
+@given(functional_graphs(), st.data())
+def test_independence_walks_stop_after_n_steps(g, data):
+    # spacings past n, where a walk from a member would wrap a cycle
+    members = data.draw(member_sets(g))
+    spacing = data.draw(st.integers(g.n, 2 * g.n + 5))
+    assert is_forward_independent(g, members, spacing) == \
+        oracles.is_forward_independent_walk(g, members, spacing)
+
+
+def test_independence_with_a_huge_spacing_on_a_cycle():
+    # 0 -> 1 <-> 2: the member's walk circles a member-free cycle
+    g = FunctionalGraph([1, 2, 1])
+    assert is_forward_independent(g, {0}, 10 ** 15)
+    assert not is_forward_independent(g, {0, 2}, 10 ** 15)

@@ -118,6 +118,29 @@ def test_solve_ergodic_matches_window_oracle(g, h, periodic, extra):
         oracles.solve_ergodic_by_windows(g, h, hs)
 
 
+def test_solve_ergodic_matches_fold_on_every_template():
+    seen = set()
+
+    # derandomized, so that the assertion after the run is not flaky
+    @settings(max_examples=120, derandomize=True)
+    @given(st.one_of(
+               forest_graphs(),
+               st.builds(gen_random_forest, st.integers(1, 1500),
+                         st.integers(0, 10 ** 6)),
+               st.builds(gen_path, st.integers(1, 300))),
+           ergodic_templates(), st.booleans(), st.integers(0, 5))
+    def check(g, h, periodic, extra):
+        ell0 = ergodic_solver_data(h).reach_all
+        hs = (periodic_hitting(g, ell0 + 1 + extra) if periodic
+              else greedy_hitting(g, ell0 + extra))
+        assert solve_ergodic(g, h, hs) == oracles.solve_ergodic_fold(g, h, hs)
+        seen.add(h.m)
+
+    check()
+    # the three templates have 4, 6 and 7 vertices
+    assert seen == {4, 6, 7}
+
+
 def test_decide_absent_three_to_two_cycle():
     tri = FunctionalGraph([1, 2, 0])
     two = Digraph(2, [(0, 1), (1, 0)])
