@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import FunctionalGraph, ball_class_counts, \
-    class_diameters, csr_rows, path_ends, proximity_classes
+    class_diameters, csr_rows, path_ends, proximity_classes, sorted_unique
 from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting, next_member
 from .partition import Partition
@@ -436,14 +436,14 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
         ys = np.flatnonzero(cid >= 0)
         ys = ys[deep[cid[ys]]]
         # each class's distinct anchors, as CSR rows by class id
-        cls, targets = np.divmod(np.unique(cid[ys] * g.n + anc[ys]), g.n)
+        cls, targets = np.divmod(sorted_unique(cid[ys] * g.n + anc[ys]), g.n)
         indptr = np.r_[0, np.cumsum(np.bincount(cls, minlength=len(diams)))]
         pos, row = csr_rows(indptr, cid[ys])
         y, z = ys[row], targets[pos]
         k = depth[y] - depth[z]
         reached = g.jump(y, k.clip(0, walk)) == z
         report["checked_pairs"] += len(pos)
-        report["violations"] += len(np.unique(row[~reached]))
+        report["violations"] += len(sorted_unique(row[~reached]))
     report["ok"] = report["violations"] == 0
     return report
 

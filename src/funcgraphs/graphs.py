@@ -35,40 +35,43 @@ UNBOUNDED = -1  # sentinel for "arbitrarily many forward iterates"
 class FunctionalGraph:
     """Immutable-by-convention functional graph.
 
-    ``succ[i]`` is the successor of vertex ``i`` or ``None`` for a sink.
-    Derived structure (depths, the tree order, cycles) is computed
-    lazily and cached; do not mutate ``succ`` after construction.
+    Stored as one int64 successor array, -1 for a sink (see
+    :func:`successor_array` for the two input forms).  ``succ[i]``, the
+    successor of vertex ``i`` or ``None`` for a sink, is a tuple view
+    for the Python folds: the sequence a graph was built from, else
+    built from the array on first use.  Derived structure (depths, the
+    tree order, cycles) is computed lazily and cached; do not mutate
+    the input after construction.
     """
 
-    def __init__(self, succ: Sequence[int | None]):
-        n = len(succ)
-        for i, s in enumerate(succ):
-            if s is not None and not (0 <= s < n):
-                raise ValueError(f"successor of {i} out of range: {s}")
-        self.n = n
-        self.succ: tuple[int | None, ...] = tuple(succ)
+    def __init__(self, succ: Sequence[int | None] | np.ndarray):
+        self._succ = successor_array(succ)
+        self.n = len(self._succ)
+        if not isinstance(succ, np.ndarray):
+            self.succ = tuple(succ)
         self._tree: list[int] | None = None
         self._cycles: list[list[int]] | None = None
         self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._jumps: list[np.ndarray] = []
+
+    @cached_property
+    def succ(self) -> tuple[int | None, ...]:
+        return tuple([None if s < 0 else s for s in self._succ.tolist()])
 
     # ---- construction ----
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "FunctionalGraph":
         n = d["n"]
-        succ = d["succ"]
-        # bool is an int subclass, so compare types exactly
-        if type(n) is not int or not set(map(type, succ)) <= {int}:
-            raise ValueError("n and every successor must be integers")
+        if type(n) is not int:
+            raise ValueError("n must be an integer")
+        succ = int_array(d["succ"], "successors")
         if len(succ) != n:
             raise ValueError(f"succ has {len(succ)} entries, expected n={n}")
-        g = cls([None if s == -1 else s for s in succ])
-        g._succ = np.array(succ, dtype=np.int64)  # the constructor checked it
-        return g
+        return cls(succ)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "succ": [-1 if s is None else s for s in self.succ]}
+        return {"n": self.n, "succ": self._succ.tolist()}
 
     # ---- basic structure ----
 
@@ -79,7 +82,7 @@ class FunctionalGraph:
 
     @property
     def is_total(self) -> bool:
-        return all(s is not None for s in self.succ)
+        return not np.any(self._succ < 0)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected adjacency as CSR arrays (indptr, neighbours), cached;
@@ -92,11 +95,6 @@ class FunctionalGraph:
                 np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))],
                 b[np.argsort(a, kind="stable")])
         return self._csr_arrays
-
-    @cached_property
-    def _succ(self) -> np.ndarray:
-        return np.array([-1 if s is None else s for s in self.succ],
-                        dtype=np.int64)
 
     @cached_property
     def _depth(self) -> np.ndarray:
@@ -230,6 +228,54 @@ class FunctionalGraph:
         return seen
 
 
+def int_array(values: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
+    """``values`` as a 1-d int64 array, checked once: an array needs an
+    integer dtype (bool and float are rejected) and is used as is when
+    it is int64; a Python sequence needs exact ints (bool is an int
+    subclass).  Values beyond int64 are out of range."""
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be a 1-d integer array")
+        if values.dtype.kind == "u" and \
+                values.max(initial=0) > np.iinfo(np.int64).max:
+            raise ValueError(f"{what} out of range")
+        return values.astype(np.int64, copy=False)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{what} must be integers")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{what} out of range") from None
+
+
+def successor_array(succ: Sequence[int | None] | np.ndarray) -> np.ndarray:
+    """A successor map as an int64 array, -1 for a sink, checked once.
+
+    An array gives its sinks as -1; a Python sequence gives them as
+    None, so a -1 there is out of range.  Every other successor must
+    lie in [0, len(succ))."""
+    n = len(succ)
+    if isinstance(succ, np.ndarray):
+        arr = int_array(succ, "successors")
+    else:
+        if -1 in succ:
+            raise ValueError(f"successor of {succ.index(-1)} out of range: -1")
+        arr = int_array([-1 if s is None else s for s in succ], "successors")
+    bad = np.flatnonzero((arr < -1) | (arr >= n))
+    if len(bad):
+        raise ValueError(f"successor of {bad[0]} out of range: {arr[bad[0]]}")
+    return arr
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique(a)`` of a 1-d array: one sort and a neighbour mask
+    (numpy 2.4's own ``np.unique`` is 10-50x slower on int64)."""
+    a = np.sort(a)
+    first = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def label_array(labels: Sequence[int | None]) -> np.ndarray:
     """``labels`` with -1 for None: int64 when every label fits, else an
     object array of the exact Python ints.  Labels must be >= 0."""
@@ -290,7 +336,7 @@ def _bfs_levels(g: FunctionalGraph, verts: np.ndarray, srcs: np.ndarray,
     """
     indptr, nbr = g.csr()
     k = int(srcs.max(initial=-1)) + 1
-    front, prev = np.unique(verts * k + srcs), verts[:0]
+    front, prev = sorted_unique(verts * k + srcs), verts[:0]
     while True:
         if live is not None:
             front = front[live[front % k]]
@@ -405,7 +451,7 @@ def gen_path(n: int) -> FunctionalGraph:
     """The oriented path 0 -> 1 -> ... -> n-1 (sink at n-1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FunctionalGraph([i + 1 for i in range(n - 1)] + [None])
+    return FunctionalGraph(np.append(np.arange(1, n), -1))
 
 
 def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
@@ -422,7 +468,7 @@ def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
     order = rng.sample(range(n), n)
     ntrees = 1 if n < 20 else rng.choice([1, 1, 1, 2, 3])
     ntrees = min(ntrees, n)
-    succ: list[int | None] = [None] * n
+    succ = [-1] * n  # -1 for a sink, as in the stored array
     placed: list[int] = []
     idx = 0
     backbone_total = max(ntrees, n // 2)
@@ -445,7 +491,7 @@ def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
         idx += 1
         succ[v] = placed[rng.randrange(len(placed))]
         placed.append(v)
-    return FunctionalGraph(succ)
+    return FunctionalGraph(np.array(succ))
 
 
 def gen_random_total(n: int, seed: int) -> FunctionalGraph:

@@ -42,10 +42,14 @@ class HittingSet:
 
 def _member_mask(n: int, members: set[int] | frozenset[int]) -> np.ndarray:
     """The member set as a mask over the vertices 0..n-1."""
-    if members and not 0 <= min(members) <= max(members) < n:
+    try:
+        idx = np.fromiter(members, dtype=np.int64, count=len(members))
+    except OverflowError:
+        raise ValueError("member out of range") from None
+    if len(idx) and not 0 <= idx.min() <= idx.max() < n:
         raise ValueError("member out of range")
     mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(members, dtype=np.int64, count=len(members))] = True
+    mask[idx] = True
     return mask
 
 

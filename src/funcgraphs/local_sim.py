@@ -6,8 +6,9 @@ delivers the messages returned by the previous round and lets every
 node step once; the engine may execute node updates of a round in any
 order (delivery is double buffered, so update order cannot leak).
 
-Networks are numpy arrays: int64 identifiers (so n <= ``MAX_NODES``)
-and each node's path end and steps to it, all the verifier reads.
+Networks are int64 arrays: identifiers (so n <= ``MAX_NODES``),
+successors, and each node's path end and steps to it, all the verifier
+reads; the builder's networks take the last two from their segments.
 
 Two engines produce identical results: a per-node reference engine
 that runs any algorithm object, and a vectorized fast path for the
@@ -27,12 +28,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Any, NamedTuple
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .digraphs import Digraph
-from .graphs import FunctionalGraph, path_ends
+from .graphs import FunctionalGraph, int_array, path_ends, successor_array
 from .homsolver import ErgodicSolverData, ergodic_solver_data
 
 MAX_NODES = 2 ** 21 - 1  # the largest n with n**3 < 2**63
@@ -49,61 +50,62 @@ class NodeView(NamedTuple):
     n: int
 
 
-@dataclass
 class PathNetwork:
     """Disjoint oriented paths with unique bounded identifiers.
 
-    ``segments`` lists index-contiguous runs [start, end) when the
-    wiring follows index order (the builder's layout); it is None for
-    arbitrary wirings, which only the reference engine accepts.  Checks
-    set ``id_array`` and, per node, ``depth`` and ``tail`` (its path end).
+    Stored as int64 arrays: ``id_array`` and ``succ_array`` (-1 at a
+    path end), given as arrays or as Python sequences (see
+    :func:`~funcgraphs.graphs.successor_array`), and per node ``depth``
+    and ``tail`` (its path end), all the verifier reads.  ``segments``
+    lists index-contiguous runs [start, end) when the wiring follows
+    index order (the builder's layout), and depth and tail come from
+    them; it is None for arbitrary wirings, which only the reference
+    engine accepts.  ``ids``, ``succ`` and ``pred`` are list views for
+    that engine, built on first use.
     """
 
-    ids: list[int]
-    succ: list[int | None]
-    segments: list[tuple[int, int]] | None = None
-
-    def __post_init__(self) -> None:
-        n = len(self.ids)
-        if not len(self.succ) == n <= MAX_NODES:
+    def __init__(self, ids: Sequence[int] | np.ndarray,
+                 succ: Sequence[int | None] | np.ndarray,
+                 segments: list[tuple[int, int]] | None = None):
+        n = len(ids)
+        if not len(succ) == n <= MAX_NODES:
             raise ValueError(f"need len(ids) == len(succ) <= {MAX_NODES}")
-        # bool is an int subclass, so compare types exactly
-        if not (set(map(type, self.ids)) <= {int}
-                and set(map(type, self.succ)) <= {int, type(None)}):
-            raise ValueError("ids and successors must be integers")
-        try:
-            ids = np.array(self.ids, dtype=np.int64)
-            nxt = np.array([-1 if s is None else s for s in self.succ],
-                           dtype=np.int64)
-        except OverflowError:
-            raise ValueError("ids and successors must fit int64") from None
-        ordered = np.sort(ids)
+        self.id_array = int_array(ids, "identifiers")
+        self.succ_array = nxt = successor_array(succ)
+        self.segments = segments
+        ordered = np.sort(self.id_array)
         if n and (ordered[0] < 0 or ordered[-1] > n ** 3):
             raise ValueError("identifiers must lie in [0, n^3]")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("identifiers must be unique")
-        # a successor given as -1 would pass for a sink: count the sinks
-        if (nxt.min(initial=-1) < -1 or nxt.max(initial=-1) >= n
-                or np.count_nonzero(nxt < 0) != self.succ.count(None)):
-            raise ValueError("successor out of range")
-        if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
-            raise ValueError("a node has two predecessors")
-        self.id_array = ids
-        self.depth, self.tail = path_ends(nxt)
-        if np.any(self.tail < 0):
-            raise ValueError("the wiring must be acyclic")
-        if self.segments is not None:
-            # wired i -> i + 1 iff each node i is tail[i] - i steps from
-            # its end; the segments are then the runs ending at sinks
-            ends = (np.flatnonzero(nxt < 0) + 1).tolist()
-            if (np.any(self.depth != self.tail - np.arange(n))
-                    or list(map(tuple, self.segments))
-                    != list(zip([0] + ends[:-1], ends))):
-                raise ValueError("the wiring does not follow the segments")
+        if segments is None:
+            if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
+                raise ValueError("a node has two predecessors")
+            self.depth, self.tail = path_ends(nxt)
+            if np.any(self.tail < 0):
+                raise ValueError("the wiring must be acyclic")
+            return
+        # the segments' own wiring: i -> i + 1 inside each, ending at a sink
+        ends = np.flatnonzero(nxt < 0) + 1
+        wired = np.arange(1, n + 1)
+        wired[ends - 1] = -1
+        if (not np.array_equal(nxt, wired) or list(map(tuple, segments))
+                != list(zip([0, *ends[:-1].tolist()], ends.tolist()))):
+            raise ValueError("the wiring does not follow the segments")
+        self.tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
+        self.depth = self.tail - np.arange(n)
 
     @property
     def n(self) -> int:
-        return len(self.ids)
+        return len(self.id_array)
+
+    @cached_property
+    def ids(self) -> list[int]:
+        return self.id_array.tolist()
+
+    @cached_property
+    def succ(self) -> list[int | None]:
+        return [None if s < 0 else s for s in self.succ_array.tolist()]
 
     @cached_property
     def pred(self) -> list[int | None]:
@@ -115,7 +117,7 @@ class PathNetwork:
         return pred
 
     def to_graph(self) -> FunctionalGraph:
-        return FunctionalGraph(list(self.succ))
+        return FunctionalGraph(self.succ_array)
 
 
 def _sample_ids(rng: random.Random, n: int) -> np.ndarray:
@@ -165,10 +167,9 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
         raise ValueError(f"unknown id_mode {id_mode!r}")
     base, extra = divmod(n, segments)  # the first `extra` get one more
     ends = [k * base + min(k, extra) for k in range(1, segments + 1)]
-    succ: list[int | None] = list(range(1, n + 1))
-    for end in ends:
-        succ[end - 1] = None
-    return PathNetwork(ids.tolist(), succ, list(zip([0] + ends[:-1], ends)))
+    succ = np.arange(1, n + 1)
+    succ[np.subtract(ends, 1)] = -1
+    return PathNetwork(ids, succ, list(zip([0] + ends[:-1], ends)))
 
 
 @dataclass
@@ -352,8 +353,7 @@ def _cv_vector(colors: np.ndarray, heads: np.ndarray,
         diff = colors ^ np.r_[0, colors[:-1]]
         assert bool(np.all(diff[~heads] != 0)), "adjacent equal colors"
         diff = np.where(heads, 1, diff)
-        low = diff & -diff
-        i = np.round(np.log2(low.astype(np.float64))).astype(np.int64)
+        i = np.bitwise_count((diff & -diff) - 1)  # the lowest set bit
         nxt = 2 * i + ((colors >> i) & 1)
         colors = np.where(heads, colors & 1, nxt)
     return colors

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs.graphs import (
     UNBOUNDED, FunctionalGraph, ball_class_counts, class_diameters, gen_path,
-    gen_random_forest, gen_random_total, path_ends, proximity_classes)
+    gen_random_forest, gen_random_total, path_ends, proximity_classes,
+    sorted_unique)
 from strategies import (
     forest_graphs, functional_graphs, partial_graphs, total_graphs)
 
@@ -269,3 +270,59 @@ def test_successor_given_as_minus_one_or_huge_rejected():
     for succ in ([1, -1], [2 ** 70, None], [None, -5]):
         with pytest.raises(ValueError, match="out of range"):
             FunctionalGraph(succ)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                          st.integers(-3, 3)), max_size=60))
+def test_sorted_unique_matches_np_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got = sorted_unique(a)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.unique(a).tolist()
+
+
+@settings(max_examples=150)
+@given(functional_graphs())
+def test_graph_from_array_matches_graph_from_list(g):
+    back = FunctionalGraph(g.arrays()[0].copy())
+    assert back.succ == g.succ
+    assert all(np.array_equal(a, b) for a, b in zip(back.arrays(), g.arrays()))
+    assert back.to_json_dict() == g.to_json_dict()
+    assert back.is_total == g.is_total
+
+
+def test_graph_keeps_the_sequence_it_was_built_from():
+    succ = (1, 2, None)
+    assert FunctionalGraph(succ).succ is succ
+    assert "succ" not in vars(FunctionalGraph(np.array([1, 2, -1])))
+
+
+@pytest.mark.parametrize("succ", [[5], [None, -2], [1, 0, 3], [-7, None]])
+def test_array_and_list_graphs_report_the_same_range_error(succ):
+    with pytest.raises(ValueError, match="out of range") as from_list:
+        FunctionalGraph(succ)
+    with pytest.raises(ValueError, match="out of range") as from_array:
+        FunctionalGraph(np.array([-1 if s is None else s for s in succ]))
+    assert str(from_list.value) == str(from_array.value)
+
+
+@pytest.mark.parametrize("succ", [
+    np.array([True, False]), np.array([1.0, -1.0]),
+    np.array([[1], [-1]]), np.array([2 ** 64 - 1, 0], dtype=np.uint64),
+    [1.0, None], [True, None], [np.int64(1), None], ["1", None]])
+def test_graph_rejects_non_integer_successors(succ):
+    with pytest.raises(ValueError):
+        FunctionalGraph(succ)
+
+
+def test_json_graph_is_checked_once_from_the_array():
+    doc = {"n": 3, "succ": [1, 2, -1]}
+    g = FunctionalGraph.from_json_dict(doc)
+    assert "succ" not in vars(g)
+    assert g.succ == (1, 2, None) and g.to_json_dict() == doc
+    for bad in ({"n": 2, "succ": [1, True]}, {"n": 2, "succ": [1, 0.0]},
+                {"n": 2, "succ": [1, 2 ** 64]}, {"n": 2, "succ": [1, -2]},
+                {"n": 2.0, "succ": [1, -1]}):
+        with pytest.raises(ValueError):
+            FunctionalGraph.from_json_dict(bad)

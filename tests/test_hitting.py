@@ -311,3 +311,12 @@ def test_independence_with_a_huge_spacing_on_a_cycle():
     g = FunctionalGraph([1, 2, 1])
     assert is_forward_independent(g, {0}, 10 ** 15)
     assert not is_forward_independent(g, {0, 2}, 10 ** 15)
+
+
+@pytest.mark.parametrize("member", [-1, 10, 2 ** 70])
+def test_members_out_of_range_are_rejected(member):
+    g = gen_path(10)
+    for check in (lambda m: is_forward_independent(g, m, 1),
+                  lambda m: is_hitting(g, m, 0)):
+        with pytest.raises(ValueError, match="member out of range"):
+            check(frozenset({0, member}))

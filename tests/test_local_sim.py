@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs import local_sim
 from funcgraphs.digraphs import Digraph, GraphShapeError
+from funcgraphs.graphs import path_ends
 from funcgraphs.hitting import HittingSet
 from funcgraphs.homsolver import hom_violations, solve_ergodic
 from funcgraphs.local_sim import (
@@ -462,3 +463,80 @@ def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
             [n, n + 1, -1, -2, 2 ** 63, -2 ** 70]))
     with pytest.raises(ValueError):
         PathNetwork(ids, succ, None)
+
+
+def network_views(net: PathNetwork):
+    return (net.id_array.tolist(), net.depth.tolist(), net.tail.tolist(),
+            net.ids, net.succ, net.pred, net.segments)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 60), seed=st.integers(0, 99), data=st.data())
+def test_network_from_arrays_matches_network_from_lists(n, seed, data):
+    net = make_path_network(n, seed=seed,
+                            segments=data.draw(st.integers(1, n)))
+    for case in (net, permute_network(net, seed)):
+        from_lists = PathNetwork(list(case.ids), list(case.succ),
+                                 case.segments)
+        from_arrays = PathNetwork(
+            np.array(case.ids), np.array([-1 if s is None else s
+                                          for s in case.succ]), case.segments)
+        assert network_views(from_lists) == network_views(from_arrays) \
+            == network_views(case)
+        # the segment-derived depth and tail are path_ends' over the wiring
+        assert [x.tolist() for x in path_ends(case.succ_array)] == \
+            [case.depth.tolist(), case.tail.tolist()]
+
+
+@pytest.mark.parametrize("ids, succ, segments", [
+    (np.array([False, True]), np.array([1, -1]), None),    # bool ids
+    (np.array([0, 1]), np.array([True, False]), None),      # bool successors
+    (np.array([0.0, 1.0]), np.array([1, -1]), None),        # float ids
+    (np.array([0, 1]), np.array([1.0, -1.0]), None),        # float successors
+    (np.array([0, 2 ** 64 - 1], dtype=np.uint64), np.array([1, -1]), None),
+    (np.array([0, 1]), np.array([1, 2 ** 63], dtype=np.uint64), None),
+    (np.array([0, 1]), np.array([2, -1]), None),            # successor >= n
+    (np.array([0, 1]), np.array([-2, -1]), None),           # below -1
+    (np.array([0, 1]), np.array([2, -1]), [(0, 2)]),
+    (np.array([3, 3]), np.array([1, -1]), [(0, 2)]),        # duplicate ids
+    (np.array([0, 9]), np.array([1, -1]), None),            # id above n**3
+    (np.array([0, 1, 2]), np.array([2, 2, -1]), None),      # in-degree two
+    (np.array([0, 1]), np.array([1, 0]), None),             # cycle
+    (np.array([0, 1, 2]), np.array([1, -1, -1]), [(0, 3)]),
+    (np.array([0, 1, 2]), np.array([2, 0, -1]), [(0, 3)]),  # 1 -> 0 -> 2
+    (np.array([0, 1, 2]), np.array([-1, 0, -1]), [(0, 2), (2, 3)]),
+    (np.array([0, 1, 2]), np.array([1, 2, -1]), [(0, 2), (2, 3)]),
+    (np.array([0, 1, 2]), np.array([1, -1, 1]), [(0, 2), (2, 3)]),
+])
+def test_malformed_array_networks_are_rejected(ids, succ, segments):
+    with pytest.raises(ValueError):
+        PathNetwork(ids, succ, segments)
+
+
+def test_builder_networks_are_array_backed():
+    net = make_path_network(1000, seed=2, segments=3)
+    assert net.id_array.dtype == net.succ_array.dtype == np.int64
+    assert not {"ids", "succ", "pred"} & set(vars(net))
+    assert net.to_graph().arrays()[0] is net.succ_array
+
+
+def cv_fold(colors: list[int], heads: list[bool], iters: int) -> list[int]:
+    for _ in range(iters):
+        colors = [local_sim._cv_combine(c, None if h else p)
+                  for c, h, p in zip(colors, heads, [None] + colors[:-1])]
+    return colors
+
+
+@settings(max_examples=150, deadline=None)
+@given(ids=st.lists(st.one_of(st.integers(0, MAX_NODES ** 3),
+                              st.sampled_from([0, 1, MAX_NODES ** 3,
+                                               MAX_NODES ** 3 - 1,
+                                               2 ** 62, 2 ** 62 - 1])),
+                    min_size=1, max_size=40, unique=True),
+       iters=st.integers(0, cv_iterations(MAX_NODES) + 1), data=st.data())
+def test_cv_vector_matches_per_node_fold(ids, iters, data):
+    starts = data.draw(st.sets(st.integers(1, len(ids) - 1))
+                       if len(ids) > 1 else st.just(set()))
+    heads = [i == 0 or i in starts for i in range(len(ids))]
+    got = local_sim._cv_vector(np.array(ids), np.array(heads), iters)
+    assert got.tolist() == cv_fold(ids, heads, iters)
