@@ -12,13 +12,14 @@ either witness, closing the loop.
 All labelings are truncation-honest: a vertex gets a value exactly when
 the forward data the formula consumes exists inside the graph, and the
 verifiers restrict their assertions to vertices far enough from the
-sinks that definedness is guaranteed.
+sinks that definedness is guaranteed.  Every per-vertex map (distances,
+landings, colors, flips, anchors) is an int64 array of length n with -1
+where the value is undefined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -27,23 +28,6 @@ from .graphs import FunctionalGraph, ball_class_counts, \
 from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting, next_member
 from .partition import Partition
-
-
-def stripe_intervals(s: int) -> list[range]:
-    """Split {0, ..., 2s**2 - 1} into s-1 pieces of size s followed by
-    s pieces of size s+1 (an odd number of pieces in total)."""
-    if s < 1:
-        raise ValueError("stripe must be >= 1")
-    out = []
-    lo = 0
-    for _ in range(s - 1):
-        out.append(range(lo, lo + s))
-        lo += s
-    for _ in range(s):
-        out.append(range(lo, lo + s + 1))
-        lo += s + 1
-    assert lo == 2 * s * s
-    return out
 
 
 @dataclass(frozen=True)
@@ -104,24 +88,17 @@ class WitnessParams:
         """Depth beyond which colors, flips and anchors all exist."""
         return self.label_depth + self.flip_bound + self.anchor_skip + self.t
 
-    def intervals(self) -> list[range]:
-        return stripe_intervals(self.stripe)
-
     def interval_of(self, p: np.ndarray) -> np.ndarray:
         """Interval number of each point of {0, ..., half - 1} in ``p``."""
         s, cut = self.stripe, self.stripe * (self.stripe - 1)
         return np.where(p < cut, p // s, s - 1 + (p - cut) // (s + 1))
 
-    def interval_index(self) -> list[int]:
-        """Interval number for each point of {0, ..., half - 1}."""
-        return self.interval_of(np.arange(self.half)).tolist()
 
-
-@dataclass
+@dataclass(eq=False)  # array fields: equality is identity
 class ParityColoring:
     """Distance-derived two-coloring of the deep part of a graph.
 
-    ``dist[x]`` is the least k >= 1 with f^k(x) a member (None when the
+    ``dist[x]`` is the least k >= 1 with f^k(x) a member (-1 when the
     orbit runs out first) and ``landing[x]`` that member.  ``bit[x]``
     is the color: for dist >= spacing/2 it is the parity of
     dist // stripe; below spacing/2 the color of the landing member z
@@ -131,12 +108,9 @@ class ParityColoring:
 
     params: WitnessParams
     members: frozenset[int]
-    dist: list[int | None]
-    landing: list[int | None]
-    bit: list[int | None]
-
-    def labeled(self) -> list[int]:
-        return [x for x in range(len(self.bit)) if self.bit[x] is not None]
+    dist: np.ndarray
+    landing: np.ndarray
+    bit: np.ndarray
 
 
 def distance_parity_coloring(g: FunctionalGraph,
@@ -146,7 +120,7 @@ def distance_parity_coloring(g: FunctionalGraph,
 
     ``dist`` and ``landing`` come from one :func:`next_member` call.  A
     member's next member is more than spacing >= spacing/2 steps ahead,
-    so its color is its own stripe parity (or None), and every other
+    so its color is its own stripe parity (or -1), and every other
     color follows from it in closed form.
     """
     params = WitnessParams(t)
@@ -161,12 +135,11 @@ def distance_parity_coloring(g: FunctionalGraph,
     below = np.where(zbit == 1, (params.interval_of(dist) + 1) % 2,
                      np.where(zbit == 0, stripe, -1))
     bit = np.where(dist >= params.half, stripe, below)
-    return ParityColoring(params, frozenset(members), _list(dist),
-                          _list(landing), _list(bit))
+    return ParityColoring(params, frozenset(members), dist, landing, bit)
 
 
-def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]:
-    """Least j >= 1 with a different color at f^j(x), per vertex; None
+def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> np.ndarray:
+    """Least j >= 1 with a different color at f^j(x), per vertex; -1
     when an undefined color or the end of the orbit comes first, or the
     color never changes.
 
@@ -175,22 +148,12 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> list[int | None]
     run; the color changes one step later if the successor there is
     colored.
     """
-    succ, colored = g.arrays()[0], _array(coloring.bit)
+    succ, colored = g.arrays()[0], coloring.bit
     bit = np.r_[colored, -1]  # bit[-1]: no color past a sink
     same = (colored >= 0) & (bit[succ] == colored)
     steps, end = path_ends(np.where(same, succ, -1))
     flips = (colored >= 0) & (end >= 0) & (bit[succ[end]] >= 0)
-    return _list(np.where(flips, steps + 1, -1))
-
-
-def _array(values: Sequence[int | None]) -> np.ndarray:
-    """A per-vertex list as an int array, -1 for None."""
-    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
-
-
-def _list(values: np.ndarray) -> list[int | None]:
-    """An int array as a per-vertex list, None for -1."""
-    return np.where(values < 0, None, values).tolist()
+    return np.where(flips, steps + 1, -1)
 
 
 def _deep(cid: np.ndarray, ok: np.ndarray, k: int) -> np.ndarray:
@@ -199,11 +162,11 @@ def _deep(cid: np.ndarray, ok: np.ndarray, k: int) -> np.ndarray:
 
 
 def anchors(g: FunctionalGraph, params: WitnessParams,
-            flip: list[int | None]) -> list[int | None]:
+            flip: np.ndarray) -> np.ndarray:
     """Anchor vertex f^(stripe/3 + flip(x))(x), per vertex."""
-    f = _array(flip)
-    out = g.jump(np.arange(g.n), np.where(f < 0, 0, params.anchor_skip + f))
-    return _list(np.where(f < 0, -1, out))
+    out = g.jump(np.arange(g.n),
+                 np.where(flip < 0, 0, params.anchor_skip + flip))
+    return np.where(flip < 0, -1, out)
 
 
 @dataclass
@@ -226,8 +189,8 @@ class CoverWitness:
         if self._classes is None:
             parts = [proximity_classes(g, u, self.params.t)
                      for u in self.sets]
-            self._classes = [(p.id_array(g.n), np.array(
-                class_diameters(g, p), dtype=np.int64)) for p in parts]
+            self._classes = [(p.id_array(g.n), class_diameters(g, p))
+                             for p in parts]
         return self._classes
 
 
@@ -235,9 +198,9 @@ def cover_from_hitting(g: FunctionalGraph,
                        members: frozenset[int] | set[int],
                        t: int) -> CoverWitness:
     coloring = distance_parity_coloring(g, members, t)
-    bit = _array(coloring.bit)
     return CoverWitness(coloring, tuple(
-        frozenset(np.flatnonzero(bit == c).tolist()) for c in (0, 1)))
+        frozenset(np.flatnonzero(coloring.bit == c).tolist())
+        for c in (0, 1)))
 
 
 @dataclass
@@ -261,21 +224,20 @@ class EquivalenceWitness:
     def diameters(self, g: FunctionalGraph) -> np.ndarray:
         """Class diameters by class id, built once."""
         if self._diameters is None:
-            self._diameters = np.array(class_diameters(g, self.classes),
-                                       dtype=np.int64)
+            self._diameters = class_diameters(g, self.classes)
         return self._diameters
 
 
 def equivalence_from_hitting(g: FunctionalGraph,
                              members: frozenset[int] | set[int], t: int,
                              coloring: ParityColoring | None = None,
-                             flip: list[int | None] | None = None
+                             flip: np.ndarray | None = None
                              ) -> EquivalenceWitness:
     """Key x by f^flip(y)(y) for y = f^t(x).  ``coloring`` and ``flip``,
     when given, must be the ones these members and t produce."""
     if coloring is None:
         coloring = distance_parity_coloring(g, members, t)
-    f = _array(flip_dists(g, coloring) if flip is None else flip)
+    f = flip_dists(g, coloring) if flip is None else flip
     y = g.jump(np.arange(g.n), t)
     xs = np.flatnonzero(y >= 0)
     xs = xs[f[y[xs]] >= 0]
@@ -356,14 +318,14 @@ def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
 
 
 def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
-                      flip: list[int | None],
+                      flip: np.ndarray,
                       horizon: int | None = None) -> dict:
     """Deep vertices are colored and flip within 2 * stripe + 2 steps."""
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
     inside = g.interior_mask(horizon)
-    bit, j = _array(coloring.bit)[inside], _array(flip)[inside]
+    bit, j = coloring.bit[inside], flip[inside]
     j = j[bit >= 0]
     report = {"horizon": horizon, "checked": len(bit),
               "unlabeled": int(np.count_nonzero(bit < 0)),
@@ -376,7 +338,7 @@ def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
 
 
 def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
-                           anchor: list[int | None],
+                           anchor: np.ndarray,
                            horizon: int | None = None) -> dict:
     """Labeled preimages of an anchor carry the opposite color.
 
@@ -388,7 +350,7 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
     if horizon is None:
         horizon = params.verify_depth
     succ = g.arrays()[0]
-    bit, anc = _array(coloring.bit), _array(anchor)
+    bit, anc = coloring.bit, anchor
     near = np.zeros((2, g.n), dtype=bool)  # near[b, e]: a b-colored preimage
     w = np.flatnonzero(bit >= 0)
     v = w
@@ -405,7 +367,7 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
 
 
 def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
-                               anchor: list[int | None],
+                               anchor: np.ndarray,
                                horizon: int | None = None) -> dict:
     """Every member of a proximity class walks onto every class anchor.
 
@@ -423,7 +385,7 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
     params = witness.params
     if horizon is None:
         horizon = params.verify_depth
-    depth, anc = g.arrays()[1], _array(anchor)
+    depth, anc = g.arrays()[1], anchor
     ok = g.interior_mask(horizon) & (anc >= 0)
     walk = (params.diameter_bound + params.anchor_skip
             + params.flip_bound + 2)

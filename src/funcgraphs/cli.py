@@ -30,8 +30,8 @@ def _default_seed() -> int:
     raw = os.environ.get("FUNCGRAPHS_SEED", "0")
     try:
         return int(raw)
-    except ValueError:
-        raise SystemExit(f"FUNCGRAPHS_SEED must be an integer, got {raw!r}")
+    except ValueError:  # read while the parser is built, so for every command
+        raise _Malformed(f"FUNCGRAPHS_SEED must be an integer, got {raw!r}")
 
 
 def _emit(report: dict, summary: str) -> None:
@@ -370,9 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (_Malformed, ValueError, local_sim.RoundLimitError) as exc:
         # the library raises ValueError (GraphShapeError included) only

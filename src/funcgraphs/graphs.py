@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,11 +75,6 @@ class FunctionalGraph:
 
     # ---- basic structure ----
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for i, s in enumerate(self.succ):
-            if s is not None:
-                yield i, s
-
     @property
     def is_total(self) -> bool:
         return not np.any(self._succ < 0)
@@ -128,26 +123,6 @@ class FunctionalGraph:
             x[sel] = self._jumps[i][x[sel]]
         return np.where(x == self.n, -1, x)
 
-    def iterate(self, x: int, k: int) -> int | None:
-        """f^k(x), or None when some intermediate vertex is a sink."""
-        for _ in range(k):
-            nxt = self.succ[x]
-            if nxt is None:
-                return None
-            x = nxt
-        return x
-
-    def forward_orbit(self, x: int, max_len: int) -> list[int]:
-        """x, f(x), f^2(x), ... with at most ``max_len`` entries."""
-        out = []
-        while len(out) < max_len:
-            out.append(x)
-            nxt = self.succ[x]
-            if nxt is None:
-                break
-            x = nxt
-        return out
-
     def tree_order(self) -> list[int]:
         """Every vertex off the directed cycles, each after its successor.
 
@@ -184,11 +159,6 @@ class FunctionalGraph:
         self._cycles = cycles
         return order
 
-    def forward_iterates(self) -> list[int]:
-        """Per-vertex count of defined forward iterates, ``UNBOUNDED``
-        where the orbit reaches a directed cycle."""
-        return self.arrays()[1].tolist()
-
     def cycles(self) -> list[list[int]]:
         """Vertex lists of all directed cycles, in successor order.
 
@@ -210,10 +180,6 @@ class FunctionalGraph:
             raise ValueError("horizon must be >= 0")
         depth = self.arrays()[1]
         return (depth == UNBOUNDED) | (depth >= horizon)
-
-    def interior(self, horizon: int) -> set[int]:
-        """Vertices with at least ``horizon`` defined forward iterates."""
-        return set(np.flatnonzero(self.interior_mask(horizon)).tolist())
 
     # ---- metric ----
 
@@ -411,8 +377,9 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
     return Partition(np.where(dist == 0, root, -1))  # members' roots
 
 
-def class_diameters(g: FunctionalGraph, classes: Partition) -> list[int]:
-    """Max pairwise distance within each class (indexed by class id).
+def class_diameters(g: FunctionalGraph, classes: Partition) -> np.ndarray:
+    """Max pairwise distance within each class, as an int64 array
+    indexed by class id.
 
     Every BFS stops once it has seen its whole class.  On acyclic graphs
     the metric is a tree metric, so a double sweep finds the diameter:
@@ -439,10 +406,10 @@ def class_diameters(g: FunctionalGraph, classes: Partition) -> list[int]:
     if g.acyclic:
         order = np.arange(len(sizes))
         first = members[np.unique(cid[members], return_index=True)[1]]
-        return sweep(sweep(first, order)[0], order)[1].tolist()
+        return sweep(sweep(first, order)[0], order)[1]
     diam = np.zeros(len(sizes), dtype=np.int64)
     np.maximum.at(diam, cid[members], sweep(members, cid[members])[1])
-    return diam.tolist()
+    return diam
 
 
 # ---- generators ----

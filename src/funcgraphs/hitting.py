@@ -158,12 +158,6 @@ def check_labeling(g: FunctionalGraph, labels: Sequence[int | None],
     return [], HittingSet(members, spacing, int(lab.max(initial=0)))
 
 
-def countdown_violations(g: FunctionalGraph, labels: list[int | None],
-                         spacing: int) -> list[tuple[int, int]]:
-    """The edges :func:`check_labeling` finds breaking the invariant."""
-    return check_labeling(g, labels, spacing)[0]
-
-
 def hitting_from_labeling(g: FunctionalGraph, labels: list[int | None],
                           spacing: int) -> HittingSet:
     """Members are the zero-labeled vertices; the labeling must satisfy
@@ -193,7 +187,7 @@ def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,
 
 def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
                        spacing: int,
-                       diameters: Sequence[int] | None = None) -> HittingSet:
+                       diameters: np.ndarray | None = None) -> HittingSet:
     """Members of the cover whose next ``spacing`` iterates leave it.
 
     Forward independence is unconditional.  When every vertex sees the
@@ -209,16 +203,15 @@ def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
         raise ValueError("cover extraction requires an acyclic graph")
     if diameters is None:
         diameters = class_diameters(g, proximity_classes(g, cover, spacing))
-    diam = max(diameters, default=0)
+    diam = int(np.max(diameters, initial=0))
     in_cover = _member_mask(g.n, cover)
     xs = np.flatnonzero(in_cover)
     members = xs[~_meets_ahead(g.arrays()[0], in_cover, xs, spacing)]
-    return HittingSet(frozenset(members.tolist()), spacing,
-                      int(diam) + spacing)
+    return HittingSet(frozenset(members.tolist()), spacing, diam + spacing)
 
 
 def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
-                             d: int, diameters: Sequence[int] | None = None
+                             d: int, diameters: np.ndarray | None = None
                              ) -> tuple[HittingSet, dict]:
     """Hitting set from an equivalence relation with small balls.
 
@@ -235,7 +228,7 @@ def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
         raise ValueError("equivalence extraction requires an acyclic graph")
     if diameters is None:
         diameters = class_diameters(g, eq)
-    max_diam = int(max(diameters, default=0))
+    max_diam = int(np.max(diameters, initial=0))
     succ, cid = g.arrays()[0], eq.id_array(g.n)
     # related iterates are at most max_diam steps ahead
     related = np.flatnonzero(cid >= 0)

@@ -3,7 +3,7 @@ proximity classes."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -39,16 +39,6 @@ class Partition:
         ids.flags.writeable = False
         self._ids, self._classes = ids, None
 
-    @classmethod
-    def from_classes(cls, classes: Iterable[Iterable[int]]) -> "Partition":
-        class_of: dict[int, int] = {}
-        for cid, members in enumerate(classes):
-            for x in members:
-                if x in class_of:
-                    raise ValueError(f"element {x} appears in two classes")
-                class_of[x] = cid
-        return cls(class_of)
-
     @property
     def elements(self) -> set[int]:
         return set(np.flatnonzero(self._ids >= 0).tolist())
@@ -77,9 +67,6 @@ class Partition:
             raise ValueError(f"partition has elements >= {n}")
         return np.pad(self._ids[:n], (0, max(n - len(self._ids), 0)),
                       constant_values=-1)
-
-    def same_class(self, x: int, y: int) -> bool:
-        return self.class_id(x) == self.class_id(y)
 
     def classes(self) -> list[list[int]]:
         """Classes as sorted lists, ordered by class id."""

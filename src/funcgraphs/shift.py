@@ -175,15 +175,15 @@ def sample_dominated(x, count: int, seed: int) -> list[Seq]:
     or switching between the two, so both dense and straggling
     sequences appear.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     x = validate_seq(x)
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         mode = rng.choice(("min", "uniform", "mixed"))
-        vals = []
-        lo = 0
-        for i, cap in enumerate(x):
-            hi = cap
+        vals, lo = [], 0
+        for hi in x:
             if hi < lo:
                 raise AssertionError("domination is always satisfiable")
             if mode == "min" or (mode == "mixed" and rng.random() < 0.5):

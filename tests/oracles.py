@@ -15,6 +15,119 @@ from typing import Iterable
 import numpy as np
 
 
+# ---- per-vertex maps ----
+# The library holds a partial per-vertex map as an int64 array with -1
+# where it is undefined; the oracles below hold it as a list with None.
+# Tests never apply ``is None`` to an array element (always false), so
+# library arrays reach them through ``partial_list``.
+
+def partial_list(values: np.ndarray) -> list[int | None]:
+    """A library array as a per-vertex list, None for -1."""
+    return [None if v < 0 else v for v in values.tolist()]
+
+
+def partial_array(values) -> np.ndarray:
+    """A per-vertex list as a library array, -1 for None."""
+    return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+
+def coloring_lists(coloring) -> tuple[list, list, list]:
+    """``dist``, ``landing`` and ``bit`` of a parity coloring as lists."""
+    return (partial_list(coloring.dist), partial_list(coloring.landing),
+            partial_list(coloring.bit))
+
+
+def labeled(coloring) -> list[int]:
+    """The colored vertices of a parity coloring, in order."""
+    return [x for x, b in enumerate(partial_list(coloring.bit))
+            if b is not None]
+
+
+# ---- library API that only tests call ----
+
+def edges(g):
+    """The edges (x, f(x)) of g, in vertex order."""
+    for x, s in enumerate(g.succ):
+        if s is not None:
+            yield x, s
+
+
+def iterate(g, x: int, k: int) -> int | None:
+    """f^k(x), or None when some intermediate vertex is a sink."""
+    for _ in range(k):
+        x = g.succ[x]
+        if x is None:
+            return None
+    return x
+
+
+def forward_orbit(g, x: int, max_len: int) -> list[int]:
+    """x, f(x), f^2(x), ... with at most ``max_len`` entries."""
+    out = []
+    while len(out) < max_len:
+        out.append(x)
+        nxt = g.succ[x]
+        if nxt is None:
+            break
+        x = nxt
+    return out
+
+
+def forward_iterates(g) -> list[int]:
+    """Per-vertex count of defined forward iterates, ``UNBOUNDED`` where
+    the orbit reaches a directed cycle."""
+    return g.arrays()[1].tolist()
+
+
+def interior(g, horizon: int) -> set[int]:
+    """Vertices with at least ``horizon`` defined forward iterates."""
+    return set(np.flatnonzero(g.interior_mask(horizon)).tolist())
+
+
+def partition_from_classes(classes: Iterable[Iterable[int]]):
+    """The partition with the given classes, which must be disjoint."""
+    from funcgraphs.partition import Partition
+    class_of: dict[int, int] = {}
+    for cid, members in enumerate(classes):
+        for x in members:
+            if x in class_of:
+                raise ValueError(f"element {x} appears in two classes")
+            class_of[x] = cid
+    return Partition(class_of)
+
+
+def same_class(p, x: int, y: int) -> bool:
+    return p.class_id(x) == p.class_id(y)
+
+
+def stripe_intervals(s: int) -> list[range]:
+    """Split {0, ..., 2s**2 - 1} into s-1 pieces of size s followed by
+    s pieces of size s+1 (an odd number of pieces in total)."""
+    if s < 1:
+        raise ValueError("stripe must be >= 1")
+    out = []
+    lo = 0
+    for _ in range(s - 1):
+        out.append(range(lo, lo + s))
+        lo += s
+    for _ in range(s):
+        out.append(range(lo, lo + s + 1))
+        lo += s + 1
+    assert lo == 2 * s * s
+    return out
+
+
+def interval_index(params) -> list[int]:
+    """``params.interval_of`` at each point of {0, ..., half - 1}."""
+    return params.interval_of(np.arange(params.half)).tolist()
+
+
+def countdown_violations(g, labels, spacing: int) -> list[tuple[int, int]]:
+    """The edges ``hitting.check_labeling`` finds breaking the invariant."""
+    from funcgraphs.hitting import check_labeling
+    return check_labeling(g, labels, spacing)[0]
+
+
 # ---- undirected metric on functional graphs ----
 
 def undirected_adj(succ: list[int | None]) -> list[list[int]]:
@@ -29,7 +142,7 @@ def undirected_adj(succ: list[int | None]) -> list[list[int]]:
 
 def predecessors(g) -> list[list[int]]:
     preds: list[list[int]] = [[] for _ in range(g.n)]
-    for x, y in g.edges():
+    for x, y in edges(g):
         preds[y].append(x)
     return preds
 
@@ -220,7 +333,7 @@ def distance_parity_coloring_fold(g, members, t: int):
     from funcgraphs.asdim import WitnessParams
     params = WitnessParams(t)
     s, half = params.stripe, params.half
-    idx_of = {p: i for i, r in enumerate(params.intervals()) for p in r}
+    idx_of = {p: i for i, r in enumerate(stripe_intervals(s)) for p in r}
     dist: list[int | None] = [None] * g.n
     landing: list[int | None] = [None] * g.n
     bit: list[int | None] = [None] * g.n
@@ -302,7 +415,7 @@ def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
 def countdown_violations_loop(g, labels, spacing: int
                               ) -> list[tuple[int, int]]:
     bad = []
-    for x, y in g.edges():
+    for x, y in edges(g):
         a, b = labels[x], labels[y]
         if a is None or b is None:
             continue
@@ -312,7 +425,7 @@ def countdown_violations_loop(g, labels, spacing: int
 
 
 def hom_violations_loop(g, psi, h) -> list[tuple[int, int]]:
-    return [(x, y) for x, y in g.edges()
+    return [(x, y) for x, y in edges(g)
             if psi[x] is not None and psi[y] is not None
             and (psi[x], psi[y]) not in h.edges]
 
@@ -538,8 +651,6 @@ def decide_hom_by_components(g, h) -> list[int] | None:
 
 def retract_by_components(g, psi: list[int], h):
     """Per-component ``retract_to_strong_components``."""
-    from funcgraphs.partition import Partition
-
     scc = h.scc()
     radj = h.radj()
     n = g.n
@@ -586,7 +697,7 @@ def retract_by_components(g, psi: list[int], h):
     groups: dict[int, list[int]] = {}
     for x in range(n):
         groups.setdefault(target[x], []).append(x)
-    return psi2, Partition.from_classes(groups.values())
+    return psi2, partition_from_classes(groups.values())
 
 
 # ---- entry-window ergodic solver ----
@@ -786,7 +897,7 @@ def verify_cover_witness(g, witness, horizon=None) -> dict:
     params = witness.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
+    inside = interior(g, horizon)
     report = {"bound": params.diameter_bound,
               "sharp_bound": params.sharp_diameter_bound,
               "horizon": horizon, "checked_classes": 0,
@@ -794,7 +905,7 @@ def verify_cover_witness(g, witness, horizon=None) -> dict:
               "sharp_violations": 0}
     for u in witness.sets:
         classes = proximity_classes(g, u, params.t)
-        diams = class_diameters(g, classes)
+        diams = class_diameters(g, classes).tolist()
         for deep, _, diam in _deep_classes(classes, diams, inside):
             if not deep:
                 report["skipped_classes"] += 1
@@ -816,9 +927,9 @@ def verify_eqrel_witness(g, witness, d=1, diameter_bound=None,
         horizon = params.verify_depth + t
     if diameter_bound is None:
         diameter_bound = params.diameter_bound
-    inside = g.interior(horizon)
+    inside = interior(g, horizon)
     classes = witness.classes
-    diams = class_diameters(g, classes)
+    diams = class_diameters(g, classes).tolist()
     report = {"bound": diameter_bound, "horizon": horizon,
               "checked_classes": 0, "skipped_classes": 0,
               "max_diameter": 0, "diameter_violations": 0,
@@ -849,11 +960,12 @@ def check_flip_bounds(g, coloring, flip, horizon=None) -> dict:
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
+    bit, flip = partial_list(coloring.bit), partial_list(flip)
     report = {"horizon": horizon, "checked": 0, "unlabeled": 0,
               "undefined_flips": 0, "max_flip": 0, "violations": 0}
-    for x in g.interior(horizon):
+    for x in interior(g, horizon):
         report["checked"] += 1
-        if coloring.bit[x] is None:
+        if bit[x] is None:
             report["unlabeled"] += 1
         elif flip[x] is None:
             report["undefined_flips"] += 1
@@ -870,7 +982,7 @@ def check_anchor_preimages(g, coloring, anchor, horizon=None) -> dict:
     if horizon is None:
         horizon = params.verify_depth
     preds = predecessors(g)
-    bit = coloring.bit
+    bit, anchor = partial_list(coloring.bit), partial_list(anchor)
 
     def preimage_bits(e: int) -> set[int]:
         seen = {b for b in (bit[e],) if b is not None}
@@ -881,7 +993,7 @@ def check_anchor_preimages(g, coloring, anchor, horizon=None) -> dict:
         return seen
 
     report = {"horizon": horizon, "checked": 0, "violations": 0}
-    for x in g.interior(horizon):
+    for x in interior(g, horizon):
         e = anchor[x]
         if e is None or bit[x] is None:
             continue
@@ -892,12 +1004,12 @@ def check_anchor_preimages(g, coloring, anchor, horizon=None) -> dict:
 
 
 def check_class_reaches_anchor(g, witness, anchor, horizon=None) -> dict:
-    """Walks ``forward_orbit(y, walk + 1)`` from every class member."""
+    """Walks ``forward_orbit(g, y, walk + 1)`` from every class member."""
     from funcgraphs.graphs import proximity_classes
     params = witness.params
     if horizon is None:
         horizon = params.verify_depth
-    inside = g.interior(horizon)
+    anchor, inside = partial_list(anchor), interior(g, horizon)
     walk = (params.diameter_bound + params.anchor_skip
             + params.flip_bound + 2)
     report = {"horizon": horizon, "checked_classes": 0,
@@ -910,7 +1022,7 @@ def check_class_reaches_anchor(g, witness, anchor, horizon=None) -> dict:
                 continue
             report["checked_classes"] += 1
             for y in cls:
-                reached = set(g.forward_orbit(y, walk + 1))
+                reached = set(forward_orbit(g, y, walk + 1))
                 report["checked_pairs"] += len(targets)
                 report["violations"] += not targets <= reached
     report["ok"] = report["violations"] == 0
@@ -939,7 +1051,7 @@ def hitting_from_equivalence(g, eq, t: int, d: int
                              ) -> tuple[frozenset[int], dict]:
     """Members and hypothesis report, one vertex and one ball at a time."""
     from funcgraphs.graphs import class_diameters
-    max_diam = max(class_diameters(g, eq), default=0)
+    max_diam = max(class_diameters(g, eq).tolist(), default=0)
     in_a = set()
     for x in range(g.n):
         same = {y for y in eq.classes()[eq.class_id(x)]} if x in eq else set()

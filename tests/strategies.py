@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
+import oracles
 from funcgraphs.digraphs import Digraph
 from funcgraphs.graphs import FunctionalGraph
 
@@ -48,7 +49,7 @@ def functional_graphs():
 def member_sets(draw, g: FunctionalGraph):
     """A vertex subset of g: empty, arbitrary, every p-th depth level, or
     one depth level (whose members no other member follows)."""
-    depth = g.forward_iterates()
+    depth = oracles.forward_iterates(g)
     return draw(st.one_of(
         st.just(set()), st.sets(st.integers(0, g.n - 1)),
         st.integers(2, 5).map(lambda p: {

@@ -21,9 +21,9 @@ from funcgraphs.graphs import (
     FunctionalGraph, class_diameters, gen_path, gen_random_forest,
     proximity_classes)
 from funcgraphs.hitting import (
-    countdown_violations, greedy_hitting, hitting_from_cover,
-    hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
-    is_hitting, labeling_from_hitting)
+    greedy_hitting, hitting_from_cover, hitting_from_equivalence,
+    hitting_from_labeling, is_forward_independent, is_hitting,
+    labeling_from_hitting)
 from funcgraphs.homsolver import (
     decide_hom, ergodic_solver_data, hom_violations, solve_ergodic)
 from funcgraphs.local_sim import (
@@ -100,7 +100,7 @@ def test_criterion_01_labeling_round_trip(capsys):
         for r in (1, 2, 4, 8):
             hs = greedy_hitting(g, r)
             labels = labeling_from_hitting(g, hs.members)
-            assert countdown_violations(g, labels, r) == []
+            assert oracles.countdown_violations(g, labels, r) == []
             back = hitting_from_labeling(g, labels, r)
             assert back.members == hs.members
             trips += 1
@@ -121,7 +121,7 @@ def test_criterion_02_cover_class_diameters(capsys):
         assert report["checked_classes"] > 0, (t, kind)
         checked += report["checked_classes"]
         max_diam = max(max_diam, report["max_diameter"])
-        inside = g.interior(params.verify_depth)
+        inside = oracles.interior(g, params.verify_depth)
         for u in cover.sets:
             classes = proximity_classes(g, u, t)
             diams = class_diameters(g, classes)
@@ -259,7 +259,7 @@ def test_criterion_07_ergodic_solver_instances(capsys):
         hs = greedy_hitting(g, data.reach_all)
         psi = solve_ergodic(g, h, hs)
         horizon = 3 * data.reach_all + 4
-        inside = g.interior(horizon)
+        inside = oracles.interior(g, horizon)
         assert inside, (i, horizon)
         assert all(psi[x] is not None for x in inside), i
         bad = [e for e in hom_violations(g, psi, h) if e[0] in set(inside)]

@@ -7,7 +7,7 @@ from funcgraphs.asdim import (
     WitnessParams, anchors, asdim_pipeline, check_anchor_preimages,
     check_class_reaches_anchor, check_flip_bounds, cover_from_hitting,
     distance_parity_coloring, equivalence_from_hitting, flip_dists,
-    stripe_intervals, verify_cover_witness, verify_eqrel_witness)
+    verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
 from funcgraphs.hitting import (
     greedy_hitting, hitting_from_cover, hitting_from_equivalence,
@@ -17,7 +17,7 @@ from strategies import forest_graphs, functional_graphs
 
 
 def test_interval_decomposition_t1():
-    iv = stripe_intervals(6)
+    iv = oracles.stripe_intervals(6)
     assert len(iv) == 11
     assert [len(r) for r in iv] == [6] * 5 + [7] * 6
     assert sum(len(r) for r in iv) == 72
@@ -26,15 +26,15 @@ def test_interval_decomposition_t1():
 
 
 def test_interval_decomposition_degenerate_stripe():
-    iv = stripe_intervals(1)
+    iv = oracles.stripe_intervals(1)
     assert len(iv) == 1
     assert list(iv[0]) == [0, 1]
 
 
 def test_interval_index_consistent_with_ranges():
     params = WitnessParams(1)
-    idx = params.interval_index()
-    for k, r in enumerate(params.intervals()):
+    idx = oracles.interval_index(params)
+    for k, r in enumerate(oracles.stripe_intervals(params.stripe)):
         for p in r:
             assert idx[p] == k
 
@@ -62,34 +62,36 @@ def test_coloring_matches_stripe_parity_oracle():
     g = gen_path(2000)
     hs = greedy_hitting(g, 144)
     col = distance_parity_coloring(g, hs.members, 1)
+    dist, landing, bit = oracles.coloring_lists(col)
     succ = list(g.succ)
     s, half = 6, 72
-    for x in col.labeled():
+    for x in oracles.labeled(col):
         k = oracles.naive_least_hit(succ, x, set(hs.members), g.n)
-        assert col.dist[x] == k
+        assert dist[x] == k
         if k >= half:
-            assert col.bit[x] == (k // s) % 2
+            assert bit[x] == (k // s) % 2
     # greedy gaps are exactly 145, so every small distance lands on a
     # 0-colored member and reuses stripe parity
-    for x in col.labeled():
-        k = col.dist[x]
+    for x in oracles.labeled(col):
+        k = dist[x]
         if k < half:
-            land = col.landing[x]
+            land = landing[x]
             assert land in hs.members
-            if col.bit[land] == 0:
-                assert col.bit[x] == (k // s) % 2
+            if bit[land] == 0:
+                assert bit[x] == (k // s) % 2
 
 
 def test_labels_defined_exactly_where_forward_data_exists():
     g = gen_path(500)
     hs = greedy_hitting(g, 144)
     col = distance_parity_coloring(g, hs.members, 1)
-    iters = g.forward_iterates()
+    dist, _, bit = oracles.coloring_lists(col)
+    iters = oracles.forward_iterates(g)
     for x in range(g.n):
-        if col.bit[x] is not None:
-            assert col.dist[x] is not None
+        if bit[x] is not None:
+            assert dist[x] is not None
         if iters[x] >= WitnessParams(1).label_depth:
-            assert col.bit[x] is not None, x
+            assert bit[x] is not None, x
 
 
 def test_interval_branch_fires_on_periodic_sets():
@@ -97,14 +99,15 @@ def test_interval_branch_fires_on_periodic_sets():
     g = gen_path(4000)
     hs = periodic_hitting(g, params.spacing + params.stripe + 1)
     col = distance_parity_coloring(g, hs.members, 1)
-    flipped = [x for x in col.labeled()
-               if col.dist[x] < params.half
-               and col.landing[x] is not None
-               and col.bit[col.landing[x]] == 1]
+    dist, landing, bit = oracles.coloring_lists(col)
+    flipped = [x for x in oracles.labeled(col)
+               if dist[x] < params.half
+               and landing[x] is not None
+               and bit[landing[x]] == 1]
     assert flipped, "periodic spacing should produce 1-colored landings"
-    idx = params.interval_index()
+    idx = oracles.interval_index(params)
     for x in flipped:
-        assert col.bit[x] == (idx[col.dist[x]] + 1) % 2
+        assert bit[x] == (idx[dist[x]] + 1) % 2
 
 
 def test_flip_distance_bounded_on_interior():
@@ -135,7 +138,8 @@ def test_cover_witness_flags_hand_built_bad_cover():
     # a fat left block in one part forms a single proximity class with a
     # huge diameter
     bit = [0 if x < 200 else 1 for x in range(n)]
-    col = ParityColoring(params, frozenset(), [0] * n, [None] * n, bit)
+    col = ParityColoring(params, frozenset(), *map(
+        oracles.partial_array, ([0] * n, [None] * n, bit)))
     bad = CoverWitness(col, (frozenset(range(200)),
                              frozenset(range(200, n))))
     rep = verify_cover_witness(g, bad, horizon=0)
@@ -155,9 +159,9 @@ def test_eqrel_witness_verifies_on_forest():
 
 def test_eqrel_singleton_partition_has_zero_diameters():
     g = gen_path(50)
-    singletons = Partition.from_classes([{x} for x in range(50)])
+    singletons = oracles.partition_from_classes([{x} for x in range(50)])
     from funcgraphs.graphs import class_diameters
-    assert class_diameters(g, singletons) == [0] * 50
+    assert class_diameters(g, singletons).tolist() == [0] * 50
 
 
 def test_eqrel_one_class_fails_bound_on_long_path():
@@ -165,9 +169,11 @@ def test_eqrel_one_class_fails_bound_on_long_path():
     g = gen_path(300)
     params = WitnessParams(1)
     n = g.n
-    col = ParityColoring(params, frozenset(), [0] * n, [None] * n, [0] * n)
-    wit = EquivalenceWitness(col, Partition.from_classes([set(range(n))]),
-                             {x: 0 for x in range(n)})
+    col = ParityColoring(params, frozenset(), *map(
+        oracles.partial_array, ([0] * n, [None] * n, [0] * n)))
+    wit = EquivalenceWitness(
+        col, oracles.partition_from_classes([set(range(n))]),
+        {x: 0 for x in range(n)})
     rep = verify_eqrel_witness(g, wit, horizon=0)
     assert rep["diameter_violations"] >= 1
     assert not rep["ok"]
@@ -253,10 +259,11 @@ def _compare_all(g, cover, eq, flip, anc, horizon, d=1):
 def _recolor(cover, xs, color):
     """The cover with the vertices ``xs`` given ``color``."""
     col = cover.coloring
-    bit = list(col.bit)
+    bit = oracles.partial_list(col.bit)
     for x in xs:
         bit[x] = color(bit[x])
-    col = ParityColoring(col.params, col.members, col.dist, col.landing, bit)
+    col = ParityColoring(col.params, col.members, col.dist, col.landing,
+                         oracles.partial_array(bit))
     return CoverWitness(col, tuple(
         frozenset(v for v, b in enumerate(bit) if b == c) for c in (0, 1)))
 
@@ -266,18 +273,18 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
     ``pick`` (a float in [0, 1)).  Anchors, and flips except after a
     recolored run, stay as they were, as a faulty witness carries them."""
     classes = eq.classes.classes()
-    labeled = cover.coloring.labeled()
+    labeled = oracles.labeled(cover.coloring)
     if kind == "merge" and len(classes) > 1:
         # classes five apart lie more than a diameter bound apart
         i = int(pick * (len(classes) - 1))
         j = min(i + 5, len(classes) - 1)
         rest = [c for k, c in enumerate(classes) if k not in (i, j)]
-        eq = EquivalenceWitness(cover.coloring, Partition.from_classes(
+        eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
             rest + [classes[i] + classes[j]]), eq.key)
     if kind == "drop" and classes:
         i = int(pick * len(classes))
         rest = classes[:i] + classes[i + 1:] + [classes[i][1:]]
-        eq = EquivalenceWitness(cover.coloring, Partition.from_classes(
+        eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
             rest), eq.key)
     if kind == "flip" and labeled:
         x = labeled[int(pick * len(labeled))]
@@ -285,18 +292,19 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
     if kind == "run" and labeled:
         # one color along 40 steps: a long class, and late flips
         x = labeled[int(pick * len(labeled))]
-        cover = _recolor(cover, g.forward_orbit(x, 40),
+        cover = _recolor(cover, oracles.forward_orbit(g, x, 40),
                          lambda b: b if b is None else 0)
         flip = flip_dists(g, cover.coloring)
-    defined = [x for x, e in enumerate(anc) if e is not None]
+    anchor = oracles.partial_list(anc)
+    defined = [x for x, e in enumerate(anchor) if e is not None]
     if kind == "shift" and defined:
         # one step off the orbit when the anchor has a side branch
         x = defined[int(pick * len(defined))]
-        orbit = set(g.forward_orbit(x, g.n))
+        orbit = set(oracles.forward_orbit(g, x, g.n))
         side = [w for w, s in enumerate(g.succ)
-                if s == anc[x] and w not in orbit]
-        anc = list(anc)
-        anc[x] = side[0] if side else g.succ[anc[x]]
+                if s == anchor[x] and w not in orbit]
+        anchor[x] = side[0] if side else g.succ[anchor[x]]
+        anc = oracles.partial_array(anchor)
     return cover, eq, flip, anc
 
 
@@ -343,18 +351,18 @@ def hand_built_witnesses(draw):
     bit = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n,
                         max_size=n))
     params = WitnessParams(draw(st.sampled_from([1, 2])))
-    coloring = ParityColoring(params, frozenset(), [None] * n, [None] * n,
-                              bit)
+    coloring = ParityColoring(params, frozenset(), *map(
+        oracles.partial_array, ([None] * n, [None] * n, bit)))
     cover = CoverWitness(coloring, tuple(
         frozenset(x for x, b in enumerate(bit) if b == c) for c in (0, 1)))
     ids = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)),
                         min_size=n, max_size=n))
     part = Partition({x: c for x, c in enumerate(ids) if c is not None})
     eq = EquivalenceWitness(coloring, part, {})
-    flip = draw(st.lists(st.one_of(st.none(), st.integers(1, 30)),
-                         min_size=n, max_size=n))
-    anc = draw(st.lists(st.one_of(st.none(), vertex), min_size=n,
-                        max_size=n))
+    flip = oracles.partial_array(draw(st.lists(
+        st.one_of(st.none(), st.integers(1, 30)), min_size=n, max_size=n)))
+    anc = oracles.partial_array(draw(st.lists(
+        st.one_of(st.none(), vertex), min_size=n, max_size=n)))
     return g, cover, eq, flip, anc, draw(st.integers(0, 4))
 
 
@@ -374,11 +382,12 @@ def test_array_verifiers_match_oracles_on_strategy_forests(g, t):
 def test_reach_check_rejects_cyclic_graphs():
     g = FunctionalGraph([1, 2, 0, 0])
     params = WitnessParams(1)
-    col = ParityColoring(params, frozenset(), [None] * 4, [None] * 4,
-                         [0, 1, 0, 1])
+    col = ParityColoring(params, frozenset(), *map(
+        oracles.partial_array, ([None] * 4, [None] * 4, [0, 1, 0, 1])))
     wit = CoverWitness(col, (frozenset({0, 2}), frozenset({1, 3})))
     with pytest.raises(ValueError, match="acyclic"):
-        check_class_reaches_anchor(g, wit, [1, 2, 0, 0], horizon=0)
+        check_class_reaches_anchor(g, wit, oracles.partial_array([1, 2, 0, 0]),
+                                   horizon=0)
     # the other verifiers still answer on cyclic graphs
     assert verify_cover_witness(g, wit, horizon=0)["checked_classes"] > 0
 
@@ -412,10 +421,11 @@ def test_pipeline_builds_each_shared_quantity_once(monkeypatch):
 def test_reach_window_ends_at_walk_steps(offset, ok):
     # t = 1 allows 35 + 2 + 14 + 2 = 53 forward steps from each member
     g = gen_path(120)
-    col = ParityColoring(WitnessParams(1), frozenset(), [None] * g.n,
-                         [None] * g.n, [0, 0] + [None] * (g.n - 2))
+    col = ParityColoring(WitnessParams(1), frozenset(), *map(
+        oracles.partial_array,
+        ([None] * g.n, [None] * g.n, [0, 0] + [None] * (g.n - 2))))
     wit = CoverWitness(col, (frozenset({0, 1}), frozenset()))
-    anc = [offset, offset] + [None] * (g.n - 2)
+    anc = oracles.partial_array([offset, offset] + [None] * (g.n - 2))
     rep = check_class_reaches_anchor(g, wit, anc, horizon=0)
     assert rep == oracles.check_class_reaches_anchor(g, wit, anc, horizon=0)
     assert rep["checked_pairs"] == 2 and rep["ok"] == ok
@@ -436,9 +446,10 @@ def _member_set(g, t, kind, extra):
 
 def _assert_matches_folds(g, members, t):
     col = distance_parity_coloring(g, members, t)
-    assert (col.dist, col.landing, col.bit) == \
+    assert oracles.coloring_lists(col) == \
         oracles.distance_parity_coloring_fold(g, members, t)
-    assert flip_dists(g, col) == oracles.flip_dists_fold(g, col.bit)
+    assert oracles.partial_list(flip_dists(g, col)) == \
+        oracles.flip_dists_fold(g, oracles.partial_list(col.bit))
     return col
 
 
@@ -462,15 +473,16 @@ def test_coloring_matches_fold_in_the_interval_branch(t):
     col = _assert_matches_folds(g, members, t)
     # members colored 1 make distances below spacing/2 take the
     # interval parity, which differs from the stripe parity somewhere
-    below = [x for x in col.labeled() if col.dist[x] < params.half
-             and col.bit[col.landing[x]] == 1]
-    assert any(col.bit[x] != col.dist[x] // params.stripe % 2 for x in below)
+    dist, landing, bit = oracles.coloring_lists(col)
+    below = [x for x in oracles.labeled(col) if dist[x] < params.half
+             and bit[landing[x]] == 1]
+    assert any(bit[x] != dist[x] // params.stripe % 2 for x in below)
 
 
 def _hand_colored(g, bit):
     n = g.n
-    return ParityColoring(WitnessParams(1), frozenset(), [None] * n,
-                          [None] * n, bit)
+    return ParityColoring(WitnessParams(1), frozenset(), *map(
+        oracles.partial_array, ([None] * n, [None] * n, bit)))
 
 
 @settings(max_examples=150)
@@ -480,9 +492,9 @@ def test_flip_dists_on_hand_built_colorings(g, data):
     bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
                              max_size=g.n))
     for x in data.draw(st.lists(st.integers(0, g.n - 1), max_size=3)):
-        for v in g.forward_orbit(x, data.draw(st.integers(1, 6))):
+        for v in oracles.forward_orbit(g, x, data.draw(st.integers(1, 6))):
             bit[v] = None
-    flip = flip_dists(g, _hand_colored(g, bit))
+    flip = oracles.partial_list(flip_dists(g, _hand_colored(g, bit)))
     assert flip == oracles.flip_dists_fold(g, bit)
     assert flip == oracles.flip_dists_scan(g, bit)
 
@@ -492,7 +504,7 @@ def test_flip_dists_on_hand_built_colorings(g, data):
 def test_flip_dists_follow_the_forward_scan_on_graphs_with_cycles(g, data):
     bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
                              max_size=g.n))
-    assert flip_dists(g, _hand_colored(g, bit)) == \
+    assert oracles.partial_list(flip_dists(g, _hand_colored(g, bit))) == \
         oracles.flip_dists_scan(g, bit)
 
 
@@ -500,7 +512,8 @@ def test_flip_dists_on_a_two_colored_cycle():
     # 0 -> 1 -> 2 -> 0 colored 0, 0, 1, and 3 -> 0; a one-color cycle
     # 4 <-> 5 never flips
     g = FunctionalGraph([1, 2, 0, 0, 5, 4])
-    flip = flip_dists(g, _hand_colored(g, [0, 0, 1, 0, 1, 1]))
+    flip = oracles.partial_list(
+        flip_dists(g, _hand_colored(g, [0, 0, 1, 0, 1, 1])))
     assert flip == [2, 1, 1, 3, None, None]
     assert oracles.flip_dists_fold(g, [0, 0, 1, 0, 1, 1])[:4] == [None] * 4
 
@@ -536,17 +549,19 @@ def test_anchor_preimages_on_graphs_with_cycles(g, t, data):
     # stripe/3 = 2t steps wrap the short cycles of these graphs
     bit = data.draw(st.lists(st.sampled_from([None, 0, 1]), min_size=g.n,
                              max_size=g.n))
-    anc = data.draw(st.lists(st.one_of(st.none(), st.integers(0, g.n - 1)),
-                             min_size=g.n, max_size=g.n))
-    col = ParityColoring(WitnessParams(t), frozenset(), [None] * g.n,
-                         [None] * g.n, bit)
+    anc = oracles.partial_array(data.draw(st.lists(
+        st.one_of(st.none(), st.integers(0, g.n - 1)),
+        min_size=g.n, max_size=g.n)))
+    col = ParityColoring(WitnessParams(t), frozenset(), *map(
+        oracles.partial_array, ([None] * g.n, [None] * g.n, bit)))
     assert check_anchor_preimages(g, col, anc, 0) == \
         oracles.check_anchor_preimages(g, col, anc, 0)
 
 
 def test_anchor_preimages_with_a_huge_t_on_a_cycle():
     g = FunctionalGraph([1, 0])
-    col = ParityColoring(WitnessParams(10 ** 8), frozenset(), [None] * 2,
-                         [None] * 2, [0, 1])
+    col = ParityColoring(WitnessParams(10 ** 8), frozenset(), *map(
+        oracles.partial_array, ([None] * 2, [None] * 2, [0, 1])))
     # each vertex of the 2-cycle is a preimage of the other's anchor
-    assert check_anchor_preimages(g, col, [0, 1], 0)["violations"] == 2
+    anchor = oracles.partial_array([0, 1])
+    assert check_anchor_preimages(g, col, anchor, 0)["violations"] == 2

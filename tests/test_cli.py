@@ -323,6 +323,7 @@ def test_module_entry_point():
     ["asdim", "--kind", "path", "--n", "10", "--t", "0"],
     ["shift", "--length", "0"],
     ["shift", "-r", "0", "--count", "0"],
+    ["shift", "--count", "-1"],
     ["local", "-r", "1", "--n", "5", "--segments", "9"],
     ["local", "-r", "1", "--n", "2097152"],
     ["drhom", "--graph", "path.json", "--labels", "nested.json"],
@@ -339,6 +340,16 @@ def test_out_of_domain_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
                   "negative": [-1, 0]}
     for name, labels in bad_labels.items():
         (tmp_path / f"{name}.json").write_text(json.dumps({"labels": labels}))
+    assert_one_line_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["hit", "--n", "10"],
+    ["classify", "--template", "h.json"],
+])
+def test_malformed_seed_variable_is_a_usage_error(capsys, monkeypatch, argv):
+    # the variable is read while the parser is built, for every command
+    monkeypatch.setenv("FUNCGRAPHS_SEED", "abc")
     assert_one_line_error(*run(capsys, *argv))
 
 

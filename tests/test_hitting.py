@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
 from funcgraphs.hitting import (
-    countdown_violations, greedy_hitting, hitting_from_cover,
-    hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
-    is_hitting, labeling_from_hitting, periodic_hitting)
-from funcgraphs.partition import Partition
+    greedy_hitting, hitting_from_cover, hitting_from_equivalence,
+    hitting_from_labeling, is_forward_independent, is_hitting,
+    labeling_from_hitting, periodic_hitting)
 from strategies import (
     forest_graphs, functional_graphs, member_sets, partial_graphs)
 
@@ -82,7 +81,7 @@ def test_labeling_none_past_last_member():
 def test_round_trip_hitting_labeling_hitting(g, spacing):
     hs = greedy_hitting(g, spacing)
     labels = labeling_from_hitting(g, hs.members)
-    assert countdown_violations(g, labels, spacing) == []
+    assert oracles.countdown_violations(g, labels, spacing) == []
     back = hitting_from_labeling(g, labels, spacing)
     assert back.members == hs.members
 
@@ -127,7 +126,7 @@ def test_orbit_folds_on_graphs_with_cycles(g, data):
         assert labels[x] == (0 if x in members else least_hit[x])
     horizon = data.draw(st.integers(0, n + 1))
     assert is_hitting(g, members, horizon) == all(
-        least_hit[x] is not None for x in g.interior(horizon))
+        least_hit[x] is not None for x in oracles.interior(g, horizon))
 
 
 def test_tampered_labels_are_caught():
@@ -135,7 +134,7 @@ def test_tampered_labels_are_caught():
     hs = greedy_hitting(g, 2)
     labels = labeling_from_hitting(g, hs.members)
     labels[3] = (labels[3] or 0) + 1
-    assert countdown_violations(g, labels, 2)
+    assert oracles.countdown_violations(g, labels, 2)
     with pytest.raises(ValueError):
         hitting_from_labeling(g, labels, 2)
 
@@ -144,7 +143,7 @@ def test_zero_label_must_reset_high():
     g = gen_path(3)
     # 0 -> 1 -> 2 with labels 0, 1, 0: the 0 at vertex 0 is followed by
     # label 1 < spacing 2
-    assert countdown_violations(g, [0, 1, 0], 2) == [(0, 1)]
+    assert oracles.countdown_violations(g, [0, 1, 0], 2) == [(0, 1)]
 
 
 def test_cover_extraction_on_even_vertices():
@@ -170,7 +169,7 @@ def test_cover_extraction_always_independent(g, spacing, data):
 
 def test_eqrel_extraction_singletons_keep_sinks():
     g = gen_path(6)
-    eq = Partition.from_classes([{x} for x in range(6)])
+    eq = oracles.partition_from_classes([{x} for x in range(6)])
     hs, report = hitting_from_equivalence(g, eq, 1, 1)
     assert hs.members == frozenset({5})
     assert report["max_class_diameter"] == 0
@@ -205,7 +204,7 @@ def test_label_arrays_match_orbit_folds(g, data):
     hits = oracles.hits_forward_fold(g, members)
     for horizon in range(g.n + 2):
         assert is_hitting(g, members, horizon) == all(
-            hits[x] for x in g.interior(horizon))
+            hits[x] for x in oracles.interior(g, horizon))
     for spacing in (1, 2, 3, 7):
         assert is_forward_independent(g, members, spacing) == \
             oracles.is_forward_independent_walk(g, members, spacing)
@@ -263,7 +262,7 @@ def labeled_graphs(draw):
 def test_countdown_edge_checks_match_edge_loop(case, spacing):
     g, labels = case
     want = oracles.countdown_violations_loop(g, labels, spacing)
-    assert countdown_violations(g, labels, spacing) == want
+    assert oracles.countdown_violations(g, labels, spacing) == want
     if want:
         with pytest.raises(ValueError):
             hitting_from_labeling(g, labels, spacing)
@@ -289,11 +288,11 @@ def test_labels_must_be_none_or_non_negative():
     g = gen_path(3)
     for labels in ([2, -1, 0], [None, 1, -(2 ** 70)]):
         with pytest.raises(ValueError):
-            countdown_violations(g, labels, 1)
+            oracles.countdown_violations(g, labels, 1)
         with pytest.raises(ValueError):
             hitting_from_labeling(g, labels, 1)
     with pytest.raises(ValueError):
-        countdown_violations(g, [1, 0], 1)
+        oracles.countdown_violations(g, [1, 0], 1)
 
 
 @settings(max_examples=150)

@@ -21,7 +21,7 @@ def two_three_cycles():
 
 
 def interior_violations(g, psi, h, horizon):
-    inside = g.interior(horizon)
+    inside = oracles.interior(g, horizon)
     return [e for e in hom_violations(g, psi, h) if e[0] in inside]
 
 
@@ -62,7 +62,7 @@ def test_solve_ergodic_on_path():
     psi = solve_ergodic(g, h, hs)
     horizon = 2 * (4 + 1) + 4 + 2
     assert not interior_violations(g, psi, h, horizon)
-    assert all(psi[x] is not None for x in g.interior(horizon))
+    assert all(psi[x] is not None for x in oracles.interior(g, horizon))
 
 
 def test_solve_ergodic_checks_passed_template_data():

@@ -185,9 +185,10 @@ def test_path_ends_match_forward_orbits():
         net = make_path_network(50, seed=segments, segments=segments)
         for case in (net, permute_network(net, seed=segments)):
             g = case.to_graph()
-            assert case.depth.tolist() == g.forward_iterates()
+            assert case.depth.tolist() == oracles.forward_iterates(g)
             assert case.tail.tolist() == [
-                g.forward_orbit(x, case.n)[-1] for x in range(case.n)]
+                oracles.forward_orbit(g, x, case.n)[-1]
+                for x in range(case.n)]
 
 
 def test_vector_runs_leave_predecessors_unbuilt():
@@ -402,7 +403,7 @@ def ruling_instances(draw):
         members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     elif kind == "periodic":
         period = draw(st.integers(1, 8))
-        iters = net.to_graph().forward_iterates()
+        iters = oracles.forward_iterates(net.to_graph())
         members = [k % period == 0 for k in iters]
     else:
         members = run_local(RulingSetAlgorithm(draw(st.integers(1, 5))),
