@@ -20,6 +20,7 @@ where the value is undefined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -107,14 +108,12 @@ class ParityColoring:
     """
 
     params: WitnessParams
-    members: frozenset[int]
     dist: np.ndarray
     landing: np.ndarray
     bit: np.ndarray
 
 
-def distance_parity_coloring(g: FunctionalGraph,
-                             members: frozenset[int] | set[int],
+def distance_parity_coloring(g: FunctionalGraph, members: Iterable[int],
                              t: int) -> ParityColoring:
     """Build the parity coloring for a spacing-independent member set.
 
@@ -135,7 +134,7 @@ def distance_parity_coloring(g: FunctionalGraph,
     below = np.where(zbit == 1, (params.interval_of(dist) + 1) % 2,
                      np.where(zbit == 0, stripe, -1))
     bit = np.where(dist >= params.half, stripe, below)
-    return ParityColoring(params, frozenset(members), dist, landing, bit)
+    return ParityColoring(params, dist, landing, bit)
 
 
 def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> np.ndarray:
@@ -148,7 +147,7 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> np.ndarray:
     run; the color changes one step later if the successor there is
     colored.
     """
-    succ, colored = g.arrays()[0], coloring.bit
+    succ, colored = g.succ_array, coloring.bit
     bit = np.r_[colored, -1]  # bit[-1]: no color past a sink
     same = (colored >= 0) & (bit[succ] == colored)
     steps, end = path_ends(np.where(same, succ, -1))
@@ -174,13 +173,17 @@ class CoverWitness:
     """Two-set cover of the labeled vertices by color."""
 
     coloring: ParityColoring
-    sets: tuple[frozenset[int], frozenset[int]]
     _classes: list | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
     @property
     def params(self) -> WitnessParams:
         return self.coloring.params
+
+    @property
+    def sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two color classes as sorted vertex arrays."""
+        return tuple(np.flatnonzero(self.coloring.bit == c) for c in (0, 1))
 
     def classes(self, g: FunctionalGraph
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -194,13 +197,9 @@ class CoverWitness:
         return self._classes
 
 
-def cover_from_hitting(g: FunctionalGraph,
-                       members: frozenset[int] | set[int],
+def cover_from_hitting(g: FunctionalGraph, members: Iterable[int],
                        t: int) -> CoverWitness:
-    coloring = distance_parity_coloring(g, members, t)
-    return CoverWitness(coloring, tuple(
-        frozenset(np.flatnonzero(coloring.bit == c).tolist())
-        for c in (0, 1)))
+    return CoverWitness(distance_parity_coloring(g, members, t))
 
 
 @dataclass
@@ -228,9 +227,8 @@ class EquivalenceWitness:
         return self._diameters
 
 
-def equivalence_from_hitting(g: FunctionalGraph,
-                             members: frozenset[int] | set[int], t: int,
-                             coloring: ParityColoring | None = None,
+def equivalence_from_hitting(g: FunctionalGraph, members: Iterable[int],
+                             t: int, coloring: ParityColoring | None = None,
                              flip: np.ndarray | None = None
                              ) -> EquivalenceWitness:
     """Key x by f^flip(y)(y) for y = f^t(x).  ``coloring`` and ``flip``,
@@ -349,7 +347,7 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
     params = coloring.params
     if horizon is None:
         horizon = params.verify_depth
-    succ = g.arrays()[0]
+    succ = g.succ_array
     bit, anc = coloring.bit, anchor
     near = np.zeros((2, g.n), dtype=bool)  # near[b, e]: a b-colored preimage
     w = np.flatnonzero(bit >= 0)
@@ -385,7 +383,7 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
     params = witness.params
     if horizon is None:
         horizon = params.verify_depth
-    depth, anc = g.arrays()[1], anchor
+    depth, anc = g.depth, anchor
     ok = g.interior_mask(horizon) & (anc >= 0)
     walk = (params.diameter_bound + params.anchor_skip
             + params.flip_bound + 2)

@@ -19,6 +19,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import asdim, digraphs, graphs, hitting, homsolver, local_sim, shift
 from .digraphs import Digraph
 from .graphs import FunctionalGraph
@@ -52,6 +54,20 @@ def _load_json(path: str) -> dict:
 
 class _Malformed(Exception):
     pass
+
+
+def _write_json(path: str, doc: dict) -> None:
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise _Malformed(f"cannot write {path}: {exc}")
+
+
+def _label_list(labels: np.ndarray) -> list[int | None]:
+    """A labeling for a JSON report: null for unlabeled (-1)."""
+    return [None if v < 0 else v for v in labels.tolist()]
 
 
 def _load_graph(path: str) -> FunctionalGraph:
@@ -104,9 +120,7 @@ def _cmd_gen(args) -> int:
     g = make_graph(args.kind, args.n, args.seed)
     doc = g.to_json_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
         _emit({"kind": args.kind, "n": g.n, "seed": args.seed,
                "acyclic": g.acyclic, "out": args.out},
               f"wrote {args.kind} graph n={g.n} to {args.out}")
@@ -123,7 +137,7 @@ def _cmd_hit(args) -> int:
     hits = hitting.is_hitting(g, hs.members, hs.horizon)
     ok = independent and hits
     report = {**src, "n": g.n, "spacing": hs.spacing, "horizon": hs.horizon,
-              "members": hs.sorted_members(), "independent": independent,
+              "members": hs.members.tolist(), "independent": independent,
               "hitting": hits, "ok": ok}
     _emit(report, f"greedy hitting set: {len(hs.members)} members, "
           f"independent={independent} hitting={hits}")
@@ -143,16 +157,16 @@ def _cmd_drhom(args) -> int:
                              "non-negative integers")
         hs = hitting.hitting_from_labeling(g, labels, args.spacing)
         _emit({**src, "spacing": args.spacing,
-               "members": hs.sorted_members(), "ok": True},
+               "members": hs.members.tolist(), "ok": True},
               f"labeling converts to a {hs.spacing}-independent hitting set "
               f"with {len(hs.members)} members")
         return PASS
     hs = hitting.greedy_hitting(g, args.spacing)
     labels = hitting.labeling_from_hitting(g, hs.members)
     bad, back = hitting.check_labeling(g, labels, args.spacing)
-    ok = back is not None and back.members == hs.members  # None iff bad
+    ok = back is not None and np.array_equal(back.members, hs.members)
     report = {**src, "spacing": args.spacing,
-              "labels": labels, "countdown_violations": len(bad),
+              "labels": _label_list(labels), "countdown_violations": len(bad),
               "round_trip": ok, "ok": ok}
     _emit(report, f"countdown labeling: {len(bad)} violations, "
           f"round trip {'exact' if ok else 'BROKEN'}")
@@ -186,13 +200,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_power(args) -> int:
     h = _load_template(args.template)
-    walk = args.walk if args.walk else "f" * args.p
+    walk = args.walk if args.walk is not None else "f" * args.p
     powered = digraphs.power_walk(h, walk)
     doc = powered.to_json_dict()
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.out, doc)
         _emit({"source": args.template, "walk": walk, "m": powered.m,
                "edges": len(powered.edges), "out": args.out},
               f"wrote walk power '{walk}' to {args.out}")
@@ -208,13 +220,13 @@ def _cmd_hom(args) -> int:
         psi = homsolver.decide_hom(g, h)
         present = psi is not None
         report = {**src, "mode": "decide", "present": present,
-                  "labels": psi}
+                  "labels": psi.tolist() if present else None}
         _emit(report, "homomorphism present" if present
               else "no homomorphism")
         return PASS if present else FAIL
     cls = digraphs.classify(h)
     if cls is digraphs.TemplateClass.LOOP:
-        psi: list[int | None] = list(homsolver.solve_loop(g, h))
+        psi = homsolver.solve_loop(g, h)
         horizon = 0
     elif cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
         if not g.acyclic:
@@ -230,10 +242,11 @@ def _cmd_hom(args) -> int:
     bad = homsolver.hom_violations(g, psi, h)
     inside = g.interior_mask(horizon)
     bad_interior = [e for e in bad if inside[e[0]]]
-    labeled = sum(1 for v in psi if v is not None)
+    labeled = int(np.count_nonzero(psi >= 0))
     ok = not bad_interior
     report = {**src, "mode": "solve", "template_class": cls.value,
-              "labels": psi, "labeled": labeled, "interior_horizon": horizon,
+              "labels": _label_list(psi), "labeled": labeled,
+              "interior_horizon": horizon,
               "violations": len(bad_interior), "ok": ok}
     _emit(report, f"solved via {cls.value}: {labeled}/{g.n} labeled, "
           f"{len(bad_interior)} interior violations")
@@ -269,9 +282,9 @@ def _cmd_local(args) -> int:
         alg = local_sim.TemplateSolverAlgorithm(h)
         trace = local_sim.run_local(alg, net, engine=args.engine,
                                     round_cap=args.cap)
-        g = net.to_graph()
-        bad = homsolver.hom_violations(g, trace.outputs, h)
-        labeled = sum(1 for v in trace.outputs if v is not None)
+        labels = np.array(trace.outputs, dtype=np.int64)
+        bad = homsolver.hom_violations(net.to_graph(), labels, h)
+        labeled = int(np.count_nonzero(labels >= 0))
         ok = not bad and labeled > 0
         report = {"n": args.n, "seed": args.seed, "template": args.template,
                   "rounds": trace.rounds, "engine": trace.engine,

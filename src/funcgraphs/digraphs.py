@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .partition import Partition
 
 
@@ -161,7 +163,7 @@ class Digraph:
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[v])
-        return Partition({v: comp[v] for v in range(m)})
+        return Partition(np.array(comp))
 
     def component_period(self, component: Sequence[int]) -> int | None:
         """gcd of cycle lengths inside a strong component, None if edgeless."""
@@ -211,7 +213,7 @@ class Digraph:
         no strong component with an edge is aperiodic.
         """
         candidates: list[int] = []
-        for component in self.scc():
+        for component in self.scc().classes():
             g = self.component_period(component)
             if g == 1:
                 candidates.extend(component)

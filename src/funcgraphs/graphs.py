@@ -30,23 +30,24 @@ import numpy as np
 from .partition import Partition
 
 UNBOUNDED = -1  # sentinel for "arbitrarily many forward iterates"
+Labeling = Sequence[int | None] | np.ndarray  # the forms label_array reads
 
 
 class FunctionalGraph:
     """Immutable-by-convention functional graph.
 
-    Stored as one int64 successor array, -1 for a sink (see
-    :func:`successor_array` for the two input forms).  ``succ[i]``, the
-    successor of vertex ``i`` or ``None`` for a sink, is a tuple view
-    for the Python folds: the sequence a graph was built from, else
-    built from the array on first use.  Derived structure (depths, the
-    tree order, cycles) is computed lazily and cached; do not mutate
-    the input after construction.
+    Stored as one int64 successor array ``succ_array``, -1 for a sink
+    (see :func:`successor_array` for the two input forms).  ``succ[i]``,
+    the successor of vertex ``i`` or ``None`` for a sink, is a tuple
+    view for the Python folds: the sequence a graph was built from,
+    else built from the array on first use.  Derived structure (depths,
+    the tree order, cycles) is computed lazily and cached; do not
+    mutate the input after construction.
     """
 
     def __init__(self, succ: Sequence[int | None] | np.ndarray):
-        self._succ = successor_array(succ)
-        self.n = len(self._succ)
+        self.succ_array = successor_array(succ)
+        self.n = len(self.succ_array)
         if not isinstance(succ, np.ndarray):
             self.succ = tuple(succ)
         self._tree: list[int] | None = None
@@ -56,7 +57,7 @@ class FunctionalGraph:
 
     @cached_property
     def succ(self) -> tuple[int | None, ...]:
-        return tuple([None if s < 0 else s for s in self._succ.tolist()])
+        return tuple([None if s < 0 else s for s in self.succ_array.tolist()])
 
     # ---- construction ----
 
@@ -71,19 +72,19 @@ class FunctionalGraph:
         return cls(succ)
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "succ": self._succ.tolist()}
+        return {"n": self.n, "succ": self.succ_array.tolist()}
 
     # ---- basic structure ----
 
     @property
     def is_total(self) -> bool:
-        return not np.any(self._succ < 0)
+        return not np.any(self.succ_array < 0)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected adjacency as CSR arrays (indptr, neighbours), cached;
         loops are left out, as they change no distance."""
         if self._csr_arrays is None:
-            succ = self._succ
+            succ = self.succ_array
             src = np.flatnonzero((succ >= 0) & (succ != np.arange(self.n)))
             a, b = np.r_[src, succ[src]], np.r_[succ[src], src]
             self._csr_arrays = (
@@ -92,14 +93,10 @@ class FunctionalGraph:
         return self._csr_arrays
 
     @cached_property
-    def _depth(self) -> np.ndarray:
-        return path_ends(self._succ)[0]
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``succ`` (-1 for a sink) and each vertex's count of defined
-        forward iterates (its depth from :func:`path_ends`, ``UNBOUNDED``
-        when the orbit reaches a cycle) as int64 arrays, cached."""
-        return self._succ, self._depth
+    def depth(self) -> np.ndarray:
+        """Each vertex's count of defined forward iterates (its depth from
+        :func:`path_ends`, ``UNBOUNDED`` when the orbit reaches a cycle)."""
+        return path_ends(self.succ_array)[0]
 
     # ---- forward iteration ----
 
@@ -113,7 +110,7 @@ class FunctionalGraph:
         x = np.array(x, dtype=np.int64)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
         if not self._jumps:
-            succ = self._succ
+            succ = self.succ_array
             self._jumps.append(np.append(np.where(succ < 0, self.n, succ),
                                          self.n))
         for i in range(int(k.max(initial=0)).bit_length()):
@@ -171,14 +168,14 @@ class FunctionalGraph:
 
     @property
     def acyclic(self) -> bool:
-        return not np.any(self.arrays()[1] == UNBOUNDED)
+        return not np.any(self.depth == UNBOUNDED)
 
     def interior_mask(self, horizon: int) -> np.ndarray:
         """Mask of the vertices with >= ``horizon`` defined forward
         iterates."""
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        depth = self.arrays()[1]
+        depth = self.depth
         return (depth == UNBOUNDED) | (depth >= horizon)
 
     # ---- metric ----
@@ -233,6 +230,21 @@ def successor_array(succ: Sequence[int | None] | np.ndarray) -> np.ndarray:
     return arr
 
 
+def vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
+    """A set of vertices in 0..n-1 as an int64 array, checked: an int
+    array as is (see :func:`int_array`), any other iterable read in."""
+    if isinstance(vertices, np.ndarray):
+        idx = int_array(vertices, "members")
+    else:
+        try:
+            idx = np.fromiter(vertices, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("member out of range") from None
+    if len(idx) and not 0 <= idx.min() <= idx.max() < n:
+        raise ValueError("member out of range")
+    return idx
+
+
 def sorted_unique(a: np.ndarray) -> np.ndarray:
     """``np.unique(a)`` of a 1-d array: one sort and a neighbour mask
     (numpy 2.4's own ``np.unique`` is 10-50x slower on int64)."""
@@ -242,9 +254,15 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[first]
 
 
-def label_array(labels: Sequence[int | None]) -> np.ndarray:
-    """``labels`` with -1 for None: int64 when every label fits, else an
-    object array of the exact Python ints.  Labels must be >= 0."""
+def label_array(labels: Labeling) -> np.ndarray:
+    """A labeling as an array, -1 for unlabeled: an int array as is once
+    no label is below -1; a Python sequence, None for unlabeled, as int64
+    when every label fits, else as an object array of exact ints."""
+    if isinstance(labels, np.ndarray):
+        lab = int_array(labels, "labels")
+        if np.any(lab < -1):
+            raise ValueError("labels must be -1 or >= 0")
+        return lab
     lab = np.array([-1 if v is None else v for v in labels], dtype=object)
     if np.count_nonzero(lab < 0) != labels.count(None):
         raise ValueError("labels must be None or >= 0")
@@ -351,11 +369,8 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    members = np.fromiter(subset, dtype=np.int64)  # repeats are harmless
-    bad = members[(members < 0) | (members >= g.n)]
-    if len(bad):
-        raise ValueError(f"subset vertex {bad.min()} out of range")
-    succ, indptr, nbr = g.arrays()[0], *g.csr()
+    members = vertex_array(subset, g.n)  # repeats are harmless
+    succ, indptr, nbr = g.succ_array, *g.csr()
     dist, tag = np.full(g.n, -1), np.full(g.n, -1)
     dist[members], tag[members], front = 0, members, members
     for level in range(1, radius):  # deeper tags never merge

@@ -15,55 +15,43 @@ promised on the interior at each construction's documented horizon).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .graphs import FunctionalGraph, ball_class_counts, class_diameters, \
-    label_array, path_ends, proximity_classes
+from .graphs import FunctionalGraph, Labeling, ball_class_counts, \
+    class_diameters, label_array, path_ends, proximity_classes, vertex_array
 from .partition import Partition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # an array field: equality is identity
 class HittingSet:
-    """A member set with its independence spacing and the interior
-    horizon at which the constructor promises hitting."""
+    """A sorted int64 array of members with its independence spacing and
+    the interior horizon at which the constructor promises hitting."""
 
-    members: frozenset[int]
+    members: np.ndarray
     spacing: int
     horizon: int
 
-    def __contains__(self, x: int) -> bool:
-        return x in self.members
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
-
-
-def _member_mask(n: int, members: set[int] | frozenset[int]) -> np.ndarray:
+def _member_mask(n: int, members: Iterable[int]) -> np.ndarray:
     """The member set as a mask over the vertices 0..n-1."""
-    try:
-        idx = np.fromiter(members, dtype=np.int64, count=len(members))
-    except OverflowError:
-        raise ValueError("member out of range") from None
-    if len(idx) and not 0 <= idx.min() <= idx.max() < n:
-        raise ValueError("member out of range")
     mask = np.zeros(n, dtype=bool)
-    mask[idx] = True
+    mask[vertex_array(members, n)] = True
     return mask
 
 
-def is_forward_independent(g: FunctionalGraph, members: set[int] | frozenset[int],
+def is_forward_independent(g: FunctionalGraph, members: Iterable[int],
                            spacing: int) -> bool:
     """No member reaches another member in 1..spacing forward steps."""
     if spacing < 1:
         raise ValueError("spacing must be >= 1")
     mask = _member_mask(g.n, members)
-    return not _meets_ahead(g.arrays()[0], mask, np.flatnonzero(mask),
+    return not _meets_ahead(g.succ_array, mask, np.flatnonzero(mask),
                             spacing).any()
 
 
-def next_member(g: FunctionalGraph, members: set[int] | frozenset[int]
+def next_member(g: FunctionalGraph, members: Iterable[int]
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per vertex, the least k >= 1 with f^k(x) a member, and that
     member; -1 for both where there is none.
@@ -73,7 +61,7 @@ def next_member(g: FunctionalGraph, members: set[int] | frozenset[int]
     if that is a member.  The first one strictly ahead is its
     successor's.
     """
-    mask, succ = _member_mask(g.n, members), g.arrays()[0]
+    mask, succ = _member_mask(g.n, members), g.succ_array
     depth, end = path_ends(np.where(mask, -1, succ))
     # the successor's first member at >= 0 steps (the extra -1: no successor)
     near = np.r_[np.where((end >= 0) & mask[end], depth, -1), -1][succ]
@@ -81,7 +69,7 @@ def next_member(g: FunctionalGraph, members: set[int] | frozenset[int]
     return np.where(ahead, near + 1, -1), np.where(ahead, end[succ], -1)
 
 
-def is_hitting(g: FunctionalGraph, members: set[int] | frozenset[int],
+def is_hitting(g: FunctionalGraph, members: Iterable[int],
                horizon: int) -> bool:
     """Every vertex with >= horizon forward iterates is hit by the set:
     some strictly positive iterate of it is a member."""
@@ -127,38 +115,39 @@ def periodic_hitting(g: FunctionalGraph, period: int) -> HittingSet:
         raise ValueError("greedy and periodic constructions require an "
                          "acyclic graph")
     # depths are below n, so a longer period only keeps the sinks
-    members = np.flatnonzero(g.arrays()[1] % min(period, g.n + 1) == 0)
-    return HittingSet(frozenset(members.tolist()), period - 1, period)
+    members = np.flatnonzero(g.depth % min(period, g.n + 1) == 0)
+    return HittingSet(members, period - 1, period)
 
 
-def labeling_from_hitting(g: FunctionalGraph,
-                          members: set[int] | frozenset[int]) -> list[int | None]:
-    """Least k >= 0 with f^k(x) a member, per vertex (None if never)."""
-    dist = next_member(g, members)[0]  # checks the members' range
-    dist[np.fromiter(members, dtype=np.int64, count=len(members))] = 0
-    return np.where(dist < 0, None, dist).tolist()
+def labeling_from_hitting(g: FunctionalGraph, members: Iterable[int]
+                          ) -> np.ndarray:
+    """Least k >= 0 with f^k(x) a member, per vertex (-1 if never)."""
+    members = vertex_array(members, g.n)
+    dist = next_member(g, members)[0]
+    dist[members] = 0
+    return dist
 
 
-def check_labeling(g: FunctionalGraph, labels: Sequence[int | None],
-                   spacing: int) -> tuple[list, HittingSet | None]:
+def check_labeling(g: FunctionalGraph, labels: Labeling, spacing: int
+                   ) -> tuple[list, HittingSet | None]:
     """The edges whose labeled endpoints break the countdown invariant,
     in edge order, and with none the hitting set of the zero labels.
 
     Positive labels must decrement along the edge; a zero label must be
-    followed by a label >= spacing."""
+    followed by a label >= spacing (see :func:`label_array`)."""
     if len(labels) != g.n:
         raise ValueError("labeling length does not match vertex count")
-    lab, succ = label_array(labels), g.arrays()[0]
+    lab, succ = label_array(labels), g.succ_array
     x = np.flatnonzero(succ >= 0)
     a, b = lab[x], lab[succ[x]]
     x = x[(a >= 0) & (b >= 0) & np.where(a > 0, b != a - 1, b < spacing)]
     if len(x):
         return list(zip(x.tolist(), succ[x].tolist())), None
-    members = frozenset(np.flatnonzero(lab == 0).tolist())
-    return [], HittingSet(members, spacing, int(lab.max(initial=0)))
+    return [], HittingSet(np.flatnonzero(lab == 0), spacing,
+                          int(lab.max(initial=0)))
 
 
-def hitting_from_labeling(g: FunctionalGraph, labels: list[int | None],
+def hitting_from_labeling(g: FunctionalGraph, labels: Labeling,
                           spacing: int) -> HittingSet:
     """Members are the zero-labeled vertices; the labeling must satisfy
     the countdown invariant."""
@@ -185,7 +174,7 @@ def _meets_ahead(succ: np.ndarray, key: np.ndarray, xs: np.ndarray,
     return hit
 
 
-def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
+def hitting_from_cover(g: FunctionalGraph, cover: Iterable[int],
                        spacing: int,
                        diameters: np.ndarray | None = None) -> HittingSet:
     """Members of the cover whose next ``spacing`` iterates leave it.
@@ -206,8 +195,8 @@ def hitting_from_cover(g: FunctionalGraph, cover: set[int] | frozenset[int],
     diam = int(np.max(diameters, initial=0))
     in_cover = _member_mask(g.n, cover)
     xs = np.flatnonzero(in_cover)
-    members = xs[~_meets_ahead(g.arrays()[0], in_cover, xs, spacing)]
-    return HittingSet(frozenset(members.tolist()), spacing, diam + spacing)
+    members = xs[~_meets_ahead(g.succ_array, in_cover, xs, spacing)]
+    return HittingSet(members, spacing, diam + spacing)
 
 
 def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
@@ -229,7 +218,7 @@ def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
     if diameters is None:
         diameters = class_diameters(g, eq)
     max_diam = int(np.max(diameters, initial=0))
-    succ, cid = g.arrays()[0], eq.id_array(g.n)
+    succ, cid = g.succ_array, eq.id_array(g.n)
     # related iterates are at most max_diam steps ahead
     related = np.flatnonzero(cid >= 0)
     in_a = np.ones(g.n, dtype=bool)
@@ -247,4 +236,4 @@ def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
         "hypothesis_ok": violations == 0,
     }
     horizon = max_diam + 1 + t * (d + 1)
-    return HittingSet(frozenset(members.tolist()), t, horizon), report
+    return HittingSet(members, t, horizon), report

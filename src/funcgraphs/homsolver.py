@@ -27,45 +27,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraphs import Digraph, GraphShapeError, path_of_length
-from .graphs import FunctionalGraph, label_array
+from .graphs import FunctionalGraph, Labeling, label_array
 from .hitting import HittingSet, is_forward_independent, next_member
 from .partition import Partition
 
 
-def hom_violations(g: FunctionalGraph, psi: list[int | None],
-                   h: Digraph) -> list[tuple[int, int]]:
-    """Edges of G whose images are not edges of H (None labels skip)."""
+def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
+                   ) -> list[tuple[int, int]]:
+    """Edges of G whose images are not edges of H, skipping unlabeled
+    vertices (see :func:`~funcgraphs.graphs.label_array`)."""
     if len(psi) != g.n:
         raise ValueError("labeling length must match the graph")
     try:
         lab = label_array(psi)
-    except ValueError:
+    except ValueError:  # a list label below 0, named below
+        if isinstance(psi, np.ndarray):
+            raise
         lab = None
     if lab is None or lab.max(initial=-1) >= h.m:
-        v = next(v for v in psi if v is not None and not 0 <= v < h.m)
+        v = next(v for v in psi
+                 if v is not None and (v >= h.m or lab is None and v < 0))
         raise ValueError(f"label {v} outside the template")
     adj = np.zeros((h.m, h.m), dtype=bool)
     adj[[a for a, _ in h.edges], [b for _, b in h.edges]] = True
-    succ = g.arrays()[0]
+    succ = g.succ_array
     x = np.flatnonzero(succ >= 0)
     x = x[(lab[x] >= 0) & (lab[succ[x]] >= 0)]
     x = x[~adj[lab[x], lab[succ[x]]]]
     return list(zip(x.tolist(), succ[x].tolist()))
 
 
-def verify_hom(g: FunctionalGraph, psi: list[int], h: Digraph) -> bool:
+def verify_hom(g: FunctionalGraph, psi: Labeling, h: Digraph) -> bool:
     """True when the total labeling maps every edge of G into H."""
-    if any(v is None for v in psi):
+    if np.any(label_array(psi) < 0):
         raise ValueError("verify_hom expects a total labeling")
     return not hom_violations(g, psi, h)
 
 
-def solve_loop(g: FunctionalGraph, h: Digraph) -> list[int]:
+def solve_loop(g: FunctionalGraph, h: Digraph) -> np.ndarray:
     """Constant labeling onto the least loop vertex of the template."""
     loops = h.loop_vertices()
     if not loops:
         raise GraphShapeError("template has no loop")
-    return [min(loops)] * g.n
+    return np.full(g.n, min(loops))
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,21 @@ class ErgodicSolverData:
     cycle_len: int
     windows: tuple[tuple[int, ...], ...]
 
-    def label(self, first: int | None, gap: int | None) -> int | None:
+    def label(self, first: int, gap: int) -> int:
         """Label in H of a vertex ``first`` steps before the next member,
         where that member's own next member is ``gap`` steps further.
 
         With L = reach_all, a vertex more than L steps before its member
         takes the cycle label first - L steps before the witness.  The
         L vertices before a member (its entry window) walk from the
-        witness to the member's own label.  None marks a value cut off
-        by a sink or by the end of a window.
+        witness to the member's own label.  -1, as an argument or as the
+        result, marks a value cut off by a sink or by the end of a window.
         """
         ell0 = self.reach_all
-        if first is None:
-            return None
         if first > ell0:
             return self.to_orig[self.cycle[(ell0 - first) % self.cycle_len]]
-        if gap is None:
-            return None
+        if first < 0 or gap < 0:
+            return -1
         assert gap > ell0, "members too close for the template threshold"
         return self.windows[(ell0 - gap) % self.cycle_len][ell0 - first]
 
@@ -136,7 +138,7 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
 
 
 def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
-                  data: ErgodicSolverData | None = None) -> list[int | None]:
+                  data: ErgodicSolverData | None = None) -> np.ndarray:
     """Label an acyclic graph into an ergodic loopless template.
 
     The hitting set must be forward-independent at the template's
@@ -144,8 +146,8 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
     vertex's steps to the first member ahead, and that member's own
     steps to the next, into a label; both come from one
     :func:`~funcgraphs.hitting.next_member` call.  Vertices whose
-    forward data is cut off by a sink stay None.  ``data``, if given,
-    must be ``ergodic_solver_data(h)``.
+    forward data is cut off by a sink get -1.  ``data``, if given, must
+    be ``ergodic_solver_data(h)``.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
@@ -162,11 +164,11 @@ def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
     first, member = next_member(g, members)
     # after[x]: first[] of the member first[x] steps ahead of x
     after = np.where(member < 0, -1, first[member])
-    return [data.label(None if f < 0 else f, None if a < 0 else a)
-            for f, a in zip(first.tolist(), after.tolist())]
+    return np.array([data.label(f, a) for f, a in
+                     zip(first.tolist(), after.tolist())], dtype=np.int64)
 
 
-def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
+def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
     """Find a homomorphism from a total functional graph, or None.
 
     Each weak component of G is one directed cycle with in-trees, and
@@ -207,7 +209,7 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
         feas[y] &= out
         if not feas[y]:
             return None
-    psi: list[int | None] = [None] * g.n
+    psi = [-1] * g.n
     for cyc in g.cycles():
         allowed = [[v for v in range(h.m) if feas[x] >> v & 1]
                    for x in cyc]
@@ -223,8 +225,8 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> list[int] | None:
         fits = feas[x] & in_mask[psi[succ[x]]]
         assert fits, "feasible labels lost their edge"
         psi[x] = (fits & -fits).bit_length() - 1
-    assert all(v is not None for v in psi)
-    return psi  # type: ignore[return-value]
+    assert -1 not in psi
+    return np.array(psi, dtype=np.int64)
 
 
 def _cycle_labels(adj: list[list[int]], allowed: list[list[int]],
@@ -260,8 +262,8 @@ def _cycle_labels(adj: list[list[int]], allowed: list[list[int]],
 
 
 def retract_to_strong_components(
-        g: FunctionalGraph, psi: list[int],
-        h: Digraph) -> tuple[list[int], Partition]:
+        g: FunctionalGraph, psi: Labeling,
+        h: Digraph) -> tuple[np.ndarray, Partition]:
     """Rewrite a homomorphism so images stay in strong components of H.
 
     For each weak component of G the image of its cycle already sits in
@@ -275,6 +277,7 @@ def retract_to_strong_components(
         raise ValueError("retraction expects a total graph")
     if not verify_hom(g, psi, h):
         raise ValueError("psi is not a homomorphism")
+    psi = label_array(psi).tolist()
     scc = h.scc()
     radj = h.radj()
     n = g.n
@@ -313,7 +316,8 @@ def retract_to_strong_components(
             steps.append(min(inside))
         return steps[k]
 
-    psi2 = [back(psi[land[x]], tail_k[x]) for x in range(n)]
-    bad = hom_violations(g, psi2, h)  # type: ignore[arg-type]
+    psi2 = np.array([back(psi[land[x]], tail_k[x]) for x in range(n)],
+                    dtype=np.int64)
+    bad = hom_violations(g, psi2, h)
     assert not bad, bad
     return psi2, Partition(np.array(target))

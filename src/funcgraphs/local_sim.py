@@ -330,7 +330,7 @@ class RulingSetAlgorithm:
 
     # ---- vectorized engine ----
 
-    def vector_outputs(self, net: PathNetwork) -> list[bool]:
+    def vector_outputs(self, net: PathNetwork) -> np.ndarray:
         assert net.segments is not None
         n = net.n
         iters = cv_iterations(n)
@@ -343,7 +343,7 @@ class RulingSetAlgorithm:
             cur = cur[joined]
         out = np.zeros(n, dtype=bool)
         out[cur] = True
-        return out.tolist()
+        return out
 
 
 def _cv_vector(colors: np.ndarray, heads: np.ndarray,
@@ -371,7 +371,7 @@ def _mis_vector(colors: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return joined
 
 
-def verify_ruling(net: PathNetwork, members: list[bool],
+def verify_ruling(net: PathNetwork, members: Sequence[bool] | np.ndarray,
                   spacing: int, gap_bound: int) -> dict:
     """Centralized check: independence at ``spacing``, hit by ``gap_bound``.
 
@@ -394,18 +394,18 @@ def verify_ruling(net: PathNetwork, members: list[bool],
             "hitting": hits, "ok": independent and hits}
 
 
-def window_label(bits: list[bool | None], data: ErgodicSolverData) -> int | None:
+def window_label(bits: list[bool], data: ErgodicSolverData) -> int:
     """Template label from a forward membership window.
 
     bits[0] is the node's own membership, bits[i] the node i steps
-    ahead (None past the end of the window or path).  The steps to the
-    first member ahead and from it to the second go through
-    :meth:`ErgodicSolverData.label`.
+    ahead; the window ends at the path end or its length.  The steps to
+    the first member ahead and from it to the second go through
+    :meth:`ErgodicSolverData.label`, -1 for a member not in the window.
     """
     ahead = (i for i in range(1, len(bits)) if bits[i])
-    first = next(ahead, None)
-    second = next(ahead, None)
-    return data.label(first, None if second is None else second - first)
+    first = next(ahead, -1)
+    second = next(ahead, -1)
+    return data.label(first, second - first if second >= 0 else -1)
 
 
 class TemplateSolverAlgorithm:
@@ -415,7 +415,7 @@ class TemplateSolverAlgorithm:
     threshold, then gathers a forward membership window long enough to
     place each node, and labels it by the centralized solver's rule,
     :meth:`ErgodicSolverData.label`.  Nodes whose window is cut off by
-    the path end output None.
+    the path end output -1.
     """
 
     def __init__(self, template: Digraph):
@@ -445,7 +445,5 @@ class TemplateSolverAlgorithm:
             state["bits"] = [state["bits"][0]] + list(from_succ)
         return state, state["bits"][:self.window], None
 
-    def finish(self, view: NodeView, state) -> int | None:
-        bits: list[bool | None] = list(state["bits"])
-        bits += [None] * (self.window + 1 - len(bits))
-        return window_label(bits, self.data)
+    def finish(self, view: NodeView, state) -> int:
+        return window_label(state["bits"], self.data)

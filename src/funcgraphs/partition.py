@@ -3,16 +3,13 @@ proximity classes."""
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
-
 import numpy as np
 
 
 class Partition:
     """An equivalence relation on a finite set of non-negative ints,
     held as one class-id array: entry x is the class of x, -1 when x is
-    not an element.  ``class_of`` is such an array, with any labels
-    >= 0, or a mapping from element to label >= 0.
+    not an element.  ``class_of`` is such an array, any labels >= 0.
 
     Class ids are consecutive ints starting at 0, assigned so that the
     class containing the smallest element gets id 0, the class with the
@@ -20,14 +17,7 @@ class Partition:
     partitions over the same element set comparable by equality.
     """
 
-    def __init__(self, class_of: Mapping[int, int] | np.ndarray):
-        if not isinstance(class_of, np.ndarray):
-            elems = np.fromiter(class_of, dtype=np.int64)
-            labels = np.fromiter(class_of.values(), dtype=np.int64)
-            if (elems < 0).any() or (labels < 0).any():
-                raise ValueError("elements and class labels must be >= 0")
-            class_of = np.full(int(elems.max(initial=-1)) + 1, -1)
-            class_of[elems] = labels
+    def __init__(self, class_of: np.ndarray):
         ids = class_of.astype(np.int64)
         if (ids < -1).any():
             raise ValueError("class ids must be >= 0, or -1 outside")
@@ -39,15 +29,8 @@ class Partition:
         ids.flags.writeable = False
         self._ids, self._classes = ids, None
 
-    @property
-    def elements(self) -> set[int]:
-        return set(np.flatnonzero(self._ids >= 0).tolist())
-
     def __contains__(self, x: int) -> bool:
         return 0 <= x < len(self._ids) and bool(self._ids[x] >= 0)
-
-    def __len__(self) -> int:
-        return self.num_classes
 
     @property
     def num_classes(self) -> int:
@@ -78,9 +61,6 @@ class Partition:
             self._classes = [flat[a:b] for a, b in zip([0] + ends, ends)]
         return self._classes
 
-    def __iter__(self) -> Iterator[list[int]]:
-        return iter(self.classes())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
@@ -88,4 +68,5 @@ class Partition:
         return np.array_equal(self.id_array(n), other.id_array(n))
 
     def __repr__(self) -> str:
-        return f"Partition({len(self)} classes, {len(self.elements)} elements)"
+        return (f"Partition({self.num_classes} classes, "
+                f"{np.count_nonzero(self._ids >= 0)} elements)")

@@ -15,15 +15,27 @@ from typing import Iterable
 import numpy as np
 
 
-# ---- per-vertex maps ----
-# The library holds a partial per-vertex map as an int64 array with -1
-# where it is undefined; the oracles below hold it as a list with None.
-# Tests never apply ``is None`` to an array element (always false), so
-# library arrays reach them through ``partial_list``.
+# ---- per-vertex maps and vertex sets ----
+# The library holds a partial per-vertex map (a labeling included) as an
+# int64 array with -1 where it is undefined, and a vertex set as a sorted
+# int64 array; the oracles below hold them as a list with None and as a
+# set.  Tests never apply ``is None`` to an array element (always false),
+# so library arrays reach them through ``partial_list`` and
+# ``vertex_set``.
 
-def partial_list(values: np.ndarray) -> list[int | None]:
-    """A library array as a per-vertex list, None for -1."""
+def partial_list(values: np.ndarray | None) -> list[int | None] | None:
+    """A library array as a per-vertex list, None for -1; None (no
+    labeling) stays None."""
+    if values is None:
+        return None
     return [None if v < 0 else v for v in values.tolist()]
+
+
+def vertex_set(members) -> frozenset[int]:
+    """A library vertex array, or any iterable of ints, as a set."""
+    if isinstance(members, np.ndarray):
+        members = members.tolist()
+    return frozenset(members)
 
 
 def partial_array(values) -> np.ndarray:
@@ -76,7 +88,7 @@ def forward_orbit(g, x: int, max_len: int) -> list[int]:
 def forward_iterates(g) -> list[int]:
     """Per-vertex count of defined forward iterates, ``UNBOUNDED`` where
     the orbit reaches a directed cycle."""
-    return g.arrays()[1].tolist()
+    return g.depth.tolist()
 
 
 def interior(g, horizon: int) -> set[int]:
@@ -86,14 +98,24 @@ def interior(g, horizon: int) -> set[int]:
 
 def partition_from_classes(classes: Iterable[Iterable[int]]):
     """The partition with the given classes, which must be disjoint."""
-    from funcgraphs.partition import Partition
     class_of: dict[int, int] = {}
     for cid, members in enumerate(classes):
         for x in members:
             if x in class_of:
                 raise ValueError(f"element {x} appears in two classes")
             class_of[x] = cid
-    return Partition(class_of)
+    return partition_from_dict(class_of)
+
+
+def partition_from_dict(class_of: dict[int, int]):
+    """The partition with class label ``class_of[x]`` (>= 0) on each key
+    x (>= 0), through the library's class-id array."""
+    from funcgraphs.partition import Partition
+    if any(x < 0 or c < 0 for x, c in class_of.items()):
+        raise ValueError("elements and class labels must be >= 0")
+    ids = np.full(max(class_of, default=-1) + 1, -1, dtype=np.int64)
+    ids[list(class_of)] = list(class_of.values())
+    return Partition(ids)
 
 
 def same_class(p, x: int, y: int) -> bool:
@@ -396,18 +418,19 @@ def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
     from funcgraphs.homsolver import ergodic_solver_data
 
     data = ergodic_solver_data(h)
-    members = hitting.members
-    first: list[int | None] = [None] * g.n
-    after: list[int | None] = [None] * g.n
+    members = vertex_set(hitting.members)
+    first = [-1] * g.n  # -1: no member ahead, as data.label reads it
+    after = [-1] * g.n
     for x in g.tree_order():
         y = g.succ[x]
         if y is None:
             continue
         if y in members:
             first[x], after[x] = 1, first[y]
-        elif first[y] is not None:
+        elif first[y] >= 0:
             first[x], after[x] = first[y] + 1, after[y]
-    return [data.label(f, a) for f, a in zip(first, after)]
+    return [None if v < 0 else v
+            for v in (data.label(f, a) for f, a in zip(first, after))]
 
 
 # ---- edge checks, one edge at a time ----
@@ -651,6 +674,8 @@ def decide_hom_by_components(g, h) -> list[int] | None:
 
 def retract_by_components(g, psi: list[int], h):
     """Per-component ``retract_to_strong_components``."""
+    if isinstance(psi, np.ndarray):
+        psi = psi.tolist()
     scc = h.scc()
     radj = h.radj()
     n = g.n
@@ -725,7 +750,7 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     n = g.n
     window: list[tuple[int, int] | None] = [None] * n
     preds = predecessors(g)
-    for z in hitting.members:
+    for z in vertex_set(hitting.members):
         frontier = [z]
         for j in range(1, ell0 + 1):
             nxt: list[int] = []
@@ -1043,7 +1068,7 @@ def _window_free(g, x: int, inside: set[int], steps: int) -> bool:
 
 def hitting_from_cover(g, cover, spacing: int) -> frozenset[int]:
     """Members of the cover whose next ``spacing`` iterates leave it."""
-    cover = set(cover)
+    cover = vertex_set(cover)
     return frozenset(x for x in cover if _window_free(g, x, cover, spacing))
 
 
@@ -1098,5 +1123,4 @@ class UnionFind:
             self.parent[rb] = ra
 
     def to_partition(self):
-        from funcgraphs.partition import Partition
-        return Partition({k: self.find(k) for k in self.parent})
+        return partition_from_dict({k: self.find(k) for k in self.parent})

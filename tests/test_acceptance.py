@@ -9,6 +9,7 @@ through 5) are built once and shared through module-level caches.
 import random
 import time
 
+import numpy as np
 import pytest
 
 import oracles
@@ -102,7 +103,7 @@ def test_criterion_01_labeling_round_trip(capsys):
             labels = labeling_from_hitting(g, hs.members)
             assert oracles.countdown_violations(g, labels, r) == []
             back = hitting_from_labeling(g, labels, r)
-            assert back.members == hs.members
+            assert back.members.tolist() == hs.members.tolist()
             trips += 1
     elapsed = time.perf_counter() - start
     _report(capsys, 1, elapsed < 10.0,
@@ -261,10 +262,10 @@ def test_criterion_07_ergodic_solver_instances(capsys):
         horizon = 3 * data.reach_all + 4
         inside = oracles.interior(g, horizon)
         assert inside, (i, horizon)
-        assert all(psi[x] is not None for x in inside), i
+        assert all(psi[x] >= 0 for x in inside), i
         bad = [e for e in hom_violations(g, psi, h) if e[0] in set(inside)]
         assert bad == [], (i, bad[:3])
-        labeled_total += sum(1 for v in psi if v is not None)
+        labeled_total += sum(1 for v in psi if v >= 0)
         instances += 1
     _report(capsys, 7, instances == 50,
             f"50 (G,H) instances over {len(pairs)} ergodic templates, "
@@ -336,7 +337,7 @@ def test_criterion_10_local_simulation_scaling(capsys):
         assert verify_ruling(big_net, big.outputs, r, alg.gap_bound())["ok"]
         assert big.rounds - small.rounds <= 2, (r, small.rounds, big.rounds)
         ref = run_local(alg, small_net, engine="reference")
-        assert ref.outputs == small.outputs
+        assert np.array_equal(ref.outputs, small.outputs)
         for order_seed in range(10):
             again = run_local(alg, small_net, engine="reference",
                               order_seed=order_seed)

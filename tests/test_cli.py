@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -198,7 +199,7 @@ def test_hom_solve_counts_interior_violations_only(tmp_path, capsys,
     # label 0 everywhere: (0, 0) is no edge of the template, so every edge
     # of the path breaks, but only the interior ones count
     monkeypatch.setattr(homsolver, "solve_ergodic",
-                        lambda g, h, hs, data: [0] * g.n)
+                        lambda g, h, hs, data: np.zeros(g.n, np.int64))
     code, report, _ = run(capsys, "hom", "--template", two_three_path(tmp_path),
                           "--kind", "path", "--n", "30")
     assert code == 1 and 0 < report["interior_horizon"] < 30
@@ -344,6 +345,18 @@ def test_out_of_domain_input_is_a_usage_error(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv", [
+    ["power", "--template", "h23.json", "--walk", ""],
+    ["gen", "--n", "5", "--out", "missing/g.json"],
+    ["power", "--template", "h23.json", "-p", "2", "--out", "missing/h.json"],
+])
+def test_empty_walk_and_unwritable_out_are_usage_errors(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    two_three_path(tmp_path)
+    assert_one_line_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
     ["hit", "--n", "10"],
     ["classify", "--template", "h.json"],
 ])
@@ -380,7 +393,7 @@ def test_drhom_checks_the_labels_once(capsys, monkeypatch):
 
 def test_drhom_reports_a_broken_labeling(capsys, monkeypatch):
     monkeypatch.setattr(hitting, "labeling_from_hitting",
-                        lambda g, members: [0] * g.n)
+                        lambda g, members: np.zeros(g.n, np.int64))
     code, report, err = run(capsys, "drhom", "--kind", "path", "--n", "5")
     assert code == 1 and report["countdown_violations"] == 4
     assert not report["round_trip"] and not report["ok"]

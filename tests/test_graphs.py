@@ -232,7 +232,7 @@ def test_jump_matches_iterate(g, data):
 @settings(max_examples=200)
 @given(functional_graphs())
 def test_path_ends_match_naive_walk_and_fold(g):
-    depth, end = path_ends(g.arrays()[0])
+    depth, end = path_ends(g.succ_array)
     succ = list(g.succ)
     for x in range(g.n):
         assert (depth[x], end[x]) == (oracles.path_end(succ, x)
@@ -250,7 +250,7 @@ def test_path_ends_match_naive_walk_and_fold(g):
                                gen_random_forest(3000, 1),
                                gen_random_total(500, 2)])
 def test_path_ends_on_deep_and_cyclic_graphs(g):
-    depth, end = path_ends(g.arrays()[0])
+    depth, end = path_ends(g.succ_array)
     assert depth.tolist() == oracles.forward_iterates_fold(g)
     assert end.tolist() == [
         -1 if k == UNBOUNDED else oracles.forward_orbit(g, x, k + 1)[-1]
@@ -285,9 +285,10 @@ def test_sorted_unique_matches_np_unique(values):
 @settings(max_examples=150)
 @given(functional_graphs())
 def test_graph_from_array_matches_graph_from_list(g):
-    back = FunctionalGraph(g.arrays()[0].copy())
+    back = FunctionalGraph(g.succ_array.copy())
     assert back.succ == g.succ
-    assert all(np.array_equal(a, b) for a, b in zip(back.arrays(), g.arrays()))
+    assert np.array_equal(back.succ_array, g.succ_array)
+    assert np.array_equal(back.depth, g.depth)
     assert back.to_json_dict() == g.to_json_dict()
     assert back.is_total == g.is_total
 

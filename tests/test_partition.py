@@ -75,30 +75,11 @@ def test_partition_equality_ignores_class_order(classes):
     p = oracles.partition_from_classes(cleaned)
     q = oracles.partition_from_classes(list(reversed(cleaned)))
     assert p == q
-    assert p.elements == seen
-
-
-@given(st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=40))
-def test_partition_from_array_equals_partition_from_dict(ids):
-    import numpy as np
-    p = Partition(np.array([-1 if c is None else c for c in ids],
-                           dtype=np.int64))
-    q = Partition({x: c for x, c in enumerate(ids) if c is not None})
-    assert p == q
-    assert p.classes() == q.classes()
-    # ids follow least elements
-    assert [c[0] for c in p.classes()] == sorted(c[0] for c in p.classes())
-    assert p.num_classes == q.num_classes == len({c for c in ids} - {None})
-    assert p.elements == q.elements
-    n = len(ids)
-    assert p.id_array(n).tolist() == q.id_array(n).tolist() == [
-        p.class_id(x) if x in p else -1 for x in range(n)]
+    assert set().union(*p.classes()) == seen
 
 
 def test_partition_rejects_negative_elements():
     import numpy as np
-    with pytest.raises(ValueError):
-        Partition({-1: 0, 2: 0})
     with pytest.raises(ValueError):
         oracles.partition_from_classes([{0, -3}])
     with pytest.raises(ValueError):
