@@ -13,8 +13,8 @@ import sys
 import time
 
 from funcgraphs.asdim import (
-    WitnessParams, cover_from_hitting, equivalence_from_hitting,
-    verify_cover_witness, verify_eqrel_witness)
+    WitnessParams, cover_from_hitting, equivalence_from_coloring,
+    flip_dists, verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.cli import make_graph
 from funcgraphs.hitting import greedy_hitting, periodic_hitting
 
@@ -47,7 +47,8 @@ def main(argv=None) -> int:
                 else:
                     hs = greedy_hitting(g, params.spacing)
                 cover = cover_from_hitting(g, hs.members, t)
-                eq = equivalence_from_hitting(g, hs.members, t)
+                eq = equivalence_from_coloring(
+                    g, cover.coloring, flip_dists(g, cover.coloring))
                 crep = verify_cover_witness(g, cover)
                 erep = verify_eqrel_witness(g, eq, d=1)
                 secs = time.perf_counter() - start

@@ -6,7 +6,7 @@ from types import ModuleType as _Module
 from .asdim import (
     CoverWitness, EquivalenceWitness, ParityColoring, WitnessParams,
     asdim_pipeline, cover_from_hitting, distance_parity_coloring,
-    equivalence_from_hitting, verify_cover_witness, verify_eqrel_witness)
+    equivalence_from_coloring, verify_cover_witness, verify_eqrel_witness)
 from .digraphs import (
     Digraph, ErgodicWitness, GraphShapeError, TemplateClass, classify,
     countdown_digraph, power_walk, wielandt_bound)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .graphs import FunctionalGraph, ball_class_counts, \
     class_diameters, csr_rows, path_ends, proximity_classes, sorted_unique
-from .hitting import HittingSet, greedy_hitting, hitting_from_cover, \
+from .hitting import greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting, next_member
 from .partition import Partition
 
@@ -212,7 +212,6 @@ class EquivalenceWitness:
 
     coloring: ParityColoring
     classes: Partition
-    key: np.ndarray = field(repr=False, compare=False)  # -1: unclassified
     _diameters: np.ndarray | None = field(default=None, init=False,
                                           repr=False, compare=False)
 
@@ -227,21 +226,16 @@ class EquivalenceWitness:
         return self._diameters
 
 
-def equivalence_from_hitting(g: FunctionalGraph, members: Iterable[int],
-                             t: int, coloring: ParityColoring | None = None,
-                             flip: np.ndarray | None = None
-                             ) -> EquivalenceWitness:
-    """Key x by f^flip(y)(y) for y = f^t(x).  ``coloring`` and ``flip``,
-    when given, must be the ones these members and t produce."""
-    if coloring is None:
-        coloring = distance_parity_coloring(g, members, t)
-    f = flip_dists(g, coloring) if flip is None else flip
-    y = g.jump(np.arange(g.n), t)
+def equivalence_from_coloring(g: FunctionalGraph, coloring: ParityColoring,
+                              flip: np.ndarray) -> EquivalenceWitness:
+    """Key x by f^flip(y)(y) for y = f^t(x), with t the coloring's
+    radius and ``flip`` its :func:`flip_dists`."""
+    y = g.jump(np.arange(g.n), coloring.params.t)
     xs = np.flatnonzero(y >= 0)
-    xs = xs[f[y[xs]] >= 0]
+    xs = xs[flip[y[xs]] >= 0]
     key = np.full(g.n, -1)
-    key[xs] = g.jump(y[xs], f[y[xs]])
-    return EquivalenceWitness(coloring, Partition(key), key)
+    key[xs] = g.jump(y[xs], flip[y[xs]])
+    return EquivalenceWitness(coloring, Partition(key))
 
 
 def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
@@ -281,30 +275,27 @@ def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
 
 
 def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
-                         d: int = 1, diameter_bound: int | None = None,
-                         horizon: int | None = None) -> dict:
+                         d: int = 1, horizon: int | None = None) -> dict:
     """Check class diameters and that small balls meet few classes.
 
     Each classified interior vertex's ball of radius t must meet at most
     d + 1 classes; the counts are exact (:func:`ball_class_counts`).
     """
     params = witness.params
-    t = params.t
+    t, bound = params.t, params.diameter_bound
     if horizon is None:
         horizon = params.verify_depth + t
-    if diameter_bound is None:
-        diameter_bound = params.diameter_bound
     inside = g.interior_mask(horizon)
     cid, diams = witness.classes.id_array(g.n), witness.diameters(g)
     deep = diams[_deep(cid, inside, len(diams))]
     balls = ball_class_counts(g, cid, t)[inside & (cid >= 0)]
     report: dict = {
-        "bound": diameter_bound,
+        "bound": bound,
         "horizon": horizon,
         "checked_classes": len(deep),
         "skipped_classes": len(diams) - len(deep),
         "max_diameter": int(deep.max(initial=0)),
-        "diameter_violations": int(np.count_nonzero(deep > diameter_bound)),
+        "diameter_violations": int(np.count_nonzero(deep > bound)),
         "ball_limit": d + 1,
         "checked_balls": len(balls),
         "max_ball_classes": int(balls.max(initial=0)),
@@ -408,14 +399,13 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
     return report
 
 
-def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
-                   d: int = 1) -> dict:
+def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...]) -> dict:
     """End-to-end run: greedy hitting set, both witnesses, both reversals.
 
     Returns a nested report; the top-level "ok" ands everything.  The
     reverse extractions are re-verified as hitting sets at horizons that
     add the extraction's own horizon to the depth where labels are
-    guaranteed to exist.
+    guaranteed to exist.  The equivalence is checked at d = 1.
     """
     if not g.acyclic:
         raise ValueError("the pipeline requires an acyclic graph")
@@ -426,10 +416,9 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
         cover = cover_from_hitting(g, hs.members, t)
         flip = flip_dists(g, cover.coloring)
         anc = anchors(g, params, flip)
-        eq = equivalence_from_hitting(g, hs.members, t, cover.coloring,
-                                      flip)
+        eq = equivalence_from_coloring(g, cover.coloring, flip)
         cover_report = verify_cover_witness(g, cover)
-        eq_report = verify_eqrel_witness(g, eq, d=d)
+        eq_report = verify_eqrel_witness(g, eq)
         flips_report = check_flip_bounds(g, cover.coloring, flip)
         anchors_report = check_anchor_preimages(g, cover.coloring, anc)
         reach_report = check_class_reaches_anchor(g, cover, anc)
@@ -443,7 +432,7 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...] = (1, 2),
             and is_hitting(g, rev_cover.members, depth5))
 
         rev_eq, eq_extract_report = hitting_from_equivalence(
-            g, eq.classes, t, d, eq.diameters(g))
+            g, eq.classes, t, 1, eq.diameters(g))
         depth6 = (params.label_depth + params.flip_bound + t
                   + rev_eq.horizon + 1)
         rev_eq_ok = (

@@ -234,7 +234,7 @@ def _cmd_hom(args) -> int:
                              "this one is neither acyclic nor total")
         data = homsolver.ergodic_solver_data(h)
         hs = hitting.greedy_hitting(g, data.reach_all)
-        psi = homsolver.solve_ergodic(g, h, hs, data)
+        psi = homsolver.solve_ergodic(g, data, hs)
         horizon = 2 * (data.reach_all + 1) + data.reach_all + 2
     else:
         raise _Malformed(

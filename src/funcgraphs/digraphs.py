@@ -43,6 +43,14 @@ def wielandt_bound(m: int) -> int:
     return m * m - 2 * m + 2
 
 
+def _step(table: list[list[int]], reach: Iterable[int]) -> set[int]:
+    """Vertices one edge of ``table`` (adj or radj) away from ``reach``."""
+    nxt: set[int] = set()
+    for u in reach:
+        nxt.update(table[u])
+    return nxt
+
+
 class Digraph:
     """Digraph on vertices 0..m-1 with an edge set (loops allowed)."""
 
@@ -196,10 +204,7 @@ class Digraph:
         reach = {v}
         lengths = {0}
         for k in range(1, max_len + 1):
-            nxt: set[int] = set()
-            for u in reach:
-                nxt.update(adj[u])
-            reach = nxt
+            reach = _step(adj, reach)
             if v in reach:
                 lengths.add(k)
             if not reach:
@@ -246,18 +251,13 @@ class Digraph:
         everyone = frozenset(range(self.m))
         limit = wielandt_bound(self.m) + self.m
         reach = {v0}
-        worst = -1
+        worst = -1 if reach == everyone else 0  # the length-0 walk
         for k in range(1, limit + 1):
-            nxt: set[int] = set()
-            for u in reach:
-                nxt.update(adj[u])
-            reach = nxt
+            reach = _step(adj, reach)
             if reach != everyone:
                 worst = k
-        if len(reach) != self.m and self.m > 1:
+        if reach != everyone:
             raise ValueError("no full-reach length within the search bound")
-        if self.m == 1:
-            return 0
         return worst + 1
 
 
@@ -320,11 +320,7 @@ def power_walk(h: Digraph, walk: str) -> Digraph:
     cur: list[set[int]] = [{x} for x in range(h.m)]
     for step in walk:
         table = adj if step == "f" else radj
-        for x in range(h.m):
-            nxt: set[int] = set()
-            for v in cur[x]:
-                nxt.update(table[v])
-            cur[x] = nxt
+        cur = [_step(table, reach) for reach in cur]
     edges = [(x, y) for x in range(h.m) for y in cur[x]]
     return Digraph(h.m, edges)
 
@@ -337,10 +333,7 @@ def path_of_length(h: Digraph, u: int, w: int, length: int) -> list[int] | None:
     radj = h.radj()
     can: list[set[int]] = [{w}]
     for _ in range(length):
-        prev: set[int] = set()
-        for v in can[-1]:
-            prev.update(radj[v])
-        can.append(prev)
+        can.append(_step(radj, can[-1]))
     if u not in can[length]:
         return None
     path = [u]

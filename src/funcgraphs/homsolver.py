@@ -137,25 +137,19 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
                              tuple(cycle), gmin, tuple(windows))
 
 
-def solve_ergodic(g: FunctionalGraph, h: Digraph, hitting: HittingSet,
-                  data: ErgodicSolverData | None = None) -> np.ndarray:
-    """Label an acyclic graph into an ergodic loopless template.
+def solve_ergodic(g: FunctionalGraph, data: ErgodicSolverData,
+                  hitting: HittingSet) -> np.ndarray:
+    """Label an acyclic graph into the ergodic template ``data`` holds.
 
     The hitting set must be forward-independent at the template's
     reach-all threshold L.  :meth:`ErgodicSolverData.label` turns each
     vertex's steps to the first member ahead, and that member's own
     steps to the next, into a label; both come from one
     :func:`~funcgraphs.hitting.next_member` call.  Vertices whose
-    forward data is cut off by a sink get -1.  ``data``, if given, must
-    be ``ergodic_solver_data(h)``.
+    forward data is cut off by a sink get -1.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
-    if data is None:
-        data = ergodic_solver_data(h)
-    elif not {(data.to_orig[u], data.to_orig[v])
-              for u, v in data.h_sub.edges} <= h.edges:
-        raise ValueError("template data was not built from this template")
     ell0 = data.reach_all
     members = hitting.members
     if not is_forward_independent(g, members, ell0):

@@ -8,7 +8,7 @@ order (delivery is double buffered, so update order cannot leak).
 
 Networks are int64 arrays: identifiers (so n <= ``MAX_NODES``),
 successors, and each node's path end and steps to it, all the verifier
-reads; the builder's networks take the last two from their segments.
+reads; on index-contiguous wirings the last two come from the runs.
 
 Two engines produce identical results: a per-node reference engine
 that runs any algorithm object, and a vectorized fast path for the
@@ -57,43 +57,40 @@ class PathNetwork:
     path end), given as arrays or as Python sequences (see
     :func:`~funcgraphs.graphs.successor_array`), and per node ``depth``
     and ``tail`` (its path end), all the verifier reads.  ``segments``
-    lists index-contiguous runs [start, end) when the wiring follows
-    index order (the builder's layout), and depth and tail come from
-    them; it is None for arbitrary wirings, which only the reference
-    engine accepts.  ``ids``, ``succ`` and ``pred`` are list views for
-    that engine, built on first use.
+    lists the index-contiguous runs [start, end) when every successor
+    is the next index up to a path end (the builder's layout), and
+    depth and tail come from them; it is None for any other wiring,
+    which only the reference engine accepts.  ``ids``, ``succ`` and
+    ``pred`` are list views for that engine, built on first use.
     """
 
     def __init__(self, ids: Sequence[int] | np.ndarray,
-                 succ: Sequence[int | None] | np.ndarray,
-                 segments: list[tuple[int, int]] | None = None):
+                 succ: Sequence[int | None] | np.ndarray):
         n = len(ids)
         if not len(succ) == n <= MAX_NODES:
             raise ValueError(f"need len(ids) == len(succ) <= {MAX_NODES}")
         self.id_array = int_array(ids, "identifiers")
         self.succ_array = nxt = successor_array(succ)
-        self.segments = segments
         ordered = np.sort(self.id_array)
         if n and (ordered[0] < 0 or ordered[-1] > n ** 3):
             raise ValueError("identifiers must lie in [0, n^3]")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("identifiers must be unique")
-        if segments is None:
-            if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
-                raise ValueError("a node has two predecessors")
-            self.depth, self.tail = path_ends(nxt)
-            if np.any(self.tail < 0):
-                raise ValueError("the wiring must be acyclic")
-            return
-        # the segments' own wiring: i -> i + 1 inside each, ending at a sink
+        # index-contiguous runs: i -> i + 1 inside each, ending at a sink
         ends = np.flatnonzero(nxt < 0) + 1
         wired = np.arange(1, n + 1)
         wired[ends - 1] = -1
-        if (not np.array_equal(nxt, wired) or list(map(tuple, segments))
-                != list(zip([0, *ends[:-1].tolist()], ends.tolist()))):
-            raise ValueError("the wiring does not follow the segments")
-        self.tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
-        self.depth = self.tail - np.arange(n)
+        if np.array_equal(nxt, wired):
+            self.segments = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+            self.tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
+            self.depth = self.tail - np.arange(n)
+            return
+        self.segments = None
+        if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
+            raise ValueError("a node has two predecessors")
+        self.depth, self.tail = path_ends(nxt)
+        if np.any(self.tail < 0):
+            raise ValueError("the wiring must be acyclic")
 
     @property
     def n(self) -> int:
@@ -169,7 +166,7 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     ends = [k * base + min(k, extra) for k in range(1, segments + 1)]
     succ = np.arange(1, n + 1)
     succ[np.subtract(ends, 1)] = -1
-    return PathNetwork(ids, succ, list(zip([0] + ends[:-1], ends)))
+    return PathNetwork(ids, succ)
 
 
 @dataclass

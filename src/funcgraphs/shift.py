@@ -155,15 +155,14 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
     return report
 
 
-def gen_increasing_seq(length: int, seed: int, max_gap: int = 3,
-                       start_max: int = 2) -> Seq:
-    """Random strictly increasing sequence with bounded gaps."""
-    if length < 1 or max_gap < 1:
-        raise ValueError("length and max_gap must be >= 1")
+def gen_increasing_seq(length: int, seed: int) -> Seq:
+    """Random increasing sequence: start in [0, 2], gaps in [1, 3]."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
     rng = random.Random(seed)
-    vals = [rng.randint(0, start_max)]
+    vals = [rng.randint(0, 2)]
     for _ in range(length - 1):
-        vals.append(vals[-1] + rng.randint(1, max_gap))
+        vals.append(vals[-1] + rng.randint(1, 3))
     return tuple(vals)
 
 

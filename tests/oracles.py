@@ -506,20 +506,32 @@ def classify_oracle(m: int, edges: list[tuple[int, int]]) -> str:
 def reach_all_threshold_oracle(m: int, edges: list[tuple[int, int]],
                                v0: int, max_len: int) -> int | None:
     """Least l such that paths of every length in [l, max_len] from v0
-    reach every vertex (None if even max_len fails)."""
+    reach every vertex (None if even max_len fails).  The length-0 path
+    reaches only v0."""
     a = adjacency_matrix(m, edges)
-    full = []
     p = np.eye(m, dtype=bool)
+    full = [bool(p[v0, :].all())]
     for k in range(1, max_len + 1):
         p = (p @ a)
         full.append(bool(p[v0, :].all()))
     best = None
-    for l in range(max_len, 0, -1):
-        if full[l - 1]:
+    for l in range(max_len, -1, -1):
+        if full[l]:
             best = l
         else:
             break
     return best
+
+
+def path_of_length_oracle(m: int, edges: frozenset[tuple[int, int]],
+                          u: int, w: int, length: int) -> list[int] | None:
+    """Lexicographically least vertex sequence u, ..., w with ``length``
+    edges, by enumerating the sequences in order (None if there is none)."""
+    for middle in itertools.product(range(m), repeat=max(length - 1, 0)):
+        seq = [u, *middle, w] if length else [u]
+        if seq[-1] == w and all(e in edges for e in zip(seq, seq[1:])):
+            return seq
+    return None
 
 
 def power_walk_oracle(m: int, edges: list[tuple[int, int]],

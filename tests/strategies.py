@@ -71,6 +71,17 @@ def digraph_templates(draw, max_m: int = 5, sinkless: bool = False):
     return Digraph(m, edges)
 
 
+@st.composite
+def strongly_connected_templates(draw, max_m: int = 5):
+    """A cycle through every vertex (a loop when m = 1) plus any edges,
+    loops included."""
+    m = draw(st.integers(1, max_m))
+    order = draw(st.permutations(range(m)))
+    pairs = [(u, v) for u in range(m) for v in range(m)]
+    edges = set(zip(order, order[1:] + order[:1]))
+    return Digraph(m, edges | draw(st.sets(st.sampled_from(pairs))))
+
+
 def ergodic_templates():
     """Ergodic loopless templates with different reach-all thresholds,
     cycle lengths and embeddings of the ergodic component."""

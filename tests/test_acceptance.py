@@ -15,7 +15,7 @@ import pytest
 import oracles
 from funcgraphs.asdim import (
     WitnessParams, anchors, check_anchor_preimages, check_class_reaches_anchor,
-    check_flip_bounds, cover_from_hitting, equivalence_from_hitting,
+    check_flip_bounds, cover_from_hitting, equivalence_from_coloring,
     flip_dists, verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.digraphs import Digraph, GraphShapeError, TemplateClass, classify
 from funcgraphs.graphs import (
@@ -70,7 +70,8 @@ def eq_artifacts():
     if "eq" not in _cache:
         out = {}
         for (t, kind), (g, params, hs, cover) in cover_artifacts().items():
-            out[t, kind] = equivalence_from_hitting(g, hs.members, t)
+            out[t, kind] = equivalence_from_coloring(
+                g, cover.coloring, flip_dists(g, cover.coloring))
         _cache["eq"] = out
     return _cache["eq"]
 
@@ -258,7 +259,7 @@ def test_criterion_07_ergodic_solver_instances(capsys):
         n = 600 + 17 * i
         g = gen_path(n) if i % 2 == 0 else gen_random_forest(n, 1000 + i)
         hs = greedy_hitting(g, data.reach_all)
-        psi = solve_ergodic(g, h, hs)
+        psi = solve_ergodic(g, data, hs)
         horizon = 3 * data.reach_all + 4
         inside = oracles.interior(g, horizon)
         assert inside, (i, horizon)

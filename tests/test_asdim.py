@@ -6,7 +6,7 @@ from funcgraphs.asdim import (
     CoverWitness, EquivalenceWitness, ParityColoring,
     WitnessParams, anchors, asdim_pipeline, check_anchor_preimages,
     check_class_reaches_anchor, check_flip_bounds, cover_from_hitting,
-    distance_parity_coloring, equivalence_from_hitting, flip_dists,
+    distance_parity_coloring, equivalence_from_coloring, flip_dists,
     verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
 from funcgraphs.hitting import (
@@ -149,7 +149,8 @@ def test_cover_witness_flags_hand_built_bad_cover():
 def test_eqrel_witness_verifies_on_forest():
     g = gen_random_forest(4000, 11)
     hs = greedy_hitting(g, 144)
-    wit = equivalence_from_hitting(g, hs.members, 1)
+    coloring = distance_parity_coloring(g, hs.members, 1)
+    wit = equivalence_from_coloring(g, coloring, flip_dists(g, coloring))
     rep = verify_eqrel_witness(g, wit)
     assert rep["ok"], rep
     assert rep["max_diameter"] <= 35
@@ -171,8 +172,7 @@ def test_eqrel_one_class_fails_bound_on_long_path():
     col = ParityColoring(params, *map(
         oracles.partial_array, ([0] * n, [None] * n, [0] * n)))
     wit = EquivalenceWitness(
-        col, oracles.partition_from_classes([set(range(n))]),
-        {x: 0 for x in range(n)})
+        col, oracles.partition_from_classes([set(range(n))]))
     rep = verify_eqrel_witness(g, wit, horizon=0)
     assert rep["diameter_violations"] >= 1
     assert not rep["ok"]
@@ -279,12 +279,12 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
         j = min(i + 5, len(classes) - 1)
         rest = [c for k, c in enumerate(classes) if k not in (i, j)]
         eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
-            rest + [classes[i] + classes[j]]), eq.key)
+            rest + [classes[i] + classes[j]]))
     if kind == "drop" and classes:
         i = int(pick * len(classes))
         rest = classes[:i] + classes[i + 1:] + [classes[i][1:]]
         eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
-            rest), eq.key)
+            rest))
     if kind == "flip" and labeled:
         x = labeled[int(pick * len(labeled))]
         cover = _recolor(cover, [x], lambda b: 1 - b)
@@ -314,7 +314,7 @@ def _pipeline_witnesses(g, t):
     hs = greedy_hitting(g, WitnessParams(t).spacing)
     cover = cover_from_hitting(g, hs.members, t)
     flip = flip_dists(g, cover.coloring)
-    eq = equivalence_from_hitting(g, hs.members, t, cover.coloring, flip)
+    eq = equivalence_from_coloring(g, cover.coloring, flip)
     return cover, eq, flip, anchors(g, cover.params, flip)
 
 
@@ -356,7 +356,7 @@ def hand_built_witnesses(draw):
     ids = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)),
                         min_size=n, max_size=n))
     part = Partition(oracles.partial_array(ids))
-    eq = EquivalenceWitness(coloring, part, {})
+    eq = EquivalenceWitness(coloring, part)
     flip = oracles.partial_array(draw(st.lists(
         st.one_of(st.none(), st.integers(1, 30)), min_size=n, max_size=n)))
     anc = oracles.partial_array(draw(st.lists(
@@ -526,7 +526,8 @@ def test_asdim_pipeline_runs_without_tree_order(monkeypatch):
     g = gen_random_forest(1500, 3)
     assert asdim_pipeline(g, (1, 2))["ok"]
     h = Digraph(4, [(0, 1), (1, 0), (0, 2), (2, 3), (3, 0)])
-    psi = homsolver.solve_ergodic(g, h, greedy_hitting(g, 4))
+    psi = homsolver.solve_ergodic(g, homsolver.ergodic_solver_data(h),
+                                  greedy_hitting(g, 4))
     assert any(v is not None for v in oracles.partial_list(psi))
     # the total-graph homomorphism passes still walk it
     with pytest.raises(AssertionError, match="tree_order"):

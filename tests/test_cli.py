@@ -199,7 +199,7 @@ def test_hom_solve_counts_interior_violations_only(tmp_path, capsys,
     # label 0 everywhere: (0, 0) is no edge of the template, so every edge
     # of the path breaks, but only the interior ones count
     monkeypatch.setattr(homsolver, "solve_ergodic",
-                        lambda g, h, hs, data: np.zeros(g.n, np.int64))
+                        lambda g, data, hs: np.zeros(g.n, np.int64))
     code, report, _ = run(capsys, "hom", "--template", two_three_path(tmp_path),
                           "--kind", "path", "--n", "30")
     assert code == 1 and 0 < report["interior_horizon"] < 30

@@ -1,13 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from funcgraphs.digraphs import (
     Digraph, GraphShapeError, TemplateClass, classify, countdown_digraph,
     parse_walk, path_of_length, power_walk, wielandt_bound)
-from strategies import digraph_templates
+from strategies import digraph_templates, strongly_connected_templates
 
 
 def two_three_cycles():
@@ -69,6 +69,28 @@ def test_reach_all_threshold_matches_oracle_on_chorded_cycle():
     assert d.reach_all_threshold(0) == want
 
 
+@pytest.mark.parametrize("d, want", [
+    (Digraph(1, [(0, 0)]), 0),
+    # a loop at v0, but the length-0 walk reaches only v0
+    (Digraph(2, [(0, 0), (0, 1), (1, 0)]), 1),
+    (Digraph(3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]), 1),
+])
+def test_reach_all_threshold_counts_the_length_zero_walk(d, want):
+    assert d.reach_all_threshold(0) == want
+
+
+@settings(max_examples=200)
+@given(strongly_connected_templates(max_m=5))
+@example(Digraph(2, [(0, 0), (0, 1), (1, 0)]))
+@example(Digraph(3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]))
+def test_reach_all_threshold_matches_oracle(d):
+    assume(d.component_period(range(d.m)) == 1)
+    bound = wielandt_bound(d.m) + d.m
+    for v0 in range(d.m):
+        assert d.reach_all_threshold(v0) == \
+            oracles.reach_all_threshold_oracle(d.m, d.edges, v0, bound)
+
+
 def test_reach_all_threshold_requires_strong_connectivity():
     d = Digraph(2, [(0, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
@@ -84,6 +106,15 @@ def test_path_of_length_examples():
     for a, b in zip(walk, walk[1:]):
         assert (a, b) in edge_set
     assert path_of_length(d, 0, 0, 1) is None
+
+
+@settings(max_examples=100)
+@given(digraph_templates(max_m=4), st.data())
+def test_path_of_length_matches_enumeration(d, data):
+    u, w = (data.draw(st.integers(0, d.m - 1)) for _ in range(2))
+    for length in range(7):
+        assert path_of_length(d, u, w, length) == \
+            oracles.path_of_length_oracle(d.m, d.edges, u, w, length)
 
 
 def test_power_forward_squares_three_cycle():

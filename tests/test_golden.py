@@ -64,6 +64,22 @@ GOLDEN = {
          "--seed", "16"],
         "fb0e71558d4b7f2f73084a43ba559e2924014d64c035e3886a493a482d4ebe23",
     ),
+    "classify-ergodic": (
+        ["classify", "--template", "ergodic.json"],
+        "6f2c5f99882d3245609f16963daf282e938292f6ba16797061c4c2828263143b",
+    ),
+    "classify-loop": (
+        ["classify", "--template", "loop.json"],
+        "88a09a9b5b96b28a5a827873180b6ae4deb7ceb0412c0620411d2b32dea2cb47",
+    ),
+    "power-ergodic": (
+        ["power", "--template", "ergodic.json", "--walk", "ffb"],
+        "8031585fd45cb394caf7d654d1ae2b33289835809266d3b3333612fbfc25c325",
+    ),
+    "power-loop": (
+        ["power", "--template", "loop.json", "-p", "3"],
+        "74afd393cfedeadff946f8b98613a23a298d28fae122490195afdda233f8b373",
+    ),
     "local-template": (
         ["local", "--template", "ergodic.json", "--n", "300",
          "--segments", "2", "--seed", "17"],

@@ -176,10 +176,12 @@ def test_eqrel_extraction_singletons_keep_sinks():
 
 
 def test_eqrel_extraction_passes_verifiers_downstream():
-    from funcgraphs.asdim import equivalence_from_hitting
+    from funcgraphs.asdim import (
+        distance_parity_coloring, equivalence_from_coloring, flip_dists)
     g = gen_random_forest(500, 2)
     base = greedy_hitting(g, 144)
-    wit = equivalence_from_hitting(g, base.members, 1)
+    coloring = distance_parity_coloring(g, base.members, 1)
+    wit = equivalence_from_coloring(g, coloring, flip_dists(g, coloring))
     hs, _ = hitting_from_equivalence(g, wit.classes, 1, 1)
     assert is_forward_independent(g, hs.members, 1)
     assert is_hitting(g, hs.members, hs.horizon)

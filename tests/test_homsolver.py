@@ -60,32 +60,21 @@ def test_solve_ergodic_on_path():
     h = two_three_cycles()
     g = gen_path(200)
     hs = greedy_hitting(g, 4)
-    psi = solve_ergodic(g, h, hs)
+    psi = solve_ergodic(g, ergodic_solver_data(h), hs)
     horizon = 2 * (4 + 1) + 4 + 2
     assert not interior_violations(g, psi, h, horizon)
     assert all(psi[x] >= 0 for x in oracles.interior(g, horizon))
 
 
-def test_solve_ergodic_checks_passed_template_data():
-    h = two_three_cycles()
-    g = gen_random_forest(300, 3)
-    hs = greedy_hitting(g, 4)
-    assert np.array_equal(solve_ergodic(g, h, hs, ergodic_solver_data(h)),
-                          solve_ergodic(g, h, hs))
-    # the same shape on other labels: its edges (0, 2) and (2, 0) miss h
-    other = Digraph(4, [(0, 2), (2, 0), (0, 1), (1, 3), (3, 0)])
-    with pytest.raises(ValueError):
-        solve_ergodic(g, h, hs, ergodic_solver_data(other))
-
-
 def test_solve_ergodic_on_forests_and_periodic_sets():
     h = two_three_cycles()
+    data = ergodic_solver_data(h)
     for seed in range(5):
         g = gen_random_forest(800, seed)
-        psi = solve_ergodic(g, h, greedy_hitting(g, 4))
+        psi = solve_ergodic(g, data, greedy_hitting(g, 4))
         assert not interior_violations(g, psi, h, 16)
         hp = periodic_hitting(g, 9)
-        psi2 = solve_ergodic(g, h, hp)
+        psi2 = solve_ergodic(g, data, hp)
         assert not interior_violations(g, psi2, h, 2 * 9 + 4 + 2)
 
 
@@ -94,14 +83,15 @@ def test_solve_ergodic_demands_enough_spacing():
     g = gen_path(50)
     hs = greedy_hitting(g, 2)  # spacing 2 < reach_all 4
     with pytest.raises(ValueError):
-        solve_ergodic(g, h, hs)
+        solve_ergodic(g, ergodic_solver_data(h), hs)
 
 
 def test_solve_ergodic_rejects_cyclic_input():
     h = two_three_cycles()
     rho = FunctionalGraph([1, 2, 3, 1])
     with pytest.raises(ValueError):
-        solve_ergodic(rho, h, HittingSet(np.array([1]), 4, 5))
+        solve_ergodic(rho, ergodic_solver_data(h),
+                      HittingSet(np.array([1]), 4, 5))
 
 
 @settings(max_examples=80)
@@ -112,10 +102,11 @@ def test_solve_ergodic_rejects_cyclic_input():
            st.builds(gen_path, st.integers(1, 150))),
        ergodic_templates(), st.booleans(), st.integers(0, 5))
 def test_solve_ergodic_matches_window_oracle(g, h, periodic, extra):
-    ell0 = ergodic_solver_data(h).reach_all
+    data = ergodic_solver_data(h)
+    ell0 = data.reach_all
     hs = (periodic_hitting(g, ell0 + 1 + extra) if periodic
           else greedy_hitting(g, ell0 + extra))
-    assert oracles.partial_list(solve_ergodic(g, h, hs)) == \
+    assert oracles.partial_list(solve_ergodic(g, data, hs)) == \
         oracles.solve_ergodic_by_windows(g, h, hs)
 
 
@@ -131,10 +122,11 @@ def test_solve_ergodic_matches_fold_on_every_template():
                st.builds(gen_path, st.integers(1, 300))),
            ergodic_templates(), st.booleans(), st.integers(0, 5))
     def check(g, h, periodic, extra):
-        ell0 = ergodic_solver_data(h).reach_all
+        data = ergodic_solver_data(h)
+        ell0 = data.reach_all
         hs = (periodic_hitting(g, ell0 + 1 + extra) if periodic
               else greedy_hitting(g, ell0 + extra))
-        assert oracles.partial_list(solve_ergodic(g, h, hs)) == \
+        assert oracles.partial_list(solve_ergodic(g, data, hs)) == \
             oracles.solve_ergodic_fold(g, h, hs)
         seen.add(h.m)
 

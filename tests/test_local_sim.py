@@ -33,7 +33,7 @@ def permute_network(net: PathNetwork, seed: int) -> PathNetwork:
         ids[perm[i]] = net.ids[i]
         s = net.succ[i]
         succ[perm[i]] = None if s is None else perm[s]
-    return PathNetwork(ids, succ, None)
+    return PathNetwork(ids, succ)
 
 
 class ConstantOutput:
@@ -78,13 +78,13 @@ def test_cv_iterations_is_flat_over_practical_sizes():
 
 def test_network_validation():
     with pytest.raises(ValueError):
-        PathNetwork([5, 5], [1, None], None)          # duplicate ids
+        PathNetwork([5, 5], [1, None])                # duplicate ids
     with pytest.raises(ValueError):
-        PathNetwork([0, 9], [1, None], None)           # id above n**3
+        PathNetwork([0, 9], [1, None])                 # id above n**3
     with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [2, 2, None], None)     # in-degree two
+        PathNetwork([0, 1, 2], [2, 2, None])           # in-degree two
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [1, 0], None)              # cycle
+        PathNetwork([0, 1], [1, 0])                    # cycle
     with pytest.raises(ValueError):
         make_path_network(10, segments=11)
     with pytest.raises(ValueError):
@@ -93,32 +93,18 @@ def test_network_validation():
 
 def test_network_rejects_bad_successors_and_mismatched_segments():
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [5, None], None)           # successor >= n
+        PathNetwork([0, 1], [5, None])                 # successor >= n
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [-1, None], None)          # -1 is not None
+        PathNetwork([0, 1], [-1, None])                # -1 is not None
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [2 ** 64, None], None)     # beyond int64
+        PathNetwork([0, 1], [2 ** 64, None])           # beyond int64
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [True, None], None)        # bool successor
+        PathNetwork([0, 1], [True, None])              # bool successor
     with pytest.raises(ValueError):
-        PathNetwork([0, 1], [1.0, None], None)         # float successor
+        PathNetwork([0, 1], [1.0, None])               # float successor
     with pytest.raises(ValueError):
-        PathNetwork([0, 2 ** 64], [1, None], None)     # id beyond int64
-    with pytest.raises(ValueError):
-        PathNetwork([0, 5, 2], [None] * 3, [(0, 3)])   # no wiring inside
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [1, 2, None], [(0, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [1, None, None], [(0, 3)])
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [1, None, None], [(2, 3), (0, 2)])
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [None, 0, None], [(0, 2), (2, 3)])
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [2, 0, None], [(0, 3)])  # 1 -> 0 -> 2
-    with pytest.raises(ValueError):
-        PathNetwork([0, 1, 2], [1, None, None], [])
-    net = PathNetwork([0, 1, 2], [1, None, None], [(0, 2), (2, 3)])
+        PathNetwork([0, 2 ** 64], [1, None])           # id beyond int64
+    net = PathNetwork([0, 1, 2], [1, None, None])
     assert net.depth.tolist() == [1, 0, 0]
     assert net.tail.tolist() == [1, 1, 2]
 
@@ -354,7 +340,7 @@ def test_template_solver_matches_centralized():
     members_trace = run_local(alg.ruling, net, engine="reference")
     members = np.flatnonzero(members_trace.outputs)
     hitting = HittingSet(members, alg.data.reach_all, net.n)
-    central = solve_ergodic(net.to_graph(), h, hitting)
+    central = solve_ergodic(net.to_graph(), alg.data, hitting)
     assert np.array_equal(trace.outputs, central)
 
     g = net.to_graph()
@@ -463,7 +449,7 @@ def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
         succ[data.draw(node)] = data.draw(st.sampled_from(
             [n, n + 1, -1, -2, 2 ** 63, -2 ** 70]))
     with pytest.raises(ValueError):
-        PathNetwork(ids, succ, None)
+        PathNetwork(ids, succ)
 
 
 def network_views(net: PathNetwork):
@@ -477,11 +463,10 @@ def test_network_from_arrays_matches_network_from_lists(n, seed, data):
     net = make_path_network(n, seed=seed,
                             segments=data.draw(st.integers(1, n)))
     for case in (net, permute_network(net, seed)):
-        from_lists = PathNetwork(list(case.ids), list(case.succ),
-                                 case.segments)
+        from_lists = PathNetwork(list(case.ids), list(case.succ))
         from_arrays = PathNetwork(
             np.array(case.ids), np.array([-1 if s is None else s
-                                          for s in case.succ]), case.segments)
+                                          for s in case.succ]))
         assert network_views(from_lists) == network_views(from_arrays) \
             == network_views(case)
         # the segment-derived depth and tail are path_ends' over the wiring
@@ -489,29 +474,40 @@ def test_network_from_arrays_matches_network_from_lists(n, seed, data):
             [case.depth.tolist(), case.tail.tolist()]
 
 
-@pytest.mark.parametrize("ids, succ, segments", [
-    (np.array([False, True]), np.array([1, -1]), None),    # bool ids
-    (np.array([0, 1]), np.array([True, False]), None),      # bool successors
-    (np.array([0.0, 1.0]), np.array([1, -1]), None),        # float ids
-    (np.array([0, 1]), np.array([1.0, -1.0]), None),        # float successors
-    (np.array([0, 2 ** 64 - 1], dtype=np.uint64), np.array([1, -1]), None),
-    (np.array([0, 1]), np.array([1, 2 ** 63], dtype=np.uint64), None),
-    (np.array([0, 1]), np.array([2, -1]), None),            # successor >= n
-    (np.array([0, 1]), np.array([-2, -1]), None),           # below -1
-    (np.array([0, 1]), np.array([2, -1]), [(0, 2)]),
-    (np.array([3, 3]), np.array([1, -1]), [(0, 2)]),        # duplicate ids
-    (np.array([0, 9]), np.array([1, -1]), None),            # id above n**3
-    (np.array([0, 1, 2]), np.array([2, 2, -1]), None),      # in-degree two
-    (np.array([0, 1]), np.array([1, 0]), None),             # cycle
-    (np.array([0, 1, 2]), np.array([1, -1, -1]), [(0, 3)]),
-    (np.array([0, 1, 2]), np.array([2, 0, -1]), [(0, 3)]),  # 1 -> 0 -> 2
-    (np.array([0, 1, 2]), np.array([-1, 0, -1]), [(0, 2), (2, 3)]),
-    (np.array([0, 1, 2]), np.array([1, 2, -1]), [(0, 2), (2, 3)]),
-    (np.array([0, 1, 2]), np.array([1, -1, 1]), [(0, 2), (2, 3)]),
+# explicit ids keep each case's name in test reports
+@pytest.mark.parametrize("ids, succ", [
+    pytest.param(np.array([False, True]), np.array([1, -1]),
+                 id="ids0-succ0-None"),                   # bool ids
+    pytest.param(np.array([0, 1]), np.array([True, False]),
+                 id="ids1-succ1-None"),                   # bool successors
+    pytest.param(np.array([0.0, 1.0]), np.array([1, -1]),
+                 id="ids2-succ2-None"),                   # float ids
+    pytest.param(np.array([0, 1]), np.array([1.0, -1.0]),
+                 id="ids3-succ3-None"),                   # float successors
+    pytest.param(np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+                 np.array([1, -1]), id="ids4-succ4-None"),
+    pytest.param(np.array([0, 1]), np.array([1, 2 ** 63], dtype=np.uint64),
+                 id="ids5-succ5-None"),
+    pytest.param(np.array([0, 1]), np.array([2, -1]),
+                 id="ids6-succ6-None"),                   # successor >= n
+    pytest.param(np.array([0, 1]), np.array([-2, -1]),
+                 id="ids7-succ7-None"),                   # below -1
+    pytest.param(np.array([0, 1]), np.array([2, -1]),
+                 id="ids8-succ8-segments8"),              # successor >= n
+    pytest.param(np.array([3, 3]), np.array([1, -1]),
+                 id="ids9-succ9-segments9"),              # duplicate ids
+    pytest.param(np.array([0, 9]), np.array([1, -1]),
+                 id="ids10-succ10-None"),                 # id above n**3
+    pytest.param(np.array([0, 1, 2]), np.array([2, 2, -1]),
+                 id="ids11-succ11-None"),                 # in-degree two
+    pytest.param(np.array([0, 1]), np.array([1, 0]),
+                 id="ids12-succ12-None"),                 # cycle
+    pytest.param(np.array([0, 1, 2]), np.array([1, -1, 1]),
+                 id="ids17-succ17-segments17"),           # in-degree two
 ])
-def test_malformed_array_networks_are_rejected(ids, succ, segments):
+def test_malformed_array_networks_are_rejected(ids, succ):
     with pytest.raises(ValueError):
-        PathNetwork(ids, succ, segments)
+        PathNetwork(ids, succ)
 
 
 def test_builder_networks_are_array_backed():
