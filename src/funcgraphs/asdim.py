@@ -402,7 +402,8 @@ def check_class_reaches_anchor(g: FunctionalGraph, witness: CoverWitness,
 def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...]) -> dict:
     """End-to-end run: greedy hitting set, both witnesses, both reversals.
 
-    Returns a nested report; the top-level "ok" ands everything.  The
+    Runs each distinct t once, in the order given, and returns a nested
+    report keyed by t; the top-level "ok" ands everything.  The
     reverse extractions are re-verified as hitting sets at horizons that
     add the extraction's own horizon to the depth where labels are
     guaranteed to exist.  The equivalence is checked at d = 1.
@@ -410,7 +411,7 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...]) -> dict:
     if not g.acyclic:
         raise ValueError("the pipeline requires an acyclic graph")
     per_t = {}
-    for params in [WitnessParams(t) for t in t_values]:  # check every t
+    for params in [WitnessParams(t) for t in dict.fromkeys(t_values)]:
         t = params.t
         hs = greedy_hitting(g, params.spacing)
         cover = cover_from_hitting(g, hs.members, t)

@@ -175,11 +175,10 @@ def _cmd_drhom(args) -> int:
 
 def _cmd_asdim(args) -> int:
     g, src = _graph_from_args(args)
-    t_values = tuple(args.t) if args.t else (1,)
-    report = asdim.asdim_pipeline(g, t_values)
+    report = asdim.asdim_pipeline(g, tuple(args.t or [1]))
     out = {**src, "n": g.n, "report": report, "ok": report["ok"]}
     diam = max(r["cover"]["max_diameter"] for r in report["t"].values())
-    _emit(out, f"two-set witness pipeline t={list(t_values)}: "
+    _emit(out, f"two-set witness pipeline t={list(report['t'])}: "
           f"max class diameter {diam}, ok={report['ok']}")
     return PASS if report["ok"] else FAIL
 

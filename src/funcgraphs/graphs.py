@@ -98,6 +98,12 @@ class FunctionalGraph:
         :func:`path_ends`, ``UNBOUNDED`` when the orbit reaches a cycle)."""
         return path_ends(self.succ_array)[0]
 
+    @cached_property
+    def sinks(self) -> np.ndarray:
+        """Each vertex's sink, where its orbit ends (-1 when it reaches a
+        cycle); cached apart from ``depth``, as few graphs need it."""
+        return path_ends(self.succ_array)[1]
+
     # ---- forward iteration ----
 
     def jump(self, x, k) -> np.ndarray:
@@ -109,16 +115,20 @@ class FunctionalGraph:
         """
         x = np.array(x, dtype=np.int64)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
+        for i in range(int(k.max(initial=0)).bit_length()):
+            sel = (k >> i) & 1 == 1
+            x[sel] = self._jump_table(i)[x[sel]]
+        return np.where(x == self.n, -1, x)
+
+    def _jump_table(self, i: int) -> np.ndarray:
+        """f^(2^i) over 0..n, cached; n is absorbing: "past a sink"."""
         if not self._jumps:
             succ = self.succ_array
             self._jumps.append(np.append(np.where(succ < 0, self.n, succ),
                                          self.n))
-        for i in range(int(k.max(initial=0)).bit_length()):
-            if i == len(self._jumps):
-                self._jumps.append(self._jumps[-1][self._jumps[-1]])
-            sel = (k >> i) & 1 == 1
-            x[sel] = self._jumps[i][x[sel]]
-        return np.where(x == self.n, -1, x)
+        while len(self._jumps) <= i:
+            self._jumps.append(self._jumps[-1][self._jumps[-1]])
+        return self._jumps[i]
 
     def tree_order(self) -> list[int]:
         """Every vertex off the directed cycles, each after its successor.
@@ -396,35 +406,67 @@ def class_diameters(g: FunctionalGraph, classes: Partition) -> np.ndarray:
     """Max pairwise distance within each class, as an int64 array
     indexed by class id.
 
-    Every BFS stops once it has seen its whole class.  On acyclic graphs
-    the metric is a tree metric, so a double sweep finds the diameter:
-    one BFS from each class's least member, one from the farthest member
-    it met.  On graphs with cycles every member is swept.
+    On acyclic graphs the metric is a tree metric, so a double sweep is
+    exact: from each class's least member to a farthest member, then
+    from that one (distances from :func:`_tree_dists`).  A class split
+    across trees reports its diameter in its least member's tree.  On
+    graphs with cycles a BFS from every member runs until it has seen
+    the whole class.
     """
     cid = classes.id_array(g.n)
-    sizes = np.bincount(cid[cid >= 0])
-
-    def sweep(starts: np.ndarray, cls: np.ndarray):
-        # farthest member of its class seen from each start, and its distance
-        far, dist = starts.copy(), np.zeros(len(starts), dtype=np.int64)
-        seen = np.ones(len(starts), dtype=np.int64)
-        live = seen < sizes[cls]
-        levels = _bfs_levels(g, starts, np.arange(len(starts)), live)
-        for d, (v, src) in enumerate(levels, 1):
-            hit = cid[v] == cls[src]
-            far[src[hit]], dist[src[hit]] = v[hit], d
-            seen += np.bincount(src[hit], minlength=len(starts))
-            live &= seen < sizes[cls]
-        return far, dist
-
     members = np.flatnonzero(cid >= 0)
+    cls = cid[members]
+    diam = np.zeros(int(cls.max(initial=-1)) + 1, dtype=np.int64)
     if g.acyclic:
-        order = np.arange(len(sizes))
-        first = members[np.unique(cid[members], return_index=True)[1]]
-        return sweep(sweep(first, order)[0], order)[1]
-    diam = np.zeros(len(sizes), dtype=np.int64)
-    np.maximum.at(diam, cid[members], sweep(members, cid[members])[1])
+        # ids rank the classes by least member, so a class's least
+        # member is where its id first exceeds every id before it
+        first = members[cls > np.maximum.accumulate(np.r_[-1, cls])[:-1]]
+        tree = g.sinks[members] == g.sinks[first[cls]]
+        members, cls = members[tree], cls[tree]
+        dist = _tree_dists(g, first[cls], members)
+        np.maximum.at(diam, cls, dist)
+        far, hit = first.copy(), dist == diam[cls]
+        far[cls[hit]] = members[hit]
+        np.maximum.at(diam, cls, _tree_dists(g, far[cls], members))
+        return diam
+    sizes, dist = np.bincount(cls), np.zeros(len(members), dtype=np.int64)
+    seen, live = np.ones_like(dist), sizes[cls] > 1
+    levels = _bfs_levels(g, members, np.arange(len(members)), live)
+    for d, (v, src) in enumerate(levels, 1):
+        hit = cid[v] == cls[src]
+        dist[src[hit]] = d
+        seen += np.bincount(src[hit], minlength=len(members))
+        live &= seen < sizes[cls]
+    np.maximum.at(diam, cls, dist)
     return diam
+
+
+def _tree_dists(g: FunctionalGraph, u: np.ndarray, v: np.ndarray
+                ) -> np.ndarray:
+    """Distance from ``u[i]`` to ``v[i]``, two vertices of one tree.
+
+    The deeper one climbs to the other's depth; then the two meet after
+    k steps, at distance gap + 2k.  Galloping up the jump tables finds
+    the pairs apart after 2^i steps, whose k - 1 has a bit at i or
+    above; binary lifting (Bender and Farach-Colton 2000) then reads
+    off k - 1 from the top level down, each level over those pairs.
+    """
+    gap = g.depth[u] - g.depth[v]
+    x = g.jump(np.where(gap > 0, u, v), np.abs(gap))
+    y, dist = np.where(gap > 0, v, u), np.abs(gap)
+    apart = [np.flatnonzero(x != y)]
+    while len(apart[-1]):
+        jt, p = g._jump_table(len(apart) - 1), apart[-1]
+        apart.append(p[jt[x[p]] != jt[y[p]]])
+    dist[apart[0]] += 2
+    for i in reversed(range(len(apart) - 1)):
+        jt, p = g._jump_table(i), apart[i + 1]
+        a, b = jt[x[p]], jt[y[p]]
+        step = a != b
+        p = p[step]
+        x[p], y[p] = a[step], b[step]
+        dist[p] += 2 << i
+    return dist
 
 
 # ---- generators ----

@@ -56,12 +56,12 @@ class PathNetwork:
     Stored as int64 arrays: ``id_array`` and ``succ_array`` (-1 at a
     path end), given as arrays or as Python sequences (see
     :func:`~funcgraphs.graphs.successor_array`), and per node ``depth``
-    and ``tail`` (its path end), all the verifier reads.  ``segments``
-    lists the index-contiguous runs [start, end) when every successor
-    is the next index up to a path end (the builder's layout), and
-    depth and tail come from them; it is None for any other wiring,
-    which only the reference engine accepts.  ``ids``, ``succ`` and
-    ``pred`` are list views for that engine, built on first use.
+    and ``tail`` (its path end), all the verifier reads.  ``contiguous``
+    says whether every successor is the next index up to a path end
+    (the builder's layout), so that each path is an index-contiguous
+    run and depth and tail are read off the run ends; any other wiring
+    only the reference engine accepts.  ``ids``, ``succ`` and ``pred``
+    are list views for that engine, built on first use.
     """
 
     def __init__(self, ids: Sequence[int] | np.ndarray,
@@ -80,12 +80,11 @@ class PathNetwork:
         ends = np.flatnonzero(nxt < 0) + 1
         wired = np.arange(1, n + 1)
         wired[ends - 1] = -1
-        if np.array_equal(nxt, wired):
-            self.segments = list(zip([0, *ends[:-1].tolist()], ends.tolist()))
+        self.contiguous = np.array_equal(nxt, wired)
+        if self.contiguous:
             self.tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
             self.depth = self.tail - np.arange(n)
             return
-        self.segments = None
         if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
             raise ValueError("a node has two predecessors")
         self.depth, self.tail = path_ends(nxt)
@@ -189,7 +188,7 @@ def run_local(alg, net: PathNetwork, engine: str = "auto",
     if round_cap is not None and total > round_cap:
         raise RoundLimitError(
             f"schedule needs {total} rounds, cap is {round_cap}")
-    can_vector = hasattr(alg, "vector_outputs") and net.segments is not None
+    can_vector = hasattr(alg, "vector_outputs") and net.contiguous
     if engine == "vector" and not can_vector:
         raise ValueError("vector engine unavailable for this run")
     if engine in ("vector", "auto") and can_vector:
@@ -328,7 +327,7 @@ class RulingSetAlgorithm:
     # ---- vectorized engine ----
 
     def vector_outputs(self, net: PathNetwork) -> np.ndarray:
-        assert net.segments is not None
+        assert net.contiguous
         n = net.n
         iters = cv_iterations(n)
         cur = np.arange(n)

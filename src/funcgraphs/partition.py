@@ -21,11 +21,15 @@ class Partition:
         ids = class_of.astype(np.int64)
         if (ids < -1).any():
             raise ValueError("class ids must be >= 0, or -1 outside")
-        # rank the classes by their least elements
+        # rank the classes by least element, with no sort: a table by
+        # label (labels may exceed len(ids)) holds each least element
         elems = np.flatnonzero(ids >= 0)
-        _, least, inv = np.unique(ids[elems], return_index=True,
-                                  return_inverse=True)
-        ids[elems] = np.argsort(np.argsort(least))[inv]
+        labels = ids[elems]
+        least = np.full(int(labels.max(initial=-1)) + 1, len(ids))
+        np.minimum.at(least, labels, elems)
+        first = np.zeros(len(ids), dtype=bool)
+        first[least[labels]] = True
+        ids[elems] = (np.cumsum(first) - 1)[least[labels]]
         ids.flags.writeable = False
         self._ids, self._classes = ids, None
 

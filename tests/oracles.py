@@ -118,6 +118,17 @@ def partition_from_dict(class_of: dict[int, int]):
     return Partition(ids)
 
 
+def unique_ranked_ids(class_of: np.ndarray) -> np.ndarray:
+    """Class ids ranked by least element with sorts: ``np.unique`` gives
+    each label's least element, and a double argsort ranks those."""
+    ids = class_of.astype(np.int64)
+    elems = np.flatnonzero(ids >= 0)
+    _, least, inv = np.unique(ids[elems], return_index=True,
+                              return_inverse=True)
+    ids[elems] = np.argsort(np.argsort(least))[inv]
+    return ids
+
+
 def same_class(p, x: int, y: int) -> bool:
     return p.class_id(x) == p.class_id(y)
 
@@ -201,6 +212,33 @@ def naive_class_diameter(succ: list[int | None], cls: set[int]) -> int:
             assert dy is not None, "class not connected"
             best = max(best, dy)
     return best
+
+
+def double_sweep_diameters(g, classes) -> np.ndarray:
+    """Class diameters on an acyclic graph by two multi-source BFS
+    sweeps, level by level: one from each class's least member, one from
+    the farthest member it met.  Each BFS stops once it has seen its
+    whole class; on a class split across trees it sees only the least
+    member's tree."""
+    from funcgraphs.graphs import _bfs_levels
+    cid = classes.id_array(g.n)
+    sizes = np.bincount(cid[cid >= 0])
+    order = np.arange(len(sizes))
+
+    def sweep(starts: np.ndarray):
+        far, dist = starts.copy(), np.zeros(len(starts), dtype=np.int64)
+        seen = np.ones(len(starts), dtype=np.int64)
+        live = seen < sizes
+        for d, (v, src) in enumerate(_bfs_levels(g, starts, order, live), 1):
+            hit = cid[v] == src
+            far[src[hit]], dist[src[hit]] = v[hit], d
+            seen += np.bincount(src[hit], minlength=len(starts))
+            live &= seen < sizes
+        return far, dist
+
+    members = np.flatnonzero(cid >= 0)
+    first = members[np.unique(cid[members], return_index=True)[1]]
+    return sweep(sweep(first)[0])[1]
 
 
 def naive_proximity_classes(succ: list[int | None], subset: set[int],

@@ -211,6 +211,23 @@ def test_pipeline_rejects_cycles():
         asdim_pipeline(FunctionalGraph([1, 0]), (1,))
 
 
+def test_pipeline_partition_diameters_match_double_sweep_oracle():
+    # the two cover sets and the equivalence, for t = 1 and 2, on a
+    # forest and on a path: the twelve partitions the pipeline measures
+    from funcgraphs.graphs import class_diameters
+    for g in (gen_random_forest(20_000, 0), gen_path(20_000)):
+        for t in (1, 2):
+            cover = cover_from_hitting(
+                g, greedy_hitting(g, WitnessParams(t).spacing).members, t)
+            eq = equivalence_from_coloring(
+                g, cover.coloring, flip_dists(g, cover.coloring))
+            for ids, diams in cover.classes(g):
+                assert diams.tolist() == oracles.double_sweep_diameters(
+                    g, Partition(ids)).tolist()
+            assert class_diameters(g, eq.classes).tolist() == \
+                oracles.double_sweep_diameters(g, eq.classes).tolist()
+
+
 def test_cover_diameters_match_bfs_oracle_on_subsample():
     g = gen_random_forest(800, 23)
     hs = greedy_hitting(g, 144)

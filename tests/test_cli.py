@@ -108,6 +108,21 @@ def test_asdim_pipeline_passes(capsys):
     assert "ok=True" in err
 
 
+def test_asdim_runs_each_distinct_t_once(capsys, monkeypatch):
+    from funcgraphs import asdim
+    calls = []
+    hitting = asdim.greedy_hitting
+    monkeypatch.setattr(asdim, "greedy_hitting",
+                        lambda g, spacing: calls.append(spacing)
+                        or hitting(g, spacing))
+    code, report, err = run(capsys, "asdim", "--kind", "path", "--n", "2",
+                            "--t", "2", "--t", "1", "--t", "2")
+    assert code == 0
+    assert sorted(report["report"]["t"]) == ["1", "2"]
+    assert calls == [576, 144]
+    assert "pipeline t=[2, 1]:" in err
+
+
 def test_classify_template(tmp_path, capsys):
     loop = write_template(tmp_path, "loop.json", 2, [(0, 0), (0, 1), (1, 0)])
     code, report, err = run(capsys, "classify", "--template", loop)

@@ -9,6 +9,7 @@ from funcgraphs.graphs import (
     UNBOUNDED, FunctionalGraph, ball_class_counts, class_diameters, gen_path,
     gen_random_forest, gen_random_total, path_ends, proximity_classes,
     sorted_unique)
+from funcgraphs.partition import Partition
 from strategies import (
     forest_graphs, functional_graphs, partial_graphs, total_graphs)
 
@@ -123,6 +124,41 @@ def test_class_diameters_match_bfs(g, radius, data):
     for cid, cls in enumerate(part.classes()):
         assert diams[cid] == oracles.naive_class_diameter(
             list(g.succ), set(cls))
+
+
+@st.composite
+def forest_partitions(draw):
+    """A forest and a partition of some of its vertices: no classes,
+    singletons, or arbitrary labels, whose classes may be split across
+    trees."""
+    g = draw(forest_graphs())
+    labels = draw(st.one_of(
+        st.just([-1] * g.n), st.just(list(range(g.n))),
+        st.lists(st.integers(-1, 4), min_size=g.n, max_size=g.n)))
+    return g, Partition(np.array(labels))
+
+
+@given(forest_partitions())
+def test_tree_diameters_match_double_sweep_oracle(case):
+    g, part = case
+    assert class_diameters(g, part).tolist() == \
+        oracles.double_sweep_diameters(g, part).tolist()
+
+
+@pytest.mark.parametrize("succ, classes, diams", [
+    # a star: leaves at distance 2, the centre at 1 from each
+    ([2, 2, None, 2], [{0, 1, 3}, {2}], [2, 0]),
+    # two trees; class 0 lies in both and reports its least member's tree
+    ([1, 2, None, 4, None], [{0, 2, 3, 4}, {1}], [2, 0]),
+    # two branches of five into one root: 0 and 5 meet only at the
+    # root, after 5 steps; the other pairs differ in depth
+    ([1, 2, 3, 4, 10, 6, 7, 8, 9, 10, None], [{0, 5}, {1, 8}, {3, 9}],
+     [10, 6, 3]),
+])
+def test_tree_diameters_on_hand_built_forests(succ, classes, diams):
+    g = FunctionalGraph(succ)
+    part = oracles.partition_from_classes(classes)
+    assert class_diameters(g, part).tolist() == diams
 
 
 def test_proximity_single_class_on_spaced_path():

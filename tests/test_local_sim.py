@@ -189,8 +189,8 @@ def test_vector_runs_leave_predecessors_unbuilt():
 
 def test_make_path_network_segments_and_id_modes():
     net = make_path_network(10, seed=3, segments=3)
-    sizes = [end - start for start, end in net.segments]
-    assert sizes == [4, 3, 3]
+    assert net.contiguous
+    assert np.unique(net.tail, return_counts=True)[1].tolist() == [4, 3, 3]
     assert [i for i, s in enumerate(net.succ) if s is None] == [3, 6, 9]
     assert len(set(net.ids)) == 10
     assert all(0 <= v <= 1000 for v in net.ids)
@@ -204,7 +204,7 @@ def test_permute_network_preserves_ids_and_shape():
     shuffled = permute_network(net, seed=6)
     assert sorted(shuffled.ids) == sorted(net.ids)
     assert net.succ.count(None) == shuffled.succ.count(None)
-    assert shuffled.segments is None
+    assert not shuffled.contiguous
     with pytest.raises(ValueError):
         run_local(RulingSetAlgorithm(1), shuffled, engine="vector")
 
@@ -454,7 +454,7 @@ def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
 
 def network_views(net: PathNetwork):
     return (net.id_array.tolist(), net.depth.tolist(), net.tail.tolist(),
-            net.ids, net.succ, net.pred, net.segments)
+            net.ids, net.succ, net.pred, net.contiguous)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,16 @@ def test_class_ids_follow_least_elements():
     assert p.class_id(3) == 0
     assert p.class_id(5) == 1
     assert p.class_id(4) == 2
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.lists(
+    st.integers(-1, 3 * n), min_size=n, max_size=n)))
+def test_ids_match_unique_ranking_oracle(labels):
+    # labels reach 3 * len, past the element range, as template class
+    # ids may
+    class_of = np.array(labels, dtype=np.int64)
+    assert Partition(class_of).id_array(len(labels)).tolist() == \
+        oracles.unique_ranked_ids(class_of).tolist()
 
 
 def test_overlapping_classes_rejected():
