@@ -10,6 +10,7 @@ unless all of them pass.
 import argparse
 import sys
 import time
+from types import SimpleNamespace
 
 from funcgraphs.local_sim import (
     RulingSetAlgorithm, make_path_network, run_local, verify_ruling)
@@ -21,8 +22,8 @@ def main(argv=None) -> int:
     ap.add_argument("--sizes", type=int, nargs="+",
                     default=[10**3, 10**4, 10**5, 10**6])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--engine", default="auto",
-                    choices=["auto", "reference", "vector"])
+    ap.add_argument("--engine", default="auto", choices=["auto", "reference"],
+                    help="reference steps every node, as on any wiring")
     args = ap.parse_args(argv)
 
     header = (f"{'r':>3} {'n':>9} {'rounds':>7} {'members':>9} "
@@ -32,11 +33,15 @@ def main(argv=None) -> int:
     all_ok = True
     for r in args.spacing:
         alg = RulingSetAlgorithm(r)
+        if args.engine == "reference":  # hide vector_outputs from run_local
+            alg = SimpleNamespace(total_rounds=alg.total_rounds, boot=alg.boot,
+                                  step=alg.step, finish=alg.finish,
+                                  gap_bound=alg.gap_bound)
         base_rounds = None
         for n in args.sizes:
             net = make_path_network(n, seed=args.seed)
             start = time.perf_counter()
-            trace = run_local(alg, net, engine=args.engine)
+            trace = run_local(alg, net)
             secs = time.perf_counter() - start
             check = verify_ruling(net, trace.outputs, r, alg.gap_bound())
             all_ok = all_ok and check["ok"]

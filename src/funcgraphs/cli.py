@@ -26,6 +26,7 @@ from .digraphs import Digraph
 from .graphs import FunctionalGraph
 
 PASS, FAIL, USAGE = 0, 1, 2
+_MAX_POWER = 10 ** 5  # the largest power -p: p template steps, each O(edges)
 
 
 def _default_seed() -> int:
@@ -198,6 +199,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    if args.walk is None and not 1 <= args.p <= _MAX_POWER:
+        raise _Malformed(f"-p must be in [1, {_MAX_POWER}], got {args.p}")
     h = _load_template(args.template)
     walk = args.walk if args.walk is not None else "f" * args.p
     powered = digraphs.power_walk(h, walk)
@@ -279,10 +282,9 @@ def _cmd_local(args) -> int:
     if args.template is not None:
         h = _load_template(args.template)
         alg = local_sim.TemplateSolverAlgorithm(h)
-        trace = local_sim.run_local(alg, net, engine=args.engine,
-                                    round_cap=args.cap)
+        trace = local_sim.run_local(alg, net, round_cap=args.cap)
         labels = np.array(trace.outputs, dtype=np.int64)
-        bad = homsolver.hom_violations(net.to_graph(), labels, h)
+        bad = homsolver.hom_violations(net, labels, h)
         labeled = int(np.count_nonzero(labels >= 0))
         ok = not bad and labeled > 0
         report = {"n": args.n, "seed": args.seed, "template": args.template,
@@ -292,8 +294,7 @@ def _cmd_local(args) -> int:
               f"{labeled}/{args.n} labeled, {len(bad)} violations")
         return PASS if ok else FAIL
     alg = local_sim.RulingSetAlgorithm(args.spacing)
-    trace = local_sim.run_local(alg, net, engine=args.engine,
-                                round_cap=args.cap)
+    trace = local_sim.run_local(alg, net, round_cap=args.cap)
     check = local_sim.verify_ruling(net, trace.outputs, args.spacing,
                                     alg.gap_bound())
     report = {"n": args.n, "seed": args.seed, "spacing": args.spacing,
@@ -375,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--segments", type=int, default=1)
     sp.add_argument("--cap", type=int, help="round cap")
-    sp.add_argument("--engine", default="auto",
-                    choices=["auto", "reference", "vector"])
     sp.set_defaults(func=_cmd_local)
     return p
 
@@ -389,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
         # the library raises ValueError (GraphShapeError included) only
         # to reject out-of-domain input
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE
+    except MemoryError:  # an input too large to allocate is no verdict
+        print("error: input too large to allocate", file=sys.stderr)
         return USAGE
 
 

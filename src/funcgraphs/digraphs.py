@@ -113,7 +113,7 @@ class Digraph:
         return sorted(u for u, v in self.edges if u == v)
 
     def is_sinkless(self) -> bool:
-        return all(self.adj()[v] for v in range(self.m))
+        return len({u for u, _ in self.edges}) == self.m  # no m lists
 
     def induced(self, vertices: Sequence[int]) -> tuple["Digraph", list[int]]:
         """Induced subgraph; returns it with the old labels of its vertices."""

@@ -50,9 +50,6 @@ class FunctionalGraph:
         self.n = len(self.succ_array)
         if not isinstance(succ, np.ndarray):
             self.succ = tuple(succ)
-        self._tree: list[int] | None = None
-        self._cycles: list[list[int]] | None = None
-        self._csr_arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._jumps: list[np.ndarray] = []
 
     @cached_property
@@ -80,17 +77,15 @@ class FunctionalGraph:
     def is_total(self) -> bool:
         return not np.any(self.succ_array < 0)
 
+    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected adjacency as CSR arrays (indptr, neighbours), cached;
-        loops are left out, as they change no distance."""
-        if self._csr_arrays is None:
-            succ = self.succ_array
-            src = np.flatnonzero((succ >= 0) & (succ != np.arange(self.n)))
-            a, b = np.r_[src, succ[src]], np.r_[succ[src], src]
-            self._csr_arrays = (
-                np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))],
+        """Undirected adjacency as CSR arrays (indptr, neighbours); loops
+        are left out, as they change no distance."""
+        succ = self.succ_array
+        src = np.flatnonzero((succ >= 0) & (succ != np.arange(self.n)))
+        a, b = np.r_[src, succ[src]], np.r_[succ[src], src]
+        return (np.r_[0, np.cumsum(np.bincount(a, minlength=self.n))],
                 b[np.argsort(a, kind="stable")])
-        return self._csr_arrays
 
     @cached_property
     def depth(self) -> np.ndarray:
@@ -136,10 +131,20 @@ class FunctionalGraph:
         The total-graph homomorphism passes fold over this order.  It
         comes from one in-degree peel (Kahn 1962): vertices nobody
         points to leave first, and whatever never leaves lies on a
-        cycle.  The same pass fills :meth:`cycles`.
+        cycle.  The same pass gives :meth:`cycles`.
         """
-        if self._tree is not None:
-            return self._tree
+        return self._peel[0]
+
+    def cycles(self) -> list[list[int]]:
+        """Vertex lists of all directed cycles, in successor order.
+
+        Each cycle starts at its least vertex, and the cycles are sorted
+        by that vertex.
+        """
+        return self._peel[1]
+
+    @cached_property
+    def _peel(self) -> tuple[list[int], list[list[int]]]:
         succ = self.succ
         indeg = [0] * self.n
         for s in succ:
@@ -162,19 +167,7 @@ class FunctionalGraph:
                     x = succ[x]
                 cycles.append(cyc)
         order.reverse()
-        self._tree = order
-        self._cycles = cycles
-        return order
-
-    def cycles(self) -> list[list[int]]:
-        """Vertex lists of all directed cycles, in successor order.
-
-        Each cycle starts at its least vertex, and the cycles are sorted
-        by that vertex.
-        """
-        self.tree_order()
-        assert self._cycles is not None
-        return self._cycles
+        return order, cycles
 
     @property
     def acyclic(self) -> bool:
@@ -328,7 +321,7 @@ def _bfs_levels(g: FunctionalGraph, verts: np.ndarray, srcs: np.ndarray,
     the candidates, and a new key is a first occurrence with bit 1.
     Sources whose ``live`` flag the caller clears stop growing.
     """
-    indptr, nbr = g.csr()
+    indptr, nbr = g.csr
     k = int(srcs.max(initial=-1)) + 1
     front, prev = sorted_unique(verts * k + srcs), verts[:0]
     while True:
@@ -380,7 +373,7 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
     if radius < 0:
         raise ValueError("radius must be >= 0")
     members = vertex_array(subset, g.n)  # repeats are harmless
-    succ, indptr, nbr = g.succ_array, *g.csr()
+    succ, indptr, nbr = g.succ_array, *g.csr
     dist, tag = np.full(g.n, -1), np.full(g.n, -1)
     dist[members], tag[members], front = 0, members, members
     for level in range(1, radius):  # deeper tags never merge
@@ -473,8 +466,8 @@ def _tree_dists(g: FunctionalGraph, u: np.ndarray, v: np.ndarray
 
 def gen_path(n: int) -> FunctionalGraph:
     """The oriented path 0 -> 1 -> ... -> n-1 (sink at n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
+        raise ValueError("n must be in [1, 2^63)")
     return FunctionalGraph(np.append(np.arange(1, n), -1))
 
 
@@ -486,8 +479,8 @@ def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
     vertices.  The backbone keeps a sizeable share of vertices far from
     the sinks, so interiors at large horizons stay populated.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
+        raise ValueError("n must be in [1, 2^63)")
     rng = random.Random(seed)
     order = rng.sample(range(n), n)
     ntrees = 1 if n < 20 else rng.choice([1, 1, 1, 2, 3])
@@ -520,7 +513,7 @@ def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
 
 def gen_random_total(n: int, seed: int) -> FunctionalGraph:
     """Uniformly random total successor map (always has cycles)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
+        raise ValueError("n must be in [1, 2^63)")
     rng = random.Random(seed)
     return FunctionalGraph([rng.randrange(n) for _ in range(n)])

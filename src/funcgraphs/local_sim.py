@@ -6,13 +6,15 @@ delivers the messages returned by the previous round and lets every
 node step once; the engine may execute node updates of a round in any
 order (delivery is double buffered, so update order cannot leak).
 
-Networks are int64 arrays: identifiers (so n <= ``MAX_NODES``),
-successors, and each node's path end and steps to it, all the verifier
-reads; on index-contiguous wirings the last two come from the runs.
+A network is a functional graph whose sinks are the path ends, plus
+int64 identifiers (so n <= ``MAX_NODES``); on index-contiguous wirings
+each node's path end and steps to it, all the verifier reads, come from
+the runs.
 
 Two engines produce identical results: a per-node reference engine
-that runs any algorithm object, and a vectorized fast path for the
-ruling-set algorithm on index-contiguous networks, used for large n.
+that runs any algorithm object, and a vectorized engine for the
+ruling-set algorithm, which :func:`run_local` picks whenever the
+network is index-contiguous.
 
 The ruling-set algorithm runs in rounds independent of n for a fixed
 identifier-space width: a color-reduction phase shrinks identifiers to
@@ -27,13 +29,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from .digraphs import Digraph
-from .graphs import FunctionalGraph, int_array, path_ends, successor_array
+from .graphs import FunctionalGraph, int_array, path_ends
 from .homsolver import ErgodicSolverData, ergodic_solver_data
 
 MAX_NODES = 2 ** 21 - 1  # the largest n with n**3 < 2**63
@@ -50,18 +52,16 @@ class NodeView(NamedTuple):
     n: int
 
 
-class PathNetwork:
+class PathNetwork(FunctionalGraph):
     """Disjoint oriented paths with unique bounded identifiers.
 
-    Stored as int64 arrays: ``id_array`` and ``succ_array`` (-1 at a
-    path end), given as arrays or as Python sequences (see
-    :func:`~funcgraphs.graphs.successor_array`), and per node ``depth``
-    and ``tail`` (its path end), all the verifier reads.  ``contiguous``
-    says whether every successor is the next index up to a path end
-    (the builder's layout), so that each path is an index-contiguous
-    run and depth and tail are read off the run ends; any other wiring
-    only the reference engine accepts.  ``ids``, ``succ`` and ``pred``
-    are list views for that engine, built on first use.
+    A :class:`~funcgraphs.graphs.FunctionalGraph` whose sinks are the
+    path ends, plus an int64 ``id_array``; both are given as arrays or
+    as Python sequences (see :func:`~funcgraphs.graphs.successor_array`).
+    ``contiguous`` says whether every successor is the next index up to
+    a path end (the builder's layout), so that each path is an
+    index-contiguous run and ``depth`` and ``sinks`` are read off the
+    run ends; only the reference engine runs on any other wiring.
     """
 
     def __init__(self, ids: Sequence[int] | np.ndarray,
@@ -69,51 +69,28 @@ class PathNetwork:
         n = len(ids)
         if not len(succ) == n <= MAX_NODES:
             raise ValueError(f"need len(ids) == len(succ) <= {MAX_NODES}")
+        super().__init__(succ)
         self.id_array = int_array(ids, "identifiers")
-        self.succ_array = nxt = successor_array(succ)
         ordered = np.sort(self.id_array)
         if n and (ordered[0] < 0 or ordered[-1] > n ** 3):
             raise ValueError("identifiers must lie in [0, n^3]")
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("identifiers must be unique")
         # index-contiguous runs: i -> i + 1 inside each, ending at a sink
+        nxt = self.succ_array
         ends = np.flatnonzero(nxt < 0) + 1
         wired = np.arange(1, n + 1)
         wired[ends - 1] = -1
         self.contiguous = np.array_equal(nxt, wired)
-        if self.contiguous:
-            self.tail = np.repeat(ends - 1, np.diff(ends, prepend=0))
-            self.depth = self.tail - np.arange(n)
+        if self.contiguous:  # instance values override the cached ones
+            self.sinks = np.repeat(ends - 1, np.diff(ends, prepend=0))
+            self.depth = self.sinks - np.arange(n)
             return
         if np.bincount(nxt[nxt >= 0], minlength=n).max(initial=0) > 1:
             raise ValueError("a node has two predecessors")
-        self.depth, self.tail = path_ends(nxt)
-        if np.any(self.tail < 0):
+        self.depth, self.sinks = path_ends(nxt)
+        if np.any(self.sinks < 0):
             raise ValueError("the wiring must be acyclic")
-
-    @property
-    def n(self) -> int:
-        return len(self.id_array)
-
-    @cached_property
-    def ids(self) -> list[int]:
-        return self.id_array.tolist()
-
-    @cached_property
-    def succ(self) -> list[int | None]:
-        return [None if s < 0 else s for s in self.succ_array.tolist()]
-
-    @cached_property
-    def pred(self) -> list[int | None]:
-        """Predecessor per node, built when the reference engine runs."""
-        pred: list[int | None] = [None] * self.n
-        for i, s in enumerate(self.succ):
-            if s is not None:
-                pred[s] = i
-        return pred
-
-    def to_graph(self) -> FunctionalGraph:
-        return FunctionalGraph(self.succ_array)
 
 
 def _sample_ids(rng: random.Random, n: int) -> np.ndarray:
@@ -175,34 +152,31 @@ class RoundTrace:
     engine: str
 
 
-def run_local(alg, net: PathNetwork, engine: str = "auto",
-              order_seed: int | None = None,
+def run_local(alg, net: PathNetwork, order_seed: int | None = None,
               round_cap: int | None = None) -> RoundTrace:
     """Execute an algorithm on a network and collect outputs.
 
-    ``engine="vector"`` requires the algorithm to provide
-    vector_outputs and the network to be index-contiguous; "auto"
-    falls back to the reference engine otherwise.
+    The vector engine runs when the algorithm provides vector_outputs
+    and the network is index-contiguous; the reference engine, which
+    steps every node in every round (in an order ``order_seed``
+    shuffles), runs otherwise.
     """
     total = alg.total_rounds(net.n)
     if round_cap is not None and total > round_cap:
         raise RoundLimitError(
             f"schedule needs {total} rounds, cap is {round_cap}")
-    can_vector = hasattr(alg, "vector_outputs") and net.contiguous
-    if engine == "vector" and not can_vector:
-        raise ValueError("vector engine unavailable for this run")
-    if engine in ("vector", "auto") and can_vector:
-        outputs = alg.vector_outputs(net)
-        return RoundTrace(total, outputs, "vector")
-    if engine not in ("auto", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    n = net.n
+    if hasattr(alg, "vector_outputs") and net.contiguous:
+        return RoundTrace(total, alg.vector_outputs(net), "vector")
+    n, succ = net.n, net.succ
     order = list(range(n))
     if order_seed is not None:
         random.Random(order_seed).shuffle(order)
-    pred, succ = net.pred, net.succ
+    pred: list[int | None] = [None] * n
+    for i, s in enumerate(succ):
+        if s is not None:
+            pred[s] = i
     views = [NodeView(ident, p is not None, s is not None, n)
-             for ident, p, s in zip(net.ids, pred, succ)]
+             for ident, p, s in zip(net.id_array.tolist(), pred, succ)]
     states: list[Any] = [None] * n
     to_pred: list[Any] = [None] * n
     to_succ: list[Any] = [None] * n
@@ -332,7 +306,7 @@ class RulingSetAlgorithm:
         iters = cv_iterations(n)
         cur = np.arange(n)
         for _ in range(self.levels + 1):
-            segs = net.tail[cur]  # one tail per segment
+            segs = net.sinks[cur]  # one sink per segment
             heads = np.r_[True, segs[1:] != segs[:-1]]
             colors = _cv_vector(net.id_array[cur], heads, iters)
             joined = _mis_vector(colors, heads)
@@ -371,21 +345,22 @@ def verify_ruling(net: PathNetwork, members: Sequence[bool] | np.ndarray,
                   spacing: int, gap_bound: int) -> dict:
     """Centralized check: independence at ``spacing``, hit by ``gap_bound``.
 
-    Any wiring: consecutive members on one ``tail`` differ in ``depth``
+    Any wiring: consecutive members on one path (``sinks``) differ in
+    ``depth``
     by more than ``spacing``; a node of depth >= ``gap_bound`` has a
     member of smaller depth on its path."""
     flags = np.asarray(members, dtype=bool)
     if spacing < 1 or gap_bound < 0 or flags.shape != (net.n,):
         raise ValueError("need spacing >= 1, gap_bound >= 0, n flags")
     where = np.flatnonzero(flags)
-    order = np.lexsort((net.depth[where], net.tail[where]))
-    tail, depth = net.tail[where[order]], net.depth[where[order]]
-    same_path = tail[1:] == tail[:-1]
+    order = np.lexsort((net.depth[where], net.sinks[where]))
+    sink, depth = net.sinks[where[order]], net.depth[where[order]]
+    same_path = sink[1:] == sink[:-1]
     independent = bool(np.all(np.diff(depth)[same_path] > spacing))
     lowest = np.full(net.n, net.n)  # least member depth per path end
-    np.minimum.at(lowest, tail, depth)
+    np.minimum.at(lowest, sink, depth)
     deep = net.depth >= gap_bound
-    hits = bool(np.all(lowest[net.tail[deep]] < net.depth[deep]))
+    hits = bool(np.all(lowest[net.sinks[deep]] < net.depth[deep]))
     return {"members": len(where), "independent": independent,
             "hitting": hits, "ok": independent and hits}
 

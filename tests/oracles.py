@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from math import gcd
+from types import SimpleNamespace
 from typing import Iterable
 
 import numpy as np
@@ -840,18 +841,24 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     return psi
 
 
-# ---- graph-based ruling-set verifier ----
+# ---- simulator: the reference engine and the graph-based verifier ----
+
+def reference_only(alg) -> SimpleNamespace:
+    """``alg`` without ``vector_outputs``, so that ``run_local`` runs it
+    on the reference engine whatever the wiring."""
+    return SimpleNamespace(total_rounds=alg.total_rounds, boot=alg.boot,
+                           step=alg.step, finish=alg.finish)
+
 
 def verify_ruling_by_graph(net, members, spacing: int, gap_bound: int) -> dict:
     """The original ``local_sim.verify_ruling``, kept as the reference for
-    the array verifier: it builds the network's functional graph and
-    runs the hitting-set module's independence and hitting checks."""
+    the array verifier: it runs the hitting-set module's independence
+    and hitting checks on the network as a functional graph."""
     from funcgraphs.hitting import is_forward_independent, is_hitting
 
-    g = net.to_graph()
     mset = {i for i, b in enumerate(members) if b}
-    independent = is_forward_independent(g, mset, spacing)
-    hits = is_hitting(g, mset, gap_bound)
+    independent = is_forward_independent(net, mset, spacing)
+    hits = is_hitting(net, mset, gap_bound)
     return {"members": len(mset), "independent": independent,
             "hitting": hits, "ok": independent and hits}
 

@@ -337,10 +337,10 @@ def test_criterion_10_local_simulation_scaling(capsys):
         assert verify_ruling(small_net, small.outputs, r, alg.gap_bound())["ok"]
         assert verify_ruling(big_net, big.outputs, r, alg.gap_bound())["ok"]
         assert big.rounds - small.rounds <= 2, (r, small.rounds, big.rounds)
-        ref = run_local(alg, small_net, engine="reference")
+        ref = run_local(oracles.reference_only(alg), small_net)
         assert np.array_equal(ref.outputs, small.outputs)
         for order_seed in range(10):
-            again = run_local(alg, small_net, engine="reference",
+            again = run_local(oracles.reference_only(alg), small_net,
                               order_seed=order_seed)
             assert again.outputs == ref.outputs, (r, order_seed)
         details.append(f"r={r}:{small.rounds}->{big.rounds}")

@@ -237,8 +237,7 @@ def test_local_ruling_and_template(tmp_path, capsys):
     assert report["ok"] and report["rounds"] == 40
 
     code, report, _ = run(capsys, "local", "--template",
-                          two_three_path(tmp_path), "--n", "80", "--seed", "5",
-                          "--engine", "reference")
+                          two_three_path(tmp_path), "--n", "80", "--seed", "5")
     assert code == 0
     assert report["ok"] and report["labeled"] > 0 and report["violations"] == 0
 
@@ -369,6 +368,63 @@ def test_empty_walk_and_unwritable_out_are_usage_errors(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     two_three_path(tmp_path)
     assert_one_line_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("p", ["0", "-1", "100001", str(10 ** 20)])
+def test_power_exponent_out_of_range_is_a_usage_error(tmp_path, capsys,
+                                                      monkeypatch, p):
+    def no_walk(h, walk):
+        raise AssertionError("walk power built")
+
+    monkeypatch.setattr(funcgraphs.digraphs, "power_walk", no_walk)
+    code, report, err = run(capsys, "power", "--template",
+                            two_three_path(tmp_path), "-p", p)
+    assert_one_line_error(code, report, err)
+    assert "-p" in err
+
+
+def test_inputs_too_large_to_allocate_are_usage_errors(tmp_path, capsys,
+                                                       monkeypatch):
+    def out_of_memory(h, walk):
+        raise MemoryError
+
+    monkeypatch.setattr(funcgraphs.digraphs, "power_walk", out_of_memory)
+    assert_one_line_error(*run(capsys, "power", "--template",
+                               two_three_path(tmp_path), "-p", "3"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--kind", "forest"],
+    ["gen", "--kind", "total"],
+    ["gen", "--kind", "path"],
+    ["hit"],
+    ["drhom"],
+    ["asdim"],
+    ["hom", "--template", "h23.json"],
+])
+@pytest.mark.parametrize("n", [2 ** 63, 10 ** 20])
+def test_generator_sizes_beyond_int64_are_usage_errors(tmp_path, capsys,
+                                                       monkeypatch, argv, n):
+    def no_draws(seed):
+        raise AssertionError("random draws started")
+
+    monkeypatch.chdir(tmp_path)
+    two_three_path(tmp_path)
+    monkeypatch.setattr(funcgraphs.graphs.random, "Random", no_draws)
+    assert_one_line_error(*run(capsys, *argv, "--n", str(n)))
+
+
+@pytest.mark.parametrize("argv", [["classify"], ["hom", "--n", "10"]])
+def test_sinky_template_with_a_huge_m_is_a_usage_error(tmp_path, capsys,
+                                                       monkeypatch, argv):
+    def no_adjacency(self):  # m lists: far too many to allocate
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(funcgraphs.digraphs.Digraph, "adj", no_adjacency)
+    template = write_template(tmp_path, "h.json", 10 ** 20, [])
+    code, report, err = run(capsys, *argv, "--template", template)
+    assert_one_line_error(code, report, err)
+    assert "sink" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -156,6 +156,18 @@ def test_classify_rejects_sinks():
         classify(Digraph(2, [(0, 1)]))
 
 
+def test_sinkless_check_reads_the_edge_set(monkeypatch):
+    def no_adjacency(self):
+        raise AssertionError("adjacency lists built")
+
+    monkeypatch.setattr(Digraph, "adj", no_adjacency)
+    assert not Digraph(10 ** 20, []).is_sinkless()
+    assert not Digraph(3, [(0, 1), (1, 0), (1, 1)]).is_sinkless()
+    assert Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)]).is_sinkless()
+    with pytest.raises(GraphShapeError):
+        classify(Digraph(300_000_000, [(0, 0)]))
+
+
 @settings(max_examples=150)
 @given(digraph_templates(max_m=5))
 def test_classify_agrees_with_matrix_oracle(d):

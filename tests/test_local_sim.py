@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs import local_sim
 from funcgraphs.digraphs import Digraph, GraphShapeError
-from funcgraphs.graphs import path_ends
+from funcgraphs.graphs import FunctionalGraph, path_ends
 from funcgraphs.hitting import HittingSet
 from funcgraphs.homsolver import hom_violations, solve_ergodic
 from funcgraphs.local_sim import (
@@ -30,7 +30,7 @@ def permute_network(net: PathNetwork, seed: int) -> PathNetwork:
     ids = [0] * n
     succ: list[int | None] = [None] * n
     for i in range(n):
-        ids[perm[i]] = net.ids[i]
+        ids[perm[i]] = int(net.id_array[i])
         s = net.succ[i]
         succ[perm[i]] = None if s is None else perm[s]
     return PathNetwork(ids, succ)
@@ -106,7 +106,7 @@ def test_network_rejects_bad_successors_and_mismatched_segments():
         PathNetwork([0, 2 ** 64], [1, None])           # id beyond int64
     net = PathNetwork([0, 1, 2], [1, None, None])
     assert net.depth.tolist() == [1, 0, 0]
-    assert net.tail.tolist() == [1, 1, 2]
+    assert net.sinks.tolist() == [1, 1, 2]
 
 
 def test_network_size_limit_is_checked_before_sampling(monkeypatch):
@@ -140,7 +140,8 @@ def test_bulk_id_draw_replays_stdlib_sample(n, seed, id_mode):
     ids = stdlib_ids(n, seed)
     if id_mode != "random":
         ids.sort(reverse=id_mode == "reversed")
-    assert make_path_network(n, seed, id_mode=id_mode).ids == ids
+    assert make_path_network(n, seed, id_mode=id_mode).id_array.tolist() \
+        == ids
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -148,11 +149,13 @@ def test_bulk_id_draw_small_n_every_seed(n):
     # rejections and repeats are common here, and a draw of exactly
     # n**3 + 1 comes up often enough to be caught
     for seed in range(200):
-        assert make_path_network(n, seed).ids == stdlib_ids(n, seed)
+        assert make_path_network(n, seed).id_array.tolist() == \
+            stdlib_ids(n, seed)
 
 
 def test_bulk_id_draw_at_1e5():
-    assert make_path_network(10 ** 5, 7).ids == stdlib_ids(10 ** 5, 7)
+    assert make_path_network(10 ** 5, 7).id_array.tolist() == \
+        stdlib_ids(10 ** 5, 7)
 
 
 @pytest.mark.parametrize("n", [3, 5, 1626])
@@ -163,17 +166,17 @@ def test_bulk_id_draw_tops_up_a_short_first_batch(monkeypatch, n):
 
     monkeypatch.setattr(np.random, "MT19937", MT19937)
     for seed in range(20):
-        assert make_path_network(n, seed).ids == stdlib_ids(n, seed)
+        assert make_path_network(n, seed).id_array.tolist() == \
+            stdlib_ids(n, seed)
 
 
 def test_path_ends_match_forward_orbits():
     for segments in (1, 3, 7):
         net = make_path_network(50, seed=segments, segments=segments)
         for case in (net, permute_network(net, seed=segments)):
-            g = case.to_graph()
-            assert case.depth.tolist() == oracles.forward_iterates(g)
-            assert case.tail.tolist() == [
-                oracles.forward_orbit(g, x, case.n)[-1]
+            assert case.depth.tolist() == oracles.forward_iterates(case)
+            assert case.sinks.tolist() == [
+                oracles.forward_orbit(case, x, case.n)[-1]
                 for x in range(case.n)]
 
 
@@ -182,31 +185,30 @@ def test_vector_runs_leave_predecessors_unbuilt():
     alg = RulingSetAlgorithm(2)
     trace = run_local(alg, net)
     assert verify_ruling(net, trace.outputs, 2, alg.gap_bound())["ok"]
-    assert "pred" not in vars(net)
-    run_local(alg, net, engine="reference")
-    assert "pred" in vars(net)
+    assert "succ" not in vars(net)
+    run_local(oracles.reference_only(alg), net)
+    assert "succ" in vars(net)
 
 
 def test_make_path_network_segments_and_id_modes():
     net = make_path_network(10, seed=3, segments=3)
     assert net.contiguous
-    assert np.unique(net.tail, return_counts=True)[1].tolist() == [4, 3, 3]
+    assert np.unique(net.sinks, return_counts=True)[1].tolist() == [4, 3, 3]
     assert [i for i, s in enumerate(net.succ) if s is None] == [3, 6, 9]
-    assert len(set(net.ids)) == 10
-    assert all(0 <= v <= 1000 for v in net.ids)
-    inc = make_path_network(9, seed=3, id_mode="sorted").ids
-    dec = make_path_network(9, seed=3, id_mode="reversed").ids
+    assert len(set(net.id_array.tolist())) == 10
+    assert all(0 <= v <= 1000 for v in net.id_array.tolist())
+    inc = make_path_network(9, seed=3, id_mode="sorted").id_array.tolist()
+    dec = make_path_network(9, seed=3, id_mode="reversed").id_array.tolist()
     assert inc == sorted(inc) and dec == sorted(dec, reverse=True)
 
 
 def test_permute_network_preserves_ids_and_shape():
     net = make_path_network(30, seed=5, segments=4)
     shuffled = permute_network(net, seed=6)
-    assert sorted(shuffled.ids) == sorted(net.ids)
+    assert sorted(shuffled.id_array.tolist()) == sorted(net.id_array.tolist())
     assert net.succ.count(None) == shuffled.succ.count(None)
     assert not shuffled.contiguous
-    with pytest.raises(ValueError):
-        run_local(RulingSetAlgorithm(1), shuffled, engine="vector")
+    assert run_local(RulingSetAlgorithm(1), shuffled).engine == "reference"
 
 
 def test_constant_baseline_runs_in_zero_rounds():
@@ -221,25 +223,26 @@ def test_echo_baseline_reports_neighbor_ids():
     net = make_path_network(8, seed=1, segments=2)
     trace = run_local(EchoNeighborIds(), net)
     assert trace.rounds == 1
+    ids, pred = net.id_array.tolist(), {s: i for i, s in enumerate(net.succ)}
     for i, (pred_id, succ_id) in enumerate(trace.outputs):
-        p, s = net.pred[i], net.succ[i]
-        assert pred_id == (None if p is None else net.ids[p])
-        assert succ_id == (None if s is None else net.ids[s])
+        p, s = pred.get(i), net.succ[i]
+        assert pred_id == (None if p is None else ids[p])
+        assert succ_id == (None if s is None else ids[s])
 
 
 def test_single_node_is_its_own_member():
     net = make_path_network(1, seed=4)
-    trace = run_local(RulingSetAlgorithm(2), net, engine="reference")
+    trace = run_local(oracles.reference_only(RulingSetAlgorithm(2)), net)
     assert trace.outputs == [True]
 
 
 def test_ruling_set_on_small_path():
     net = make_path_network(16, seed=9)
     alg = RulingSetAlgorithm(2)
-    trace = run_local(alg, net, engine="reference")
+    trace = run_local(oracles.reference_only(alg), net)
     report = verify_ruling(net, trace.outputs, 2, alg.gap_bound())
     assert report["ok"], report
-    run_local(alg, net, engine="reference", round_cap=trace.rounds)
+    run_local(oracles.reference_only(alg), net, round_cap=trace.rounds)
     with pytest.raises(RoundLimitError):
         run_local(alg, net, round_cap=trace.rounds - 1)
 
@@ -253,7 +256,7 @@ def test_round_cap_is_checked_before_the_schedule_is_built(monkeypatch):
     alg = RulingSetAlgorithm(2 ** 20)
     net = make_path_network(10, seed=1)
     with pytest.raises(RoundLimitError):
-        run_local(alg, net, engine="reference", round_cap=10)
+        run_local(oracles.reference_only(alg), net, round_cap=10)
     trace = run_local(alg, net, round_cap=alg.total_rounds(10))
     assert trace.engine == "vector"
     assert verify_ruling(net, trace.outputs, 2 ** 20, alg.gap_bound())["ok"]
@@ -270,34 +273,54 @@ def test_ruling_set_midsize_passes_central_verifiers():
     assert verify_ruling(net, trace.outputs, 2, alg.gap_bound())["ok"]
 
 
-def test_engines_agree():
-    for spacing in (1, 2, 4):
-        for segments in (1, 3):
-            net = make_path_network(257, seed=10 + spacing, segments=segments)
-            alg = RulingSetAlgorithm(spacing)
-            ref = run_local(alg, net, engine="reference")
-            vec = run_local(alg, net, engine="vector")
-            assert np.array_equal(ref.outputs, vec.outputs)
-            assert ref.rounds == vec.rounds
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), data=st.data(),
+       id_mode=st.sampled_from(["random", "sorted", "reversed"]),
+       spacing=st.integers(1, 5), seed=st.integers(0, 99),
+       order_seed=st.one_of(st.none(), st.integers(0, 99)))
+def test_engines_agree(n, data, id_mode, spacing, seed, order_seed):
+    net = make_path_network(n, seed=seed, id_mode=id_mode,
+                            segments=data.draw(st.integers(1, min(n, 8))))
+    alg = RulingSetAlgorithm(spacing)
+    vec = run_local(alg, net)
+    ref = run_local(oracles.reference_only(alg), net, order_seed=order_seed)
+    assert (vec.engine, ref.engine) == ("vector", "reference")
+    assert np.array_equal(ref.outputs, vec.outputs)
+    assert ref.rounds == vec.rounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=ergodic_templates(), n=st.integers(1, 80), data=st.data(),
+       seed=st.integers(0, 99), shuffle=st.booleans())
+def test_network_violations_match_its_functional_graph(h, n, data, seed,
+                                                       shuffle):
+    net = make_path_network(n, seed=seed,
+                            segments=data.draw(st.integers(1, n)))
+    if shuffle:
+        net = permute_network(net, seed=seed)
+    labels = np.array(data.draw(st.lists(st.integers(-1, h.m - 1),
+                                         min_size=n, max_size=n)))
+    assert hom_violations(net, labels, h) == \
+        hom_violations(FunctionalGraph(net.succ_array), labels, h)
 
 
 def test_outputs_ignore_update_order():
     net = make_path_network(200, seed=11, segments=2)
     alg = RulingSetAlgorithm(2)
-    baseline = run_local(alg, net, engine="reference").outputs
+    baseline = run_local(oracles.reference_only(alg), net).outputs
     for seed in range(10):
-        again = run_local(alg, net, engine="reference", order_seed=seed)
+        again = run_local(oracles.reference_only(alg), net, order_seed=seed)
         assert again.outputs == baseline
 
 
 def test_membership_follows_ids_not_indices():
     net = make_path_network(150, seed=12)
     alg = RulingSetAlgorithm(1)
-    base = run_local(alg, net, engine="reference").outputs
+    base = run_local(oracles.reference_only(alg), net).outputs
     shuffled = permute_network(net, seed=13)
-    perm = run_local(alg, shuffled, engine="reference").outputs
-    base_ids = {net.ids[i] for i, b in enumerate(base) if b}
-    perm_ids = {shuffled.ids[i] for i, b in enumerate(perm) if b}
+    perm = run_local(oracles.reference_only(alg), shuffled).outputs
+    base_ids = set(net.id_array[np.flatnonzero(base)].tolist())
+    perm_ids = set(shuffled.id_array[np.flatnonzero(perm)].tolist())
     assert base_ids == perm_ids
     assert verify_ruling(shuffled, perm, 1, alg.gap_bound())["ok"]
 
@@ -326,7 +349,7 @@ def test_round_counts_flat_in_network_size():
 def test_ruling_set_property(n, spacing, segments, seed):
     net = make_path_network(n, seed=seed, segments=min(segments, n))
     alg = RulingSetAlgorithm(spacing)
-    trace = run_local(alg, net, engine="reference")
+    trace = run_local(oracles.reference_only(alg), net)
     assert verify_ruling(net, trace.outputs, spacing, alg.gap_bound())["ok"]
 
 
@@ -334,23 +357,22 @@ def test_template_solver_matches_centralized():
     h = two_three_cycles()
     net = make_path_network(300, seed=15)
     alg = TemplateSolverAlgorithm(h)
-    trace = run_local(alg, net, engine="reference")
+    trace = run_local(oracles.reference_only(alg), net)
     assert trace.rounds == alg.ruling.total_rounds(300) + alg.window
 
-    members_trace = run_local(alg.ruling, net, engine="reference")
+    members_trace = run_local(oracles.reference_only(alg.ruling), net)
     members = np.flatnonzero(members_trace.outputs)
     hitting = HittingSet(members, alg.data.reach_all, net.n)
-    central = solve_ergodic(net.to_graph(), alg.data, hitting)
+    central = solve_ergodic(net, alg.data, hitting)
     assert np.array_equal(trace.outputs, central)
 
-    g = net.to_graph()
     labels = oracles.partial_list(np.array(trace.outputs))
-    labeled_edges = [(x, g.succ[x]) for x in range(g.n)
-                     if g.succ[x] is not None
+    labeled_edges = [(x, net.succ[x]) for x in range(net.n)
+                     if net.succ[x] is not None
                      and labels[x] is not None
-                     and labels[g.succ[x]] is not None]
+                     and labels[net.succ[x]] is not None]
     assert labeled_edges
-    assert hom_violations(g, labels, h) == []
+    assert hom_violations(net, labels, h) == []
 
 
 def test_template_solver_rejects_loop_template():
@@ -368,11 +390,11 @@ def test_template_solver_matches_window_oracle(h, n, segments, id_mode,
     net = make_path_network(n, seed=seed, segments=min(segments, n),
                             id_mode=id_mode)
     alg = TemplateSolverAlgorithm(h)
-    trace = run_local(alg, net, engine="reference")
-    ruled = run_local(alg.ruling, net, engine="reference").outputs
+    trace = run_local(oracles.reference_only(alg), net)
+    ruled = run_local(oracles.reference_only(alg.ruling), net).outputs
     hitting = HittingSet(np.flatnonzero(ruled), alg.data.reach_all, net.n)
     assert oracles.partial_list(np.array(trace.outputs)) == \
-        oracles.solve_ergodic_by_windows(net.to_graph(), h, hitting)
+        oracles.solve_ergodic_by_windows(net, h, hitting)
 
 
 @st.composite
@@ -389,11 +411,11 @@ def ruling_instances(draw):
         members = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     elif kind == "periodic":
         period = draw(st.integers(1, 8))
-        iters = oracles.forward_iterates(net.to_graph())
+        iters = oracles.forward_iterates(net)
         members = [k % period == 0 for k in iters]
     else:
-        members = run_local(RulingSetAlgorithm(draw(st.integers(1, 5))),
-                            net, engine="reference").outputs
+        alg = RulingSetAlgorithm(draw(st.integers(1, 5)))
+        members = run_local(oracles.reference_only(alg), net).outputs
     for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
         members[i] = not members[i]
     return (net, members, draw(st.integers(1, 5)),
@@ -419,7 +441,7 @@ def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
                             segments=data.draw(st.integers(1, n)))
     if shuffle:
         net = permute_network(net, seed=seed)
-    ids, succ = list(net.ids), list(net.succ)
+    ids, succ = net.id_array.tolist(), list(net.succ)
     node = st.integers(0, n - 1)
     if fault == "duplicate id":
         if n < 2:
@@ -453,8 +475,8 @@ def test_malformed_networks_are_rejected(n, seed, shuffle, data, fault):
 
 
 def network_views(net: PathNetwork):
-    return (net.id_array.tolist(), net.depth.tolist(), net.tail.tolist(),
-            net.ids, net.succ, net.pred, net.contiguous)
+    return (net.id_array.tolist(), net.depth.tolist(), net.sinks.tolist(),
+            net.succ, net.contiguous)
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,15 +485,15 @@ def test_network_from_arrays_matches_network_from_lists(n, seed, data):
     net = make_path_network(n, seed=seed,
                             segments=data.draw(st.integers(1, n)))
     for case in (net, permute_network(net, seed)):
-        from_lists = PathNetwork(list(case.ids), list(case.succ))
+        from_lists = PathNetwork(case.id_array.tolist(), list(case.succ))
         from_arrays = PathNetwork(
-            np.array(case.ids), np.array([-1 if s is None else s
-                                          for s in case.succ]))
+            case.id_array.copy(), np.array([-1 if s is None else s
+                                            for s in case.succ]))
         assert network_views(from_lists) == network_views(from_arrays) \
             == network_views(case)
-        # the segment-derived depth and tail are path_ends' over the wiring
+        # the segment-derived depth and sinks are path_ends' over the wiring
         assert [x.tolist() for x in path_ends(case.succ_array)] == \
-            [case.depth.tolist(), case.tail.tolist()]
+            [case.depth.tolist(), case.sinks.tolist()]
 
 
 # explicit ids keep each case's name in test reports
@@ -514,7 +536,6 @@ def test_builder_networks_are_array_backed():
     net = make_path_network(1000, seed=2, segments=3)
     assert net.id_array.dtype == net.succ_array.dtype == np.int64
     assert not {"ids", "succ", "pred"} & set(vars(net))
-    assert net.to_graph().succ_array is net.succ_array
 
 
 def cv_fold(colors: list[int], heads: list[bool], iters: int) -> list[int]:
