@@ -9,7 +9,7 @@ from .asdim import (
     equivalence_from_coloring, verify_cover_witness, verify_eqrel_witness)
 from .digraphs import (
     Digraph, ErgodicWitness, GraphShapeError, TemplateClass, classify,
-    countdown_digraph, power_walk, wielandt_bound)
+    power_walk, wielandt_bound)
 from .graphs import (
     FunctionalGraph, ball_class_counts, class_diameters, gen_path,
     gen_random_forest, gen_random_total, proximity_classes)
@@ -18,8 +18,8 @@ from .hitting import (
     hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
     is_hitting, labeling_from_hitting, periodic_hitting)
 from .homsolver import (
-    decide_hom, ergodic_solver_data, hom_violations,
-    retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
+    decide_hom, ergodic_solver_data, hom_violations, solve_ergodic,
+    solve_loop)
 from .local_sim import (
     PathNetwork, RoundTrace, RulingSetAlgorithm, TemplateSolverAlgorithm,
     make_path_network, run_local, verify_ruling)

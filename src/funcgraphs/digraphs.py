@@ -1,4 +1,4 @@
-"""Finite digraph templates: countdown digraphs, ergodicity, walks.
+"""Finite digraph templates: ergodicity, classification, walks.
 
 Templates are small directed graphs (loops allowed, no parallel edges)
 used as homomorphism targets.  The central classification splits
@@ -279,22 +279,6 @@ def classify(h: Digraph) -> TemplateClass:
     if h.is_ergodic() is not None:
         return TemplateClass.ERGODIC_NO_LOOP
     return TemplateClass.NON_ERGODIC
-
-
-def countdown_digraph(spacing: int, top: int) -> Digraph:
-    """Digraph on 0..top: edges k -> k-1 for k > 0, and 0 -> l for every
-    l >= spacing.
-
-    Vertices count down to 0 and then reset to at least ``spacing``.
-    """
-    if spacing < 1:
-        raise ValueError("spacing must be >= 1")
-    if top < spacing + 1:
-        raise ValueError("top must be >= spacing + 1 so that 0 has an edge "
-                         "and resets can vary")
-    edges = [(k, k - 1) for k in range(1, top + 1)]
-    edges += [(0, l) for l in range(spacing, top + 1)]
-    return Digraph(top + 1, edges)
 
 
 # ---- walks and walk powers ----

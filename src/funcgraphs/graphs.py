@@ -464,6 +464,9 @@ def _tree_dists(g: FunctionalGraph, u: np.ndarray, v: np.ndarray
 
 # ---- generators ----
 
+MAX_GEN_NODES = 2 ** 32 - 1  # random generators: one MT19937 word a draw
+
+
 def gen_path(n: int) -> FunctionalGraph:
     """The oriented path 0 -> 1 -> ... -> n-1 (sink at n-1)."""
     if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
@@ -474,46 +477,110 @@ def gen_path(n: int) -> FunctionalGraph:
 def gen_random_forest(n: int, seed: int) -> FunctionalGraph:
     """Random acyclic functional graph with deliberately deep trees.
 
-    Each tree is grown from a long backbone chain into its root, and the
-    remaining vertices attach to uniformly random already-placed
-    vertices.  The backbone keeps a sizeable share of vertices far from
-    the sinks, so interiors at large horizons stay populated.
+    With ``rng = random.Random(seed)``, vertices are placed in the order
+    ``rng.sample(range(n), n)``.  The first half form
+    ``rng.choice([1, 1, 1, 2, 3])`` backbone chains (one below n = 20),
+    each into its first vertex, a root; each later vertex attaches to
+    ``order[rng.randrange(i)]``, i vertices being placed before it.
+    Backbones keep many vertices far from the sinks, so interiors at
+    large horizons stay populated.  The draws are replayed in bulk.
     """
-    if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
-        raise ValueError("n must be in [1, 2^63)")
+    if not 1 <= n <= MAX_GEN_NODES:
+        raise ValueError(f"n must be in [1, {MAX_GEN_NODES}]")
     rng = random.Random(seed)
-    order = rng.sample(range(n), n)
+    order = _pool_sample(_randbelow_bulk(rng, np.arange(n, 0, -1)))
     ntrees = 1 if n < 20 else rng.choice([1, 1, 1, 2, 3])
-    ntrees = min(ntrees, n)
-    succ = [-1] * n  # -1 for a sink, as in the stored array
-    placed: list[int] = []
-    idx = 0
-    backbone_total = max(ntrees, n // 2)
-    per_tree = backbone_total // ntrees
-    for _ in range(ntrees):
-        root = order[idx]
-        idx += 1
-        placed.append(root)
-        prev = root
-        for _ in range(per_tree - 1):
-            if idx >= n:
-                break
-            v = order[idx]
-            idx += 1
-            succ[v] = prev
-            placed.append(v)
-            prev = v
-    while idx < n:
-        v = order[idx]
-        idx += 1
-        succ[v] = placed[rng.randrange(len(placed))]
-        placed.append(v)
-    return FunctionalGraph(np.array(succ))
+    per_tree = max(ntrees, n // 2) // ntrees
+    placed = ntrees * per_tree
+    succ = np.empty(n, dtype=np.int64)
+    succ[order[:placed]] = np.r_[-1, order[:placed - 1]]  # the backbones
+    succ[order[:placed:per_tree]] = -1  # their roots
+    succ[order[placed:]] = order[_randbelow_bulk(rng, np.arange(placed, n))]
+    return FunctionalGraph(succ)
 
 
 def gen_random_total(n: int, seed: int) -> FunctionalGraph:
-    """Uniformly random total successor map (always has cycles)."""
-    if not 1 <= n < 2 ** 63:  # a count that int64 arrays can index
-        raise ValueError("n must be in [1, 2^63)")
-    rng = random.Random(seed)
-    return FunctionalGraph([rng.randrange(n) for _ in range(n)])
+    """Uniformly random total successor map (always has cycles): vertex
+    i's successor is the i-th ``random.Random(seed).randrange(n)``."""
+    if not 1 <= n <= MAX_GEN_NODES:
+        raise ValueError(f"n must be in [1, {MAX_GEN_NODES}]")
+    return FunctionalGraph(_randbelow_bulk(random.Random(seed),
+                                           np.full(n, n)))
+
+
+def _randbelow_bulk(rng: random.Random, bounds: np.ndarray) -> np.ndarray:
+    """``[rng.randrange(b) for b in bounds]`` for bounds in [1, 2^32),
+    read in bulk from the same MT19937 words, leaving ``rng`` where
+    those calls would.
+
+    CPython's ``randrange(b)`` redraws ``getrandbits(k)``, the top k =
+    b.bit_length() bits of one 32-bit word, until it is below b.  In a
+    run of bounds of equal k, word p serves the call numbered by the
+    words accepted before it, and is accepted when below that call's
+    bound.  Each word's call depends on earlier words only, so
+    recounting the calls from a guess settles at least one more word a
+    round, and a round that changes nothing gives the stdlib's draws;
+    a chunk of 2^14 words takes a few rounds.
+    """
+    out = np.empty(len(bounds), dtype=np.int64)
+    bits = np.searchsorted(np.left_shift(1, np.arange(33)), bounds, "right")
+    cuts = (np.flatnonzero(np.diff(bits)) + 1).tolist()
+    words, state, drawn = np.empty(0, dtype=np.uint32), None, 0
+    for lo, hi in zip([0, *cuts], [*cuts, len(bounds)]):
+        while lo < hi:
+            if not len(words):
+                drawn, state = min(1 << 14, 2 * (hi - lo) + 64), rng.getstate()
+                words = np.frombuffer(rng.getrandbits(32 * drawn).to_bytes(
+                    4 * drawn, "little"), "<u4")
+            v = (words >> (32 - int(bits[lo]))).astype(np.int64)
+            b = bounds[lo:hi]
+            # first guess: no redraws, word p serves call p
+            acc = v < b[np.minimum(np.arange(len(v)), len(b) - 1)]
+            while True:
+                call = np.cumsum(acc) - acc
+                again = v < b[np.minimum(call, len(b) - 1)]
+                if np.array_equal(again, acc):
+                    break
+                acc = again
+            taken = np.flatnonzero(acc)[:hi - lo]
+            out[lo + call[taken]] = v[taken]
+            lo += len(taken)
+            words = words[taken[-1] + 1 if lo == hi else len(words):]
+    if len(words):  # give back the words drawn past the last call
+        rng.setstate(state)
+        rng.getrandbits(32 * (drawn - len(words)))
+    return out
+
+
+def _pool_sample(j: np.ndarray) -> np.ndarray:
+    """``random.sample(range(n), n)`` from its draws j[i] =
+    ``randrange(n - i)``.
+
+    The stdlib shuffles a pool: step i reads slot j[i] into the result
+    and moves slot n-1-i, which no later step reads, into slot j[i].
+    So a read finds what the latest earlier step that wrote its slot
+    moved there, or the slot's own index when no step did.  The
+    "latest earlier write of the moved slot" links run to ever earlier
+    steps, and one :func:`path_ends` call follows each to the step
+    whose moved slot was never written before: what it moved is that
+    slot's index.
+    """
+    n = len(j)
+    key = j.astype(np.uint64)  # slot << 32 | step: the writes by slot
+    key <<= np.uint64(32)
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    when = key.astype(np.uint32)  # the low half
+    slot = key >> np.uint64(32)
+    same = slot[1:] == slot[:-1]
+    prev = np.full(n, -1)  # latest earlier step that wrote slot j[i]
+    prev[when[1:][same]] = when[:-1][same]
+    link = np.full(n, -1)  # the last step that wrote slot n-1-i
+    end = np.append(~same, True)
+    link[n - 1 - slot[end].astype(np.int64)] = when[end]
+    del key, slot, when, same, end  # before path_ends' own arrays
+    # the last write of slot n-1-i is step i itself when j[i] = n-1-i;
+    # then step i moves the value it reads, which prev[i] wrote
+    link = np.where(link == np.arange(n), prev, link)
+    moved = n - 1 - path_ends(link)[1]
+    return np.where(prev >= 0, moved[prev], j)

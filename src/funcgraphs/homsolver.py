@@ -4,14 +4,13 @@ A labeling psi of a functional graph G into a template H is a
 homomorphism when every edge (x, f(x)) of G maps to an edge of H.
 This module has three layers:
 
-* checkers (:func:`verify_hom`, :func:`hom_violations`),
+* the checker :func:`hom_violations`,
 * constructive solvers for special templates: a loop
   (:func:`solve_loop`) and an ergodic loopless template
   (:func:`solve_ergodic`, which needs a spaced hitting set and labels
   every vertex whose forward window is deep enough),
 * the general decision procedure :func:`decide_hom` for finite total
-  functional graphs, plus :func:`retract_to_strong_components` which
-  pushes an arbitrary homomorphism into the strong components of H.
+  functional graphs.
 
 The ergodic solver reads each vertex's next member from
 :func:`funcgraphs.hitting.next_member`.  The total-graph passes sweep
@@ -29,7 +28,6 @@ import numpy as np
 from .digraphs import Digraph, GraphShapeError, path_of_length
 from .graphs import FunctionalGraph, Labeling, label_array
 from .hitting import HittingSet, is_forward_independent, next_member
-from .partition import Partition
 
 
 def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
@@ -48,20 +46,33 @@ def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
         v = next(v for v in psi
                  if v is not None and (v >= h.m or lab is None and v < 0))
         raise ValueError(f"label {v} outside the template")
-    adj = np.zeros((h.m, h.m), dtype=bool)
-    adj[[a for a, _ in h.edges], [b for _, b in h.edges]] = True
     succ = g.succ_array
     x = np.flatnonzero(succ >= 0)
     x = x[(lab[x] >= 0) & (lab[succ[x]] >= 0)]
-    x = x[~adj[lab[x], lab[succ[x]]]]
+    x = x[~_is_edge(h, lab[x], lab[succ[x]])]
     return list(zip(x.tolist(), succ[x].tolist()))
 
 
-def verify_hom(g: FunctionalGraph, psi: Labeling, h: Digraph) -> bool:
-    """True when the total labeling maps every edge of G into H."""
-    if np.any(label_array(psi) < 0):
-        raise ValueError("verify_hom expects a total labeling")
-    return not hom_violations(g, psi, h)
+def _is_edge(h: Digraph, u: np.ndarray, v: np.ndarray,
+             matrix: bool | None = None) -> np.ndarray:
+    """Whether each pair (u[i], v[i]) is an edge of H.
+
+    A lookup in H's m x m bool matrix while that is small next to the
+    queries (``matrix`` forces the choice); otherwise sorted pair keys,
+    in memory linear in H's edges and the queries.  A key numbers a
+    pair's ends among all the ends present, so it fits int64 whatever m
+    is.
+    """
+    if matrix is None:
+        matrix = h.m * h.m <= max(len(u), 1 << 16)
+    if matrix:
+        adj = np.zeros((h.m, h.m), dtype=bool)
+        adj[[a for a, _ in h.edges], [b for _, b in h.edges]] = True
+        return adj[u, v]
+    pairs = np.r_[np.reshape(sorted(h.edges), (-1, 2)), np.c_[u, v]]
+    ends = np.unique(pairs, return_inverse=True)[1].reshape(-1, 2)
+    keys = ends[:, 0] * pairs.size + ends[:, 1]
+    return np.isin(keys[len(h.edges):], keys[:len(h.edges)])
 
 
 def solve_loop(g: FunctionalGraph, h: Digraph) -> np.ndarray:
@@ -253,65 +264,3 @@ def _cycle_labels(adj: list[list[int]], allowed: list[list[int]],
     if a not in adj[labels[-1]]:
         return None
     return labels
-
-
-def retract_to_strong_components(
-        g: FunctionalGraph, psi: Labeling,
-        h: Digraph) -> tuple[np.ndarray, Partition]:
-    """Rewrite a homomorphism so images stay in strong components of H.
-
-    For each weak component of G the image of its cycle already sits in
-    one strong component A; every other vertex x is relabeled by
-    walking backwards inside A from the image of the first vertex after
-    which the orbit's images never leave A.  Returns the new labeling
-    together with the partition of G's vertices by that target strong
-    component.
-    """
-    if not g.is_total:
-        raise ValueError("retraction expects a total graph")
-    if not verify_hom(g, psi, h):
-        raise ValueError("psi is not a homomorphism")
-    psi = label_array(psi).tolist()
-    scc = h.scc()
-    radj = h.radj()
-    n = g.n
-    cls = [scc.class_id(v) for v in psi]
-    # tail_k[x]: least k such that all images from f^k(x) on lie in the
-    # target component; land[x] = f^{tail_k}(x)
-    tail_k = [0] * n
-    land = list(range(n))
-    target = [0] * n  # scc class id per G-vertex
-    for cyc in g.cycles():
-        assert len({cls[x] for x in cyc}) == 1, \
-            "cycle image spans several components"
-        for x in cyc:
-            target[x] = cls[x]
-    succ = g.succ
-    for x in g.tree_order():
-        y = succ[x]
-        target[x] = target[y]
-        if cls[x] == target[x] and tail_k[y] == 0:
-            continue
-        tail_k[x] = tail_k[y] + 1
-        land[x] = land[y]
-    # backward chains inside each strong component: chain[v][k] is the
-    # least in-neighbor walk of length k ending at v
-    chain: dict[int, list[int]] = {}
-
-    def back(v: int, k: int) -> int:
-        steps = chain.setdefault(v, [v])
-        while len(steps) <= k:
-            tail = steps[-1]
-            cid = scc.class_id(v)
-            inside = [u for u in radj[tail] if scc.class_id(u) == cid]
-            if not inside:
-                raise GraphShapeError(
-                    "strong component has no internal in-edge")
-            steps.append(min(inside))
-        return steps[k]
-
-    psi2 = np.array([back(psi[land[x]], tail_k[x]) for x in range(n)],
-                    dtype=np.int64)
-    bad = hom_violations(g, psi2, h)
-    assert not bad, bad
-    return psi2, Partition(np.array(target))

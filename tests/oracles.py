@@ -8,6 +8,7 @@ own algorithms, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import deque
 from math import gcd
 from types import SimpleNamespace
@@ -160,6 +161,67 @@ def countdown_violations(g, labels, spacing: int) -> list[tuple[int, int]]:
     """The edges ``hitting.check_labeling`` finds breaking the invariant."""
     from funcgraphs.hitting import check_labeling
     return check_labeling(g, labels, spacing)[0]
+
+
+def countdown_digraph(spacing: int, top: int):
+    """Digraph on 0..top: edges k -> k-1 for k > 0, and 0 -> l for every
+    l >= spacing.
+
+    Vertices count down to 0 and then reset to at least ``spacing``, so
+    a labeling with labels up to ``top`` is a homomorphism into it
+    exactly when ``hitting.check_labeling`` finds no violation.
+    """
+    from funcgraphs.digraphs import Digraph
+    if spacing < 1:
+        raise ValueError("spacing must be >= 1")
+    if top < spacing + 1:
+        raise ValueError("top must be >= spacing + 1 so that 0 has an edge "
+                         "and resets can vary")
+    edges = [(k, k - 1) for k in range(1, top + 1)]
+    edges += [(0, l) for l in range(spacing, top + 1)]
+    return Digraph(top + 1, edges)
+
+
+# ---- random generators, one stdlib draw at a time ----
+#
+# The original ``graphs.gen_random_forest`` and ``gen_random_total``,
+# kept as the reference for the bulk replay of their draws.  They
+# return the successor list, -1 for a sink.
+
+def gen_random_forest_loop(n: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    order = rng.sample(range(n), n)
+    ntrees = 1 if n < 20 else rng.choice([1, 1, 1, 2, 3])
+    ntrees = min(ntrees, n)
+    succ = [-1] * n
+    placed: list[int] = []
+    idx = 0
+    backbone_total = max(ntrees, n // 2)
+    per_tree = backbone_total // ntrees
+    for _ in range(ntrees):
+        root = order[idx]
+        idx += 1
+        placed.append(root)
+        prev = root
+        for _ in range(per_tree - 1):
+            if idx >= n:
+                break
+            v = order[idx]
+            idx += 1
+            succ[v] = prev
+            placed.append(v)
+            prev = v
+    while idx < n:
+        v = order[idx]
+        idx += 1
+        succ[v] = placed[rng.randrange(len(placed))]
+        placed.append(v)
+    return succ
+
+
+def gen_random_total_loop(n: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(n) for _ in range(n)]
 
 
 # ---- undirected metric on functional graphs ----
@@ -613,10 +675,86 @@ def brute_force_hom(succ: list[int | None], m: int,
     return list(psi) if rec(0) else None
 
 
+# ---- homomorphism checks and the retraction onto strong components ----
+
+def verify_hom(g, psi, h) -> bool:
+    """True when the total labeling maps every edge of G into H."""
+    from funcgraphs.graphs import label_array
+    from funcgraphs.homsolver import hom_violations
+    if np.any(label_array(psi) < 0):
+        raise ValueError("verify_hom expects a total labeling")
+    return not hom_violations(g, psi, h)
+
+
+def retract_to_strong_components(g, psi, h):
+    """Rewrite a homomorphism so images stay in strong components of H.
+
+    For each weak component of G the image of its cycle already sits in
+    one strong component A; every other vertex x is relabeled by
+    walking backwards inside A from the image of the first vertex after
+    which the orbit's images never leave A.  Returns the new labeling
+    together with the partition of G's vertices by that target strong
+    component.  One pass over G's tree order; ``retract_by_components``
+    below is its per-component reference.
+    """
+    from funcgraphs.digraphs import GraphShapeError
+    from funcgraphs.graphs import label_array
+    from funcgraphs.homsolver import hom_violations
+    from funcgraphs.partition import Partition
+    if not g.is_total:
+        raise ValueError("retraction expects a total graph")
+    if not verify_hom(g, psi, h):
+        raise ValueError("psi is not a homomorphism")
+    psi = label_array(psi).tolist()
+    scc = h.scc()
+    radj = h.radj()
+    n = g.n
+    cls = [scc.class_id(v) for v in psi]
+    # tail_k[x]: least k such that all images from f^k(x) on lie in the
+    # target component; land[x] = f^{tail_k}(x)
+    tail_k = [0] * n
+    land = list(range(n))
+    target = [0] * n  # scc class id per G-vertex
+    for cyc in g.cycles():
+        assert len({cls[x] for x in cyc}) == 1, \
+            "cycle image spans several components"
+        for x in cyc:
+            target[x] = cls[x]
+    succ = g.succ
+    for x in g.tree_order():
+        y = succ[x]
+        target[x] = target[y]
+        if cls[x] == target[x] and tail_k[y] == 0:
+            continue
+        tail_k[x] = tail_k[y] + 1
+        land[x] = land[y]
+    # backward chains inside each strong component: chain[v][k] is the
+    # least in-neighbor walk of length k ending at v
+    chain: dict[int, list[int]] = {}
+
+    def back(v: int, k: int) -> int:
+        steps = chain.setdefault(v, [v])
+        while len(steps) <= k:
+            tail = steps[-1]
+            cid = scc.class_id(v)
+            inside = [u for u in radj[tail] if scc.class_id(u) == cid]
+            if not inside:
+                raise GraphShapeError(
+                    "strong component has no internal in-edge")
+            steps.append(min(inside))
+        return steps[k]
+
+    psi2 = np.array([back(psi[land[x]], tail_k[x]) for x in range(n)],
+                    dtype=np.int64)
+    bad = hom_violations(g, psi2, h)
+    assert not bad, bad
+    return psi2, Partition(np.array(target))
+
+
 # ---- per-component homomorphism decision and retraction ----
 #
 # The original component-by-component implementations of
-# ``homsolver.decide_hom`` and ``homsolver.retract_to_strong_components``,
+# ``homsolver.decide_hom`` and ``retract_to_strong_components`` (above),
 # kept as the reference for the whole-graph versions.  They share the
 # cycle labelling ``homsolver._cycle_labels`` with the library.
 

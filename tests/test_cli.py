@@ -393,25 +393,41 @@ def test_inputs_too_large_to_allocate_are_usage_errors(tmp_path, capsys,
                                two_three_path(tmp_path), "-p", "3"))
 
 
-@pytest.mark.parametrize("argv", [
+def no_draws(seed):
+    raise AssertionError("random draws started")
+
+
+RANDOM_GRAPH_ARGV = [
     ["gen", "--kind", "forest"],
     ["gen", "--kind", "total"],
-    ["gen", "--kind", "path"],
     ["hit"],
     ["drhom"],
     ["asdim"],
     ["hom", "--template", "h23.json"],
-])
+]
+
+
+@pytest.mark.parametrize("argv",
+                         RANDOM_GRAPH_ARGV + [["gen", "--kind", "path"]])
 @pytest.mark.parametrize("n", [2 ** 63, 10 ** 20])
 def test_generator_sizes_beyond_int64_are_usage_errors(tmp_path, capsys,
                                                        monkeypatch, argv, n):
-    def no_draws(seed):
-        raise AssertionError("random draws started")
-
     monkeypatch.chdir(tmp_path)
     two_three_path(tmp_path)
     monkeypatch.setattr(funcgraphs.graphs.random, "Random", no_draws)
     assert_one_line_error(*run(capsys, *argv, "--n", str(n)))
+
+
+@pytest.mark.parametrize("argv", RANDOM_GRAPH_ARGV)
+def test_random_graph_sizes_above_the_cap_are_usage_errors(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    # MAX_GEN_NODES + 1: rejected before any draw, never generated
+    monkeypatch.chdir(tmp_path)
+    two_three_path(tmp_path)
+    monkeypatch.setattr(funcgraphs.graphs.random, "Random", no_draws)
+    code, report, err = run(capsys, *argv, "--n", "4294967296")
+    assert_one_line_error(code, report, err)
+    assert "4294967295" in err
 
 
 @pytest.mark.parametrize("argv", [["classify"], ["hom", "--n", "10"]])

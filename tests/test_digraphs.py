@@ -5,8 +5,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from funcgraphs.digraphs import (
-    Digraph, GraphShapeError, TemplateClass, classify, countdown_digraph,
-    parse_walk, path_of_length, power_walk, wielandt_bound)
+    Digraph, GraphShapeError, TemplateClass, classify, parse_walk,
+    path_of_length, power_walk, wielandt_bound)
+from oracles import countdown_digraph
 from strategies import digraph_templates, strongly_connected_templates
 
 

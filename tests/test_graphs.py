@@ -1,4 +1,5 @@
 import json
+import random
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from funcgraphs.graphs import (
-    UNBOUNDED, FunctionalGraph, ball_class_counts, class_diameters, gen_path,
-    gen_random_forest, gen_random_total, path_ends, proximity_classes,
-    sorted_unique)
+    MAX_GEN_NODES, UNBOUNDED, FunctionalGraph, _randbelow_bulk,
+    ball_class_counts, class_diameters, gen_path, gen_random_forest,
+    gen_random_total, path_ends, proximity_classes, sorted_unique)
 from funcgraphs.partition import Partition
 from strategies import (
     forest_graphs, functional_graphs, partial_graphs, total_graphs)
@@ -216,6 +217,64 @@ def test_forest_generator_keeps_deep_interior():
     assert g.acyclic
     assert len(oracles.interior(g, 200)) > 0
 
+
+
+def assert_generators_match_loops(n, seed):
+    assert gen_random_forest(n, seed).succ_array.tolist() == \
+        oracles.gen_random_forest_loop(n, seed)
+    assert gen_random_total(n, seed).succ_array.tolist() == \
+        oracles.gen_random_total_loop(n, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers())
+def test_generators_replay_the_stdlib_loops(n, seed):
+    assert_generators_match_loops(n, seed)
+
+
+@pytest.mark.parametrize("n", sorted(
+    {2 ** k + d for k in (1, 2, 4, 5, 8, 11, 14) for d in (-1, 0, 1)}
+    | {2 * 10 ** 5}))
+def test_generators_replay_the_stdlib_loops_at_powers_of_two(n):
+    assert_generators_match_loops(n, n % 7)
+
+
+MIXED_BOUNDS = [1, 2, 3, 4, 5, 7, 8, 9, 1, 1, 2 ** 31 - 1, 2 ** 31,
+                2 ** 31 + 1, 2 ** 32 - 1, 16, 15, 17, 1, 2 ** 32 - 1, 6]
+
+
+@pytest.mark.parametrize("bounds", [
+    [], [1], [2 ** 32 - 1], MIXED_BOUNDS, MIXED_BOUNDS * 50,
+    list(range(5000, 0, -1)), list(range(1, 5000)), [1] * 3000,
+    [2 ** 16] * 3000 + [2 ** 16 + 1] * 3000])
+def test_randbelow_bulk_matches_randrange(bounds):
+    want, got = random.Random(5), random.Random(5)
+    assert _randbelow_bulk(got, np.array(bounds, dtype=np.int64)).tolist() \
+        == [want.randrange(b) for b in bounds]
+    assert got.getstate() == want.getstate()  # no word drawn past them
+
+
+@settings(max_examples=80)
+@given(st.lists(st.one_of(st.integers(1, 70),
+                          st.sampled_from([2 ** k for k in range(32)]),
+                          st.integers(1, MAX_GEN_NODES))),
+       st.integers())
+def test_randbelow_bulk_matches_randrange_on_any_bounds(bounds, seed):
+    want, got = random.Random(seed), random.Random(seed)
+    assert _randbelow_bulk(got, np.array(bounds, dtype=np.int64)).tolist() \
+        == [want.randrange(b) for b in bounds]
+    assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("gen", [gen_random_forest, gen_random_total])
+@pytest.mark.parametrize("n", [0, MAX_GEN_NODES + 1, 2 ** 63])
+def test_generator_sizes_outside_the_cap_are_rejected(monkeypatch, gen, n):
+    def no_draws(seed):
+        raise AssertionError("random draws started")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    with pytest.raises(ValueError, match="n must be in"):
+        gen(n, 0)
 
 @settings(max_examples=30)
 @given(forest_graphs())

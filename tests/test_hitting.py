@@ -4,9 +4,10 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
 from funcgraphs.hitting import (
-    greedy_hitting, hitting_from_cover, hitting_from_equivalence,
-    hitting_from_labeling, is_forward_independent, is_hitting,
-    labeling_from_hitting, periodic_hitting)
+    check_labeling, greedy_hitting, hitting_from_cover,
+    hitting_from_equivalence, hitting_from_labeling, is_forward_independent,
+    is_hitting, labeling_from_hitting, periodic_hitting)
+from funcgraphs.homsolver import hom_violations
 from strategies import (
     forest_graphs, functional_graphs, member_sets, partial_graphs)
 
@@ -276,6 +277,24 @@ def test_countdown_edge_checks_match_edge_loop(case, spacing):
         {x for x, v in enumerate(labels) if v == 0}
     assert hs.horizon == max((v for v in labels if v is not None),
                              default=0)
+
+
+@settings(max_examples=300)
+@given(forest_graphs(), st.sampled_from(["countdown", "total", "partial"]),
+       st.integers(1, 5), st.data())
+def test_countdown_check_is_a_hom_into_the_countdown_digraph(g, mode,
+                                                             spacing, data):
+    if mode == "countdown":  # partial where no member lies ahead
+        labels = oracles.labeling_fold(g, data.draw(member_sets(g)))
+    else:
+        label = st.integers(0, 8)
+        if mode == "partial":
+            label = st.one_of(st.none(), label)
+        labels = data.draw(st.lists(label, min_size=g.n, max_size=g.n))
+    top = max([spacing + 1] + [v for v in labels if v is not None])
+    h = oracles.countdown_digraph(spacing, top)
+    assert check_labeling(g, labels, spacing)[0] == \
+        hom_violations(g, labels, h)
 
 
 def test_members_must_be_vertices():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest, \
     gen_random_total, label_array
 from funcgraphs.hitting import HittingSet, greedy_hitting, periodic_hitting
 from funcgraphs.homsolver import (
-    decide_hom, ergodic_solver_data, hom_violations,
-    retract_to_strong_components, solve_ergodic, solve_loop, verify_hom)
+    _is_edge, decide_hom, ergodic_solver_data, hom_violations, solve_ergodic,
+    solve_loop)
+from oracles import retract_to_strong_components, verify_hom
 from strategies import (
     digraph_templates, ergodic_templates, forest_graphs, functional_graphs,
     total_graphs)
@@ -319,6 +321,40 @@ def test_hom_violations_match_edge_loop(g, h, data):
     psi = data.draw(st.lists(st.one_of(st.none(), st.integers(0, h.m - 1)),
                              min_size=g.n, max_size=g.n))
     assert hom_violations(g, psi, h) == oracles.hom_violations_loop(g, psi, h)
+
+
+@settings(max_examples=200)
+@given(digraph_templates(max_m=8), st.data())
+def test_edge_matrix_and_edge_keys_agree(h, data):
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, h.m - 1),
+                                         st.integers(0, h.m - 1))))
+    u, v = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+    want = [p in h.edges for p in pairs]
+    assert _is_edge(h, u, v, matrix=True).tolist() == want
+    assert _is_edge(h, u, v, matrix=False).tolist() == want
+
+
+def test_edge_keys_past_int64():
+    big = 2 ** 70
+    h = Digraph(big + 2, [(big, big + 1), (3, big)])
+    u = np.array([big, 3, big, big + 1], dtype=object)
+    v = np.array([big + 1, big, big, big + 1], dtype=object)
+    assert _is_edge(h, u, v).tolist() == [True, True, False, False]
+
+
+def test_a_large_template_needs_no_matrix():
+    # 60,000 loops: the m x m matrix would take 3.6 GB for 9 edge lookups
+    h = Digraph(60_000, [(v, v) for v in range(60_000)])
+    g = gen_path(10)
+    tracemalloc.start()
+    try:
+        assert hom_violations(g, solve_loop(g, h), h) == []
+        assert hom_violations(g, np.arange(10), h) == \
+            [(x, x + 1) for x in range(9)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
 
 
 def test_hom_violations_names_a_label_outside_the_template():
