@@ -53,26 +53,16 @@ def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
     return list(zip(x.tolist(), succ[x].tolist()))
 
 
-def _is_edge(h: Digraph, u: np.ndarray, v: np.ndarray,
-             matrix: bool | None = None) -> np.ndarray:
+def _is_edge(h: Digraph, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Whether each pair (u[i], v[i]) is an edge of H.
 
-    A lookup in H's m x m bool matrix while that is small next to the
-    queries (``matrix`` forces the choice); otherwise sorted pair keys,
-    in memory linear in H's edges and the queries.  A key numbers a
-    pair's ends among all the ends present, so it fits int64 whatever m
-    is.
+    Looks the pair keys u*m + v up among H's edge keys, in memory linear
+    in H's edges and the queries; the keys are Python ints when m*m
+    does not fit int64.
     """
-    if matrix is None:
-        matrix = h.m * h.m <= max(len(u), 1 << 16)
-    if matrix:
-        adj = np.zeros((h.m, h.m), dtype=bool)
-        adj[[a for a, _ in h.edges], [b for _, b in h.edges]] = True
-        return adj[u, v]
-    pairs = np.r_[np.reshape(sorted(h.edges), (-1, 2)), np.c_[u, v]]
-    ends = np.unique(pairs, return_inverse=True)[1].reshape(-1, 2)
-    keys = ends[:, 0] * pairs.size + ends[:, 1]
-    return np.isin(keys[len(h.edges):], keys[:len(h.edges)])
+    dt = np.int64 if h.m * h.m < 2 ** 63 else object
+    a, b = np.array(sorted(h.edges), dtype=dt).reshape(-1, 2).T
+    return np.isin(u.astype(dt) * h.m + v, a * h.m + b)
 
 
 def solve_loop(g: FunctionalGraph, h: Digraph) -> np.ndarray:

@@ -224,6 +224,12 @@ def gen_random_total_loop(n: int, seed: int) -> list[int]:
     return [rng.randrange(n) for _ in range(n)]
 
 
+def no_draws(seed):
+    """Stand-in for ``random.Random`` in tests that a size check must
+    stop before any draw."""
+    raise AssertionError("random draws started")
+
+
 # ---- undirected metric on functional graphs ----
 
 def undirected_adj(succ: list[int | None]) -> list[list[int]]:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import funcgraphs
+import oracles
 from funcgraphs import hitting, homsolver
 from funcgraphs.cli import main
 
@@ -393,10 +394,6 @@ def test_inputs_too_large_to_allocate_are_usage_errors(tmp_path, capsys,
                                two_three_path(tmp_path), "-p", "3"))
 
 
-def no_draws(seed):
-    raise AssertionError("random draws started")
-
-
 RANDOM_GRAPH_ARGV = [
     ["gen", "--kind", "forest"],
     ["gen", "--kind", "total"],
@@ -414,7 +411,7 @@ def test_generator_sizes_beyond_int64_are_usage_errors(tmp_path, capsys,
                                                        monkeypatch, argv, n):
     monkeypatch.chdir(tmp_path)
     two_three_path(tmp_path)
-    monkeypatch.setattr(funcgraphs.graphs.random, "Random", no_draws)
+    monkeypatch.setattr(funcgraphs.graphs.random, "Random", oracles.no_draws)
     assert_one_line_error(*run(capsys, *argv, "--n", str(n)))
 
 
@@ -424,7 +421,7 @@ def test_random_graph_sizes_above_the_cap_are_usage_errors(tmp_path, capsys,
     # MAX_GEN_NODES + 1: rejected before any draw, never generated
     monkeypatch.chdir(tmp_path)
     two_three_path(tmp_path)
-    monkeypatch.setattr(funcgraphs.graphs.random, "Random", no_draws)
+    monkeypatch.setattr(funcgraphs.graphs.random, "Random", oracles.no_draws)
     code, report, err = run(capsys, *argv, "--n", "4294967296")
     assert_one_line_error(code, report, err)
     assert "4294967295" in err

@@ -218,7 +218,6 @@ def test_forest_generator_keeps_deep_interior():
     assert len(oracles.interior(g, 200)) > 0
 
 
-
 def assert_generators_match_loops(n, seed):
     assert gen_random_forest(n, seed).succ_array.tolist() == \
         oracles.gen_random_forest_loop(n, seed)
@@ -269,12 +268,10 @@ def test_randbelow_bulk_matches_randrange_on_any_bounds(bounds, seed):
 @pytest.mark.parametrize("gen", [gen_random_forest, gen_random_total])
 @pytest.mark.parametrize("n", [0, MAX_GEN_NODES + 1, 2 ** 63])
 def test_generator_sizes_outside_the_cap_are_rejected(monkeypatch, gen, n):
-    def no_draws(seed):
-        raise AssertionError("random draws started")
-
-    monkeypatch.setattr(random, "Random", no_draws)
+    monkeypatch.setattr(random, "Random", oracles.no_draws)
     with pytest.raises(ValueError, match="n must be in"):
         gen(n, 0)
+
 
 @settings(max_examples=30)
 @given(forest_graphs())
