@@ -277,6 +277,12 @@ def _cmd_shift(args) -> int:
 def _cmd_local(args) -> int:
     if (args.spacing is None) == (args.template is None):
         raise _Malformed("give exactly one of --spacing or --template")
+    if args.template is None:
+        alg = local_sim.RulingSetAlgorithm(args.spacing)
+        try:  # both grow as 3**levels, past what int-to-str may print
+            json.dumps([alg.total_rounds(args.n), alg.gap_bound()])
+        except ValueError:
+            raise _Malformed("-r too large to print the round count") from None
     net = local_sim.make_path_network(args.n, args.seed,
                                       segments=args.segments)
     if args.template is not None:
@@ -293,7 +299,6 @@ def _cmd_local(args) -> int:
         _emit(report, f"template solving in {trace.rounds} rounds: "
               f"{labeled}/{args.n} labeled, {len(bad)} violations")
         return PASS if ok else FAIL
-    alg = local_sim.RulingSetAlgorithm(args.spacing)
     trace = local_sim.run_local(alg, net, round_cap=args.cap)
     check = local_sim.verify_ruling(net, trace.outputs, args.spacing,
                                     alg.gap_bound())

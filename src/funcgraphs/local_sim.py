@@ -14,7 +14,9 @@ the runs.
 Two engines produce identical results: a per-node reference engine
 that runs any algorithm object, and a vectorized engine for the
 ruling-set algorithm, which :func:`run_local` picks whenever the
-network is index-contiguous.
+network is index-contiguous.  It carries uint8 colors after the first
+color-reduction step and stops at the first level where every path has
+one member, since every later level keeps exactly those.
 
 The ruling-set algorithm runs in rounds independent of n for a fixed
 identifier-space width: a color-reduction phase shrinks identifiers to
@@ -245,8 +247,8 @@ class RulingSetAlgorithm:
         return 3 ** (self.levels + 1)
 
     def total_rounds(self, n: int) -> int:
-        blocks = cv_iterations(n) + 6
-        return blocks * sum(3 ** k for k in range(self.levels + 1))
+        blocks = cv_iterations(n) + 6  # per level k, of 3**k rounds each
+        return blocks * (self.gap_bound() - 1) // 2  # sum of 3**k, k <= levels
 
     # ---- reference engine protocol ----
 
@@ -302,42 +304,44 @@ class RulingSetAlgorithm:
 
     def vector_outputs(self, net: PathNetwork) -> np.ndarray:
         assert net.contiguous
-        n = net.n
-        iters = cv_iterations(n)
-        cur = np.arange(n)
-        for _ in range(self.levels + 1):
+        iters = cv_iterations(net.n)
+        cur = slice(None)  # level 0 reads every node without a gather
+        for level in range(self.levels + 1):
             segs = net.sinks[cur]  # one sink per segment
             heads = np.r_[True, segs[1:] != segs[:-1]]
+            if heads.all():  # one node per path: all join, here and later
+                break
             colors = _cv_vector(net.id_array[cur], heads, iters)
             joined = _mis_vector(colors, heads)
-            cur = cur[joined]
-        out = np.zeros(n, dtype=bool)
+            cur = np.flatnonzero(joined) if level == 0 else cur[joined]
+        out = np.zeros(net.n, dtype=bool)
         out[cur] = True
         return out
 
 
 def _cv_vector(colors: np.ndarray, heads: np.ndarray,
                iters: int) -> np.ndarray:
-    colors = colors.copy()
+    """Color reduction on the runs that start at ``heads``; from the
+    first step on the colors are below 2 * 63, so uint8."""
     for _ in range(iters):
-        diff = colors ^ np.r_[0, colors[:-1]]
-        assert bool(np.all(diff[~heads] != 0)), "adjacent equal colors"
-        diff = np.where(heads, 1, diff)
-        i = np.bitwise_count((diff & -diff) - 1)  # the lowest set bit
-        nxt = 2 * i + ((colors >> i) & 1)
-        colors = np.where(heads, colors & 1, nxt)
+        diff = np.empty_like(colors)
+        np.bitwise_xor(colors[1:], colors[:-1], out=diff[1:])
+        diff[:1] = 1
+        diff |= heads  # lowest set bit 0 at a head: it takes color & 1
+        assert diff.all(), "adjacent equal colors"
+        low = np.bitwise_count((diff & -diff) - 1)  # lowest set bit
+        colors = 2 * low + ((colors >> low) & 1).astype(np.uint8)
     return colors
 
 
 def _mis_vector(colors: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    m = len(colors)
-    joined = np.zeros(m, dtype=bool)
-    tails = np.r_[heads[1:], True]
-    for phase in range(6):
-        nb = np.zeros(m, dtype=bool)
-        nb[1:] |= joined[:-1] & ~tails[:-1]
-        nb[:-1] |= joined[1:] & ~heads[1:]
-        joined |= (colors == phase) & ~nb
+    link = ~heads[1:]  # node i and i + 1 are on one path
+    joined = colors == 0
+    for phase in range(1, 6):
+        free = colors == phase
+        free[1:] &= ~(joined[:-1] & link)
+        free[:-1] &= ~(joined[1:] & link)
+        joined |= free
     return joined
 
 

@@ -994,6 +994,51 @@ def reference_only(alg) -> SimpleNamespace:
                            step=alg.step, finish=alg.finish)
 
 
+def ruling_outputs_every_level(alg, net) -> np.ndarray:
+    """The first ``RulingSetAlgorithm.vector_outputs``, kept as the
+    reference for the vector kernel: every level on int64 colors, each
+    gathered through ``cur``, with no stop at the fixed point."""
+    from funcgraphs.local_sim import cv_iterations
+
+    n = net.n
+    iters = cv_iterations(n)
+    cur = np.arange(n)
+    for _ in range(alg.levels + 1):
+        segs = net.sinks[cur]  # one sink per segment
+        heads = np.r_[True, segs[1:] != segs[:-1]]
+        colors = cv_vector_int64(net.id_array[cur], heads, iters)
+        joined = mis_vector_padded(colors, heads)
+        cur = cur[joined]
+    out = np.zeros(n, dtype=bool)
+    out[cur] = True
+    return out
+
+
+def cv_vector_int64(colors: np.ndarray, heads: np.ndarray,
+                    iters: int) -> np.ndarray:
+    colors = colors.copy()
+    for _ in range(iters):
+        diff = colors ^ np.r_[0, colors[:-1]]
+        assert bool(np.all(diff[~heads] != 0)), "adjacent equal colors"
+        diff = np.where(heads, 1, diff)
+        i = np.bitwise_count((diff & -diff) - 1)  # the lowest set bit
+        nxt = 2 * i + ((colors >> i) & 1)
+        colors = np.where(heads, colors & 1, nxt)
+    return colors
+
+
+def mis_vector_padded(colors: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    m = len(colors)
+    joined = np.zeros(m, dtype=bool)
+    tails = np.r_[heads[1:], True]
+    for phase in range(6):
+        nb = np.zeros(m, dtype=bool)
+        nb[1:] |= joined[:-1] & ~tails[:-1]
+        nb[:-1] |= joined[1:] & ~heads[1:]
+        joined |= (colors == phase) & ~nb
+    return joined
+
+
 def verify_ruling_by_graph(net, members, spacing: int, gap_bound: int) -> dict:
     """The original ``local_sim.verify_ruling``, kept as the reference for
     the array verifier: it runs the hitting-set module's independence

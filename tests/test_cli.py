@@ -384,6 +384,28 @@ def test_power_exponent_out_of_range_is_a_usage_error(tmp_path, capsys,
     assert "-p" in err
 
 
+@pytest.mark.parametrize("cap", [[], ["--cap", "10"]])
+def test_unprintable_spacing_is_a_usage_error_before_the_build(
+        capsys, monkeypatch, cap):
+    # 4000 digits parse, but 3**13289 rounds exceed the 4300-digit limit
+    # on printing an int
+    def no_network(*args, **kwargs):
+        raise AssertionError("network built")
+
+    monkeypatch.setattr(funcgraphs.local_sim, "make_path_network", no_network)
+    code, report, err = run(capsys, "local", "-r", "9" * 4000, "--n", "50",
+                            *cap)
+    assert_one_line_error(code, report, err)
+    assert "-r" in err
+
+
+def test_huge_printable_spacing_runs(capsys):
+    code, report, _ = run(capsys, "local", "-r", str(2 ** 2000), "--n", "50",
+                          "--segments", "3")
+    assert code == 0 and report["ok"] and report["members"] == 3
+    assert report["gap_bound"] == 3 ** 2001
+
+
 def test_inputs_too_large_to_allocate_are_usage_errors(tmp_path, capsys,
                                                        monkeypatch):
     def out_of_memory(h, walk):

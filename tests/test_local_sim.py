@@ -280,7 +280,7 @@ def test_ruling_set_midsize_passes_central_verifiers():
        order_seed=st.one_of(st.none(), st.integers(0, 99)))
 def test_engines_agree(n, data, id_mode, spacing, seed, order_seed):
     net = make_path_network(n, seed=seed, id_mode=id_mode,
-                            segments=data.draw(st.integers(1, min(n, 8))))
+                            segments=data.draw(st.integers(1, n)))
     alg = RulingSetAlgorithm(spacing)
     vec = run_local(alg, net)
     ref = run_local(oracles.reference_only(alg), net, order_seed=order_seed)
@@ -341,6 +341,14 @@ def test_round_counts_flat_in_network_size():
         large = alg.total_rounds(10**6)
         assert small == rounds
         assert large - small <= 2
+
+
+def test_total_rounds_is_the_sum_over_levels():
+    for spacing in (1, 2, 3, 4, 5, 63, 64, 2 ** 20, 10 ** 6, 2 ** 200 + 1):
+        alg = RulingSetAlgorithm(spacing)
+        for n in (1, 2, 1000, MAX_NODES):
+            assert alg.total_rounds(n) == (cv_iterations(n) + 6) * sum(
+                3 ** k for k in range(alg.levels + 1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -538,11 +546,34 @@ def test_builder_networks_are_array_backed():
     assert not {"ids", "succ", "pred"} & set(vars(net))
 
 
+def draw_heads(data, m: int) -> list[bool]:
+    """Path starts: node 0 and any set of others, adjacent ones (one-node
+    paths) included."""
+    starts = data.draw(st.sets(st.integers(1, m - 1)) if m > 1
+                       else st.just(set()))
+    return [i == 0 or i in starts for i in range(m)]
+
+
 def cv_fold(colors: list[int], heads: list[bool], iters: int) -> list[int]:
     for _ in range(iters):
         colors = [local_sim._cv_combine(c, None if h else p)
                   for c, h, p in zip(colors, heads, [None] + colors[:-1])]
     return colors
+
+
+def mis_fold(colors: list[int], heads: list[bool]) -> list[bool]:
+    """Six synchronous phases, node by node: in phase p a node of color
+    p joins unless a neighbor on its path joined in an earlier phase."""
+    m = len(colors)
+    joined = [False] * m
+    for phase in range(6):
+        before = joined[:]
+        for i in range(m):
+            left = i > 0 and not heads[i] and before[i - 1]
+            right = i + 1 < m and not heads[i + 1] and before[i + 1]
+            if colors[i] == phase and not (left or right):
+                joined[i] = True
+    return joined
 
 
 @settings(max_examples=150, deadline=None)
@@ -553,8 +584,56 @@ def cv_fold(colors: list[int], heads: list[bool], iters: int) -> list[int]:
                     min_size=1, max_size=40, unique=True),
        iters=st.integers(0, cv_iterations(MAX_NODES) + 1), data=st.data())
 def test_cv_vector_matches_per_node_fold(ids, iters, data):
-    starts = data.draw(st.sets(st.integers(1, len(ids) - 1))
-                       if len(ids) > 1 else st.just(set()))
-    heads = [i == 0 or i in starts for i in range(len(ids))]
+    heads = draw_heads(data, len(ids))
     got = local_sim._cv_vector(np.array(ids), np.array(heads), iters)
     assert got.tolist() == cv_fold(ids, heads, iters)
+    assert got.dtype == (np.uint8 if iters else np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colors=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+       data=st.data(), dtype=st.sampled_from([np.uint8, np.int64]))
+def test_mis_vector_matches_per_node_fold(colors, data, dtype):
+    # colors need not be proper: adjacent equal colors join together
+    heads = draw_heads(data, len(colors))
+    got = local_sim._mis_vector(np.array(colors, dtype=dtype),
+                                np.array(heads))
+    assert got.tolist() == mis_fold(colors, heads)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 400), data=st.data(),
+       id_mode=st.sampled_from(["random", "sorted", "reversed"]),
+       spacing=st.one_of(st.integers(1, 70), st.integers(1, 2 ** 20),
+                         st.sampled_from([2 ** k for k in range(21)])),
+       seed=st.integers(0, 99))
+def test_vector_outputs_match_the_every_level_kernel(n, data, id_mode,
+                                                     spacing, seed):
+    net = make_path_network(n, seed=seed, id_mode=id_mode,
+                            segments=data.draw(st.integers(1, n)))
+    alg = RulingSetAlgorithm(spacing)
+    got = alg.vector_outputs(net)
+    assert got.dtype == bool
+    assert np.array_equal(got, oracles.ruling_outputs_every_level(alg, net))
+
+
+@pytest.mark.parametrize("segments", [1, 3, 50])
+def test_vector_outputs_stop_at_the_fixed_point(monkeypatch, segments):
+    # 3**1000 rounds: past the fixed point every path keeps one member,
+    # and the kernel stops there instead of running 1000 levels
+    net = make_path_network(50, seed=segments, segments=segments)
+    alg = RulingSetAlgorithm(2 ** 1000)
+    want = oracles.ruling_outputs_every_level(RulingSetAlgorithm(2 ** 20),
+                                              net)
+    levels = []
+    mis = local_sim._mis_vector
+
+    def counted_mis(colors, heads):
+        levels.append(len(colors))
+        return mis(colors, heads)
+
+    monkeypatch.setattr(local_sim, "_mis_vector", counted_mis)
+    got = alg.vector_outputs(net)
+    assert np.array_equal(got, want)
+    assert np.unique(net.sinks[got]).size == np.count_nonzero(got) == segments
+    assert len(levels) < 20
