@@ -25,7 +25,8 @@ from typing import Iterable
 import numpy as np
 
 from .graphs import FunctionalGraph, ball_class_counts, \
-    class_diameters, csr_rows, path_ends, proximity_classes, sorted_unique
+    class_diameters, csr_rows, path_ends, proximity_classes, sorted_unique, \
+    vertex_array
 from .hitting import greedy_hitting, hitting_from_cover, \
     hitting_from_equivalence, is_forward_independent, is_hitting, next_member
 from .partition import Partition
@@ -117,18 +118,21 @@ def distance_parity_coloring(g: FunctionalGraph, members: Iterable[int],
                              t: int) -> ParityColoring:
     """Build the parity coloring for a spacing-independent member set.
 
-    ``dist`` and ``landing`` come from one :func:`next_member` call.  A
-    member's next member is more than spacing >= spacing/2 steps ahead,
-    so its color is its own stripe parity (or -1), and every other
-    color follows from it in closed form.
+    ``dist`` and ``landing`` come from one :func:`next_member` call,
+    which also shows independence: no member's next member is within
+    spacing steps.  A member's next member is then more than spacing >=
+    spacing/2 steps ahead, so its color is its own stripe parity (or
+    -1), and every other color follows from it in closed form.
     """
     params = WitnessParams(t)
     if not g.acyclic:
         raise ValueError("parity coloring requires an acyclic graph")
-    if not is_forward_independent(g, members, params.spacing):
+    members = vertex_array(members, g.n)
+    dist, landing = next_member(g, members)
+    ahead = dist[members]
+    if np.any((ahead > 0) & (ahead <= params.spacing)):
         raise ValueError(
             f"member set is not {params.spacing}-forward-independent")
-    dist, landing = next_member(g, members)
     stripe = np.where(dist < 0, -1, dist // params.stripe % 2)
     zbit = np.where(landing < 0, -1, stripe[landing])
     below = np.where(zbit == 1, (params.interval_of(dist) + 1) % 2,

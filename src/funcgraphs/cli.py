@@ -283,11 +283,12 @@ def _cmd_local(args) -> int:
             json.dumps([alg.total_rounds(args.n), alg.gap_bound()])
         except ValueError:
             raise _Malformed("-r too large to print the round count") from None
+    else:
+        h = _load_template(args.template)
+        alg = local_sim.TemplateSolverAlgorithm(h)
     net = local_sim.make_path_network(args.n, args.seed,
                                       segments=args.segments)
     if args.template is not None:
-        h = _load_template(args.template)
-        alg = local_sim.TemplateSolverAlgorithm(h)
         trace = local_sim.run_local(alg, net, round_cap=args.cap)
         labels = np.array(trace.outputs, dtype=np.int64)
         bad = homsolver.hom_violations(net, labels, h)

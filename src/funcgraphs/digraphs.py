@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -43,14 +44,6 @@ def wielandt_bound(m: int) -> int:
     return m * m - 2 * m + 2
 
 
-def _step(table: list[list[int]], reach: Iterable[int]) -> set[int]:
-    """Vertices one edge of ``table`` (adj or radj) away from ``reach``."""
-    nxt: set[int] = set()
-    for u in reach:
-        nxt.update(table[u])
-    return nxt
-
-
 class Digraph:
     """Digraph on vertices 0..m-1 with an edge set (loops allowed)."""
 
@@ -65,7 +58,6 @@ class Digraph:
         self.m = m
         self.edges: frozenset[tuple[int, int]] = frozenset(es)
         self._adj: list[list[int]] | None = None
-        self._radj: list[list[int]] | None = None
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Digraph":
@@ -98,13 +90,48 @@ class Digraph:
             self._adj = a
         return self._adj
 
-    def radj(self) -> list[list[int]]:
-        if self._radj is None:
-            a: list[list[int]] = [[] for _ in range(self.m)]
-            for u, v in sorted(self.edges):
-                a[v].append(u)
-            self._radj = a
-        return self._radj
+    @cached_property
+    def out_masks(self) -> list[int]:
+        """Per vertex, its out-neighbours as a vertex set: a Python int
+        with bit v set for each member v."""
+        return [sum(1 << v for v in vs) for vs in self.adj()]
+
+    @cached_property
+    def in_masks(self) -> list[int]:
+        """Per vertex, its in-neighbours as a vertex set."""
+        return Digraph(self.m, [(v, u) for u, v in self.edges]).out_masks
+
+    @staticmethod
+    def step(masks: list[int], reach: int) -> int:
+        """Vertices one edge of ``masks`` (out_masks or in_masks) away
+        from the vertex set ``reach``."""
+        out = 0
+        while reach:
+            low = reach & -reach
+            out |= masks[low.bit_length() - 1]
+            reach ^= low
+        return out
+
+    def least_walk(self, allowed: Sequence[int]) -> list[int] | None:
+        """Lexicographically least walk v_0, ..., v_k with each v_i in
+        the vertex set ``allowed[i]`` (k = len(allowed) - 1), or None.
+
+        ``can`` holds, from the last position back, the vertices of each
+        ``allowed[i]`` from which the walk can still be completed; each
+        v_i is the least of them that v_(i-1) has an edge to.
+        """
+        can = [allowed[-1]]
+        for mask in reversed(allowed[:-1]):
+            can.append(mask & self.step(self.in_masks, can[-1]))
+        walk: list[int] = []
+        reach = -1  # v_0 may be any vertex
+        for mask in reversed(can):
+            mask &= reach
+            if not mask:  # only at v_0: later positions meet by construction
+                return None
+            walk.append((mask & -mask).bit_length() - 1)
+            reach = self.out_masks[walk[-1]]
+        return walk
 
     def has_loop(self) -> bool:
         return any(u == v for u, v in self.edges)
@@ -200,12 +227,11 @@ class Digraph:
 
     def closed_walk_lengths(self, v: int, max_len: int) -> set[int]:
         """Lengths k <= max_len of closed walks at v (0 included)."""
-        adj = self.adj()
-        reach = {v}
+        reach = 1 << v
         lengths = {0}
         for k in range(1, max_len + 1):
-            reach = _step(adj, reach)
-            if v in reach:
+            reach = self.step(self.out_masks, reach)
+            if reach >> v & 1:
                 lengths.add(k)
             if not reach:
                 break
@@ -247,13 +273,12 @@ class Digraph:
             raise ValueError("digraph is not strongly connected")
         if self.component_period(range(self.m)) != 1:
             raise ValueError("digraph is not ergodic")
-        adj = self.adj()
-        everyone = frozenset(range(self.m))
+        everyone = (1 << self.m) - 1
         limit = wielandt_bound(self.m) + self.m
-        reach = {v0}
+        reach = 1 << v0
         worst = -1 if reach == everyone else 0  # the length-0 walk
         for k in range(1, limit + 1):
-            reach = _step(adj, reach)
+            reach = self.step(self.out_masks, reach)
             if reach != everyone:
                 worst = k
         if reach != everyone:
@@ -299,13 +324,13 @@ def power_walk(h: Digraph, walk: str) -> Digraph:
     Forward steps traverse edges head-wards, backward steps tail-wards.
     """
     walk = parse_walk(walk)
-    adj = h.adj()
-    radj = h.radj()
-    cur: list[set[int]] = [{x} for x in range(h.m)]
-    for step in walk:
-        table = adj if step == "f" else radj
-        cur = [_step(table, reach) for reach in cur]
-    edges = [(x, y) for x in range(h.m) for y in cur[x]]
+    masks = {"f": h.out_masks, "b": h.in_masks}
+    edges = []
+    for x in range(h.m):
+        reach = 1 << x
+        for c in walk:
+            reach = h.step(masks[c], reach)
+        edges.extend((x, y) for y in range(h.m) if reach >> y & 1)
     return Digraph(h.m, edges)
 
 
@@ -314,16 +339,7 @@ def path_of_length(h: Digraph, u: int, w: int, length: int) -> list[int] | None:
     exact length from u to w, or None."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    radj = h.radj()
-    can: list[set[int]] = [{w}]
-    for _ in range(length):
-        can.append(_step(radj, can[-1]))
-    if u not in can[length]:
-        return None
-    path = [u]
-    v = u
-    adj = h.adj()
-    for k in range(length, 0, -1):
-        v = min(x for x in adj[v] if x in can[k - 1])
-        path.append(v)
-    return path
+    allowed = [(1 << h.m) - 1] * (length + 1)
+    allowed[0] &= 1 << u
+    allowed[-1] &= 1 << w
+    return h.least_walk(allowed)

@@ -16,7 +16,8 @@ The ergodic solver reads each vertex's next member from
 :func:`funcgraphs.hitting.next_member`.  The total-graph passes sweep
 the whole graph's tree order (:meth:`FunctionalGraph.tree_order`, every
 off-cycle vertex after its successor), bottom-up or top-down, with
-feasible label sets as Python-int bitmasks over the template.
+feasible label sets as Python-int bitmasks over the template (see
+:meth:`Digraph.step` and :meth:`Digraph.least_walk`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digraphs import Digraph, GraphShapeError, path_of_length
-from .graphs import FunctionalGraph, Labeling, label_array
-from .hitting import HittingSet, is_forward_independent, next_member
+from .graphs import FunctionalGraph, Labeling, label_array, vertex_array
+from .hitting import HittingSet, next_member
 
 
 def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
@@ -147,16 +148,18 @@ def solve_ergodic(g: FunctionalGraph, data: ErgodicSolverData,
     vertex's steps to the first member ahead, and that member's own
     steps to the next, into a label; both come from one
     :func:`~funcgraphs.hitting.next_member` call.  Vertices whose
-    forward data is cut off by a sink get -1.
+    forward data is cut off by a sink get -1.  The same call shows
+    independence: no member's next member is within L steps.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
     ell0 = data.reach_all
-    members = hitting.members
-    if not is_forward_independent(g, members, ell0):
+    members = vertex_array(hitting.members, g.n)
+    first, member = next_member(g, members)
+    ahead = first[members]
+    if np.any((ahead > 0) & (ahead <= ell0)):
         raise ValueError(
             f"hitting set is not {ell0}-forward-independent")
-    first, member = next_member(g, members)
     # after[x]: first[] of the member first[x] steps ahead of x
     after = np.where(member < 0, -1, first[member])
     return np.array([data.label(f, a) for f, a in
@@ -172,19 +175,17 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
     vertex as a bitmask over H (no width limit): a tree vertex passes
     its successor the out-neighbours of its own feasible labels, and an
     empty set means no homomorphism.  Each cycle, which starts at its
-    least vertex, takes the least workable label there followed by a greedy
-    completable walk.  The top-down pass gives every tree vertex its
-    least feasible label with an edge to its successor's label.  Labels
-    depend only on a vertex's own component, so the output is
-    deterministic but not the globally least labeling.
+    least vertex, takes the least label a there from which
+    :meth:`Digraph.least_walk` closes a walk through the cycle's
+    feasible sets back onto a.  The top-down pass gives every tree
+    vertex its least feasible label with an edge to its successor's
+    label.  Labels depend only on a vertex's own component, so the
+    output is deterministic but not the globally least labeling.
     """
     if not g.is_total:
         raise ValueError("decide_hom expects a total graph")
     if not h.is_sinkless():
         raise GraphShapeError("template has a sink")
-    adj = h.adj()
-    out_mask = [sum(1 << w for w in ws) for ws in adj]
-    in_mask = [sum(1 << u for u in us) for us in h.radj()]
     succ = g.succ
     tree = g.tree_order()
     # feas[x]: labels v such that the tree hanging strictly above x
@@ -195,62 +196,28 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
         mask = feas[x]
         out = passed.get(mask)
         if out is None:
-            out = 0
-            for v in range(h.m):
-                if mask >> v & 1:
-                    out |= out_mask[v]
-            passed[mask] = out
+            out = passed[mask] = h.step(h.out_masks, mask)
         y = succ[x]
         feas[y] &= out
         if not feas[y]:
             return None
     psi = [-1] * g.n
     for cyc in g.cycles():
-        allowed = [[v for v in range(h.m) if feas[x] >> v & 1]
-                   for x in cyc]
-        for a in allowed[0]:
-            labels = _cycle_labels(adj, allowed, a)
-            if labels is not None:
-                break
+        rest = [feas[x] for x in cyc[1:]]
+        for a in range(h.m):
+            if feas[cyc[0]] >> a & 1:
+                labels = h.least_walk([1 << a, *rest, 1 << a])
+                if labels is not None:
+                    break
         else:
             return None
         for x, v in zip(cyc, labels):
             psi[x] = v
+    in_masks = h.in_masks
     for x in tree:
-        fits = feas[x] & in_mask[psi[succ[x]]]
+        fits = feas[x] & in_masks[psi[succ[x]]]
         assert fits, "feasible labels lost their edge"
         psi[x] = (fits & -fits).bit_length() - 1
     assert -1 not in psi
     return np.array(psi, dtype=np.int64)
 
-
-def _cycle_labels(adj: list[list[int]], allowed: list[list[int]],
-                  a: int) -> list[int] | None:
-    """Greedy-lex labels around the cycle starting from label a.
-
-    back[i] holds the labels at position i from which the remaining
-    positions can still be completed and closed back onto a.
-    """
-    c = len(allowed)
-    if a not in allowed[0]:
-        return None
-    back: list[set[int]] = [set() for _ in range(c)]
-    closing = {a}
-    cur = closing
-    # back[c-1], ..., back[0] by walking the cycle backwards
-    for i in range(c - 1, -1, -1):
-        cur = {v for v in allowed[i] if any(w in cur for w in adj[v])}
-        back[i] = cur
-    if a not in back[0]:
-        return None
-    labels = [a]
-    for i in range(1, c):
-        prev = labels[-1]
-        options = [v for v in adj[prev] if v in back[i]]
-        if not options:
-            return None
-        labels.append(min(options))
-    # close the cycle
-    if a not in adj[labels[-1]]:
-        return None
-    return labels

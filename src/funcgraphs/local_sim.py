@@ -141,9 +141,9 @@ def make_path_network(n: int, seed: int = 0, segments: int = 1,
     elif id_mode != "random":
         raise ValueError(f"unknown id_mode {id_mode!r}")
     base, extra = divmod(n, segments)  # the first `extra` get one more
-    ends = [k * base + min(k, extra) for k in range(1, segments + 1)]
+    k = np.arange(1, segments + 1)
     succ = np.arange(1, n + 1)
-    succ[np.subtract(ends, 1)] = -1
+    succ[k * base + np.minimum(k, extra) - 1] = -1
     return PathNetwork(ids, succ)
 
 

@@ -630,15 +630,33 @@ def reach_all_threshold_oracle(m: int, edges: list[tuple[int, int]],
     return best
 
 
+def in_lists(h) -> list[list[int]]:
+    """Per template vertex, its in-neighbours in ascending order."""
+    lists: list[list[int]] = [[] for _ in range(h.m)]
+    for u, v in sorted(h.edges):
+        lists[v].append(u)
+    return lists
+
+
+def least_walk_oracle(edges: frozenset[tuple[int, int]],
+                      allowed: list[set[int]]) -> list[int] | None:
+    """Lexicographically least walk v_0, ..., v_k with each v_i in
+    ``allowed[i]``, by enumerating the sequences in order (None if there
+    is none)."""
+    for seq in itertools.product(*map(sorted, allowed)):
+        if all(e in edges for e in zip(seq, seq[1:])):
+            return list(seq)
+    return None
+
+
 def path_of_length_oracle(m: int, edges: frozenset[tuple[int, int]],
                           u: int, w: int, length: int) -> list[int] | None:
     """Lexicographically least vertex sequence u, ..., w with ``length``
-    edges, by enumerating the sequences in order (None if there is none)."""
-    for middle in itertools.product(range(m), repeat=max(length - 1, 0)):
-        seq = [u, *middle, w] if length else [u]
-        if seq[-1] == w and all(e in edges for e in zip(seq, seq[1:])):
-            return seq
-    return None
+    edges (None if there is none)."""
+    allowed = [set(range(m)) for _ in range(length + 1)]
+    allowed[0] &= {u}
+    allowed[-1] &= {w}
+    return least_walk_oracle(edges, allowed)
 
 
 def power_walk_oracle(m: int, edges: list[tuple[int, int]],
@@ -713,7 +731,7 @@ def retract_to_strong_components(g, psi, h):
         raise ValueError("psi is not a homomorphism")
     psi = label_array(psi).tolist()
     scc = h.scc()
-    radj = h.radj()
+    radj = in_lists(h)
     n = g.n
     cls = [scc.class_id(v) for v in psi]
     # tail_k[x]: least k such that all images from f^k(x) on lie in the
@@ -761,8 +779,40 @@ def retract_to_strong_components(g, psi, h):
 #
 # The original component-by-component implementations of
 # ``homsolver.decide_hom`` and ``retract_to_strong_components`` (above),
-# kept as the reference for the whole-graph versions.  They share the
-# cycle labelling ``homsolver._cycle_labels`` with the library.
+# kept as the reference for the whole-graph versions, with the original
+# set-based cycle labelling ``cycle_labels``.
+
+def cycle_labels(adj: list[list[int]], allowed: list[list[int]],
+                 a: int) -> list[int] | None:
+    """Greedy-lex labels around the cycle starting from label a.
+
+    back[i] holds the labels at position i from which the remaining
+    positions can still be completed and closed back onto a.
+    """
+    c = len(allowed)
+    if a not in allowed[0]:
+        return None
+    back: list[set[int]] = [set() for _ in range(c)]
+    closing = {a}
+    cur = closing
+    # back[c-1], ..., back[0] by walking the cycle backwards
+    for i in range(c - 1, -1, -1):
+        cur = {v for v in allowed[i] if any(w in cur for w in adj[v])}
+        back[i] = cur
+    if a not in back[0]:
+        return None
+    labels = [a]
+    for i in range(1, c):
+        prev = labels[-1]
+        options = [v for v in adj[prev] if v in back[i]]
+        if not options:
+            return None
+        labels.append(min(options))
+    # close the cycle
+    if a not in adj[labels[-1]]:
+        return None
+    return labels
+
 
 def weak_components(g) -> list[list[int]]:
     seen = [False] * g.n
@@ -793,7 +843,7 @@ def feasible_sets(g, h, comp: list[int],
     None as soon as some vertex has no feasible label.
     """
     preds = predecessors(g)
-    radj = h.radj()
+    radj = in_lists(h)
     depth: dict[int, int] = {}
     for x in comp:
         if x in on_cycle:
@@ -823,8 +873,6 @@ def feasible_sets(g, h, comp: list[int],
 
 def decide_hom_by_components(g, h) -> list[int] | None:
     """Per-component ``decide_hom``: feasible sets, cycle, then trees."""
-    from funcgraphs.homsolver import _cycle_labels
-
     assert g.is_total and h.is_sinkless()
     psi: list[int | None] = [None] * g.n
     adj = h.adj()
@@ -841,7 +889,7 @@ def decide_hom_by_components(g, h) -> list[int] | None:
         allowed = [sorted(feas[x]) for x in cyc]
         labels = None
         for a in allowed[0]:
-            labels = _cycle_labels(adj, allowed, a)
+            labels = cycle_labels(adj, allowed, a)
             if labels is not None:
                 break
         if labels is None:
@@ -872,7 +920,7 @@ def retract_by_components(g, psi: list[int], h):
     if isinstance(psi, np.ndarray):
         psi = psi.tolist()
     scc = h.scc()
-    radj = h.radj()
+    radj = in_lists(h)
     n = g.n
     tail_k = [0] * n
     land = list(range(n))

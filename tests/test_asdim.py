@@ -58,6 +58,22 @@ def test_coloring_requires_acyclic_and_spacing():
         distance_parity_coloring(g, {10, 20}, 1)
 
 
+@pytest.mark.parametrize("gap", [1, 144, 145])
+def test_coloring_reads_members_once_and_spacing_exactly(gap):
+    # members within spacing (144 at t = 1) steps are rejected; an
+    # iterator of members is read once, giving the list's coloring
+    g = gen_path(300)
+    members = [10, 10 + gap]
+    if gap <= 144:
+        with pytest.raises(ValueError, match="not 144-forward-independent"):
+            distance_parity_coloring(g, iter(members), 1)
+        return
+    got = distance_parity_coloring(g, iter(members), 1)
+    want = distance_parity_coloring(g, members, 1)
+    assert oracles.coloring_lists(got) == oracles.coloring_lists(want)
+    assert oracles.labeled(got)
+
+
 def test_coloring_matches_stripe_parity_oracle():
     g = gen_path(2000)
     hs = greedy_hitting(g, 144)

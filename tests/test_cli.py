@@ -399,6 +399,21 @@ def test_unprintable_spacing_is_a_usage_error_before_the_build(
     assert "-r" in err
 
 
+@pytest.mark.parametrize("template", ["missing", "loop"])
+def test_unusable_template_is_a_usage_error_before_the_build(
+        tmp_path, capsys, monkeypatch, template):
+    def no_network(*args, **kwargs):
+        raise AssertionError("network built")
+
+    monkeypatch.setattr(funcgraphs.local_sim, "make_path_network", no_network)
+    path = (str(tmp_path / "missing.json") if template == "missing"
+            else write_template(tmp_path, "loop.json", 2,
+                                [(0, 1), (1, 1), (1, 0)]))
+    code, report, err = run(capsys, "local", "--template", path,
+                            "--n", "2097151")
+    assert_one_line_error(code, report, err)
+
+
 def test_huge_printable_spacing_runs(capsys):
     code, report, _ = run(capsys, "local", "-r", str(2 ** 2000), "--n", "50",
                           "--segments", "3")

@@ -118,6 +118,15 @@ def test_path_of_length_matches_enumeration(d, data):
             oracles.path_of_length_oracle(d.m, d.edges, u, w, length)
 
 
+@settings(max_examples=300)
+@given(digraph_templates(max_m=4), st.data())
+def test_least_walk_matches_enumeration(d, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << d.m) - 1),
+                               min_size=1, max_size=7))
+    allowed = [{v for v in range(d.m) if mask >> v & 1} for mask in masks]
+    assert d.least_walk(masks) == oracles.least_walk_oracle(d.edges, allowed)
+
+
 def test_power_forward_squares_three_cycle():
     d = Digraph(3, [(0, 1), (1, 2), (2, 0)])
     p = power_walk(d, "ff")

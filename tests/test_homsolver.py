@@ -88,6 +88,19 @@ def test_solve_ergodic_demands_enough_spacing():
         solve_ergodic(g, ergodic_solver_data(h), hs)
 
 
+@pytest.mark.parametrize("gap", [4, 5])
+def test_solve_ergodic_checks_spacing_exactly(gap):
+    # reach_all is 4: members 4 steps apart are too close, 5 are not
+    g = gen_path(50)
+    hs = HittingSet(np.array([10, 10 + gap]), gap, 0)
+    data = ergodic_solver_data(two_three_cycles())
+    if gap <= 4:
+        with pytest.raises(ValueError, match="not 4-forward-independent"):
+            solve_ergodic(g, data, hs)
+    else:
+        assert solve_ergodic(g, data, hs)[9] >= 0
+
+
 def test_solve_ergodic_rejects_cyclic_input():
     h = two_three_cycles()
     rho = FunctionalGraph([1, 2, 3, 1])

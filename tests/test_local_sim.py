@@ -202,6 +202,16 @@ def test_make_path_network_segments_and_id_modes():
     assert inc == sorted(inc) and dec == sorted(dec, reverse=True)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 2000))
+def test_segment_ends_match_the_per_segment_formula(data, n):
+    segments = data.draw(st.integers(1, n))
+    base, extra = divmod(n, segments)
+    ends = [k * base + min(k, extra) for k in range(1, segments + 1)]
+    net = make_path_network(n, seed=0, segments=segments)
+    assert (np.flatnonzero(net.succ_array < 0) + 1).tolist() == ends
+
+
 def test_permute_network_preserves_ids_and_shape():
     net = make_path_network(30, seed=5, segments=4)
     shuffled = permute_network(net, seed=6)
