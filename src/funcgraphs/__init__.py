@@ -26,7 +26,7 @@ from .local_sim import (
 from .partition import Partition
 from .shift import (
     check_countdown_pairs, countdown_index, dense_window_index,
-    gen_increasing_seq, sample_dominated, shift_seq, window_member)
+    gen_increasing_seq, sample_dominated, window_member)
 
 __version__ = "0.1.0"
 

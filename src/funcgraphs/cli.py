@@ -152,10 +152,6 @@ def _cmd_drhom(args) -> int:
         labels = doc.get("labels")
         if not isinstance(labels, list):
             raise _Malformed(f"{args.labels}: expected a 'labels' array")
-        # bool is an int subclass, so compare types exactly
-        if not all(v is None or type(v) is int and v >= 0 for v in labels):
-            raise _Malformed(f"{args.labels}: labels must be null or "
-                             "non-negative integers")
         hs = hitting.hitting_from_labeling(g, labels, args.spacing)
         _emit({**src, "spacing": args.spacing,
                "members": hs.members.tolist(), "ok": True},

@@ -39,17 +39,14 @@ class FunctionalGraph:
     Stored as one int64 successor array ``succ_array``, -1 for a sink
     (see :func:`successor_array` for the two input forms).  ``succ[i]``,
     the successor of vertex ``i`` or ``None`` for a sink, is a tuple
-    view for the Python folds: the sequence a graph was built from,
-    else built from the array on first use.  Derived structure (depths,
-    the tree order, cycles) is computed lazily and cached; do not
-    mutate the input after construction.
+    view for the Python folds, built from the array on first use.
+    Derived structure (depths, the tree order, cycles) is computed
+    lazily and cached; do not mutate the input after construction.
     """
 
     def __init__(self, succ: Sequence[int | None] | np.ndarray):
         self.succ_array = successor_array(succ)
         self.n = len(self.succ_array)
-        if not isinstance(succ, np.ndarray):
-            self.succ = tuple(succ)
         self._jumps: list[np.ndarray] = []
 
     @cached_property
@@ -234,15 +231,12 @@ def successor_array(succ: Sequence[int | None] | np.ndarray) -> np.ndarray:
 
 
 def vertex_array(vertices: Iterable[int], n: int) -> np.ndarray:
-    """A set of vertices in 0..n-1 as an int64 array, checked: an int
-    array as is (see :func:`int_array`), any other iterable read in."""
-    if isinstance(vertices, np.ndarray):
-        idx = int_array(vertices, "members")
-    else:
-        try:
-            idx = np.fromiter(vertices, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("member out of range") from None
+    """A set of vertices in 0..n-1 as an int64 array, checked by
+    :func:`int_array`: an int array as is, any other iterable read in
+    once."""
+    if not isinstance(vertices, np.ndarray):
+        vertices = list(vertices)
+    idx = int_array(vertices, "member")
     if len(idx) and not 0 <= idx.min() <= idx.max() < n:
         raise ValueError("member out of range")
     return idx
@@ -259,13 +253,16 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 
 def label_array(labels: Labeling) -> np.ndarray:
     """A labeling as an array, -1 for unlabeled: an int array as is once
-    no label is below -1; a Python sequence, None for unlabeled, as int64
-    when every label fits, else as an object array of exact ints."""
+    no label is below -1; a Python sequence, None for unlabeled and exact
+    ints otherwise (as in :func:`int_array`), as int64 when every label
+    fits, else as an object array."""
     if isinstance(labels, np.ndarray):
         lab = int_array(labels, "labels")
         if np.any(lab < -1):
             raise ValueError("labels must be -1 or >= 0")
         return lab
+    if not set(map(type, labels)) <= {int, type(None)}:
+        raise ValueError("labels must be None or integers")
     lab = np.array([-1 if v is None else v for v in labels], dtype=object)
     if np.count_nonzero(lab < 0) != labels.count(None):
         raise ValueError("labels must be None or >= 0")

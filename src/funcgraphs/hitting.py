@@ -190,6 +190,7 @@ def hitting_from_cover(g: FunctionalGraph, cover: Iterable[int],
         raise ValueError("spacing must be >= 1")
     if not g.acyclic:
         raise ValueError("cover extraction requires an acyclic graph")
+    cover = vertex_array(cover, g.n)  # read once: it may be an iterator
     if diameters is None:
         diameters = class_diameters(g, proximity_classes(g, cover, spacing))
     diam = int(np.max(diameters, initial=0))

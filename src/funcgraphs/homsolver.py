@@ -39,13 +39,15 @@ def hom_violations(g: FunctionalGraph, psi: Labeling, h: Digraph
         raise ValueError("labeling length must match the graph")
     try:
         lab = label_array(psi)
-    except ValueError:  # a list label below 0, named below
+    except ValueError:  # a list label below 0 or not an int, named below
         if isinstance(psi, np.ndarray):
             raise
         lab = None
     if lab is None or lab.max(initial=-1) >= h.m:
-        v = next(v for v in psi
-                 if v is not None and (v >= h.m or lab is None and v < 0))
+        v = next(v for v in psi if v is not None and (
+            lab is None and (type(v) is not int or v < 0) or v >= h.m))
+        if lab is None and type(v) is not int:
+            raise ValueError(f"label {v!r} is not an integer")
         raise ValueError(f"label {v} outside the template")
     succ = g.succ_array
     x = np.flatnonzero(succ >= 0)

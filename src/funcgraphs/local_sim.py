@@ -123,23 +123,12 @@ def _sample_ids(rng: random.Random, n: int) -> np.ndarray:
             return drawn[np.sort(first)[:n]]
 
 
-def make_path_network(n: int, seed: int = 0, segments: int = 1,
-                      id_mode: str = "random") -> PathNetwork:
-    """Index-contiguous paths with sampled identifiers.
-
-    id_mode "sorted" and "reversed" lay the identifiers out
-    monotonically along the paths, the adversarial cases for naive
-    local-minimum tricks.
-    """
+def make_path_network(n: int, seed: int = 0,
+                      segments: int = 1) -> PathNetwork:
+    """Index-contiguous paths with identifiers sampled from [0, n^3]."""
     if not 1 <= segments <= n <= MAX_NODES:
         raise ValueError(f"need 1 <= segments <= n <= {MAX_NODES}")
     ids = _sample_ids(random.Random(seed), n)
-    if id_mode == "sorted":
-        ids = np.sort(ids)
-    elif id_mode == "reversed":
-        ids = np.sort(ids)[::-1]
-    elif id_mode != "random":
-        raise ValueError(f"unknown id_mode {id_mode!r}")
     base, extra = divmod(n, segments)  # the first `extra` get one more
     k = np.arange(1, segments + 1)
     succ = np.arange(1, n + 1)

@@ -16,7 +16,7 @@ change when the sequences are extended.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 import operator
 import random
 
@@ -35,25 +35,12 @@ def validate_seq(xs) -> Seq:
     return out
 
 
-def shift_seq(y) -> Seq | None:
-    """Drop the first element; None once nothing is left."""
-    y = validate_seq(y)
-    return y[1:] if len(y) > 1 else None
-
-
 def _reference(x, r: int) -> Seq:
+    """The right ends x(r), x(3r), x(5r), ... of the windows; window n's
+    left end is entry n - 1 (0 for window 0)."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return validate_seq(x)
-
-
-def _window(x: Seq, r: int, n: int) -> tuple[int, int] | None:
-    """Endpoints [left, right) of window n, None when x is too short."""
-    right_idx = 2 * r * n + r
-    if right_idx >= len(x):
-        return None
-    left = 0 if n == 0 else x[2 * r * n - r]
-    return left, x[right_idx]
+    return validate_seq(x)[r::2 * r]
 
 
 def window_member(x, y, r: int) -> bool | None:
@@ -66,21 +53,12 @@ def window_member(x, y, r: int) -> bool | None:
     return _window_member(_reference(x, r), validate_seq(y), r)
 
 
-def _window_member(x: Seq, y: Seq, r: int, lo: int = 0) -> bool | None:
-    """:func:`window_member` of the validated x and y[lo:]."""
-    n = 0
-    while True:
-        win = _window(x, r, n)
-        if win is None:
-            return None
-        left, right = win
-        if y[lo] >= right:
-            n += 1
-            continue
-        if y[-1] < right - 1:
-            return None
-        count = bisect_left(y, right, lo) - bisect_left(y, left, lo)
-        return count % (2 * r) == 0
+def _window_member(ends: Seq, y: Seq, r: int, lo: int = 0) -> bool | None:
+    """:func:`window_member` of y[lo:] against the window ends."""
+    n = bisect_right(ends, y[lo])  # y[lo] lies in window n
+    if n == len(ends) or y[-1] < ends[n] - 1:
+        return None
+    return (bisect_left(y, ends[n], lo) - lo) % (2 * r) == 0
 
 
 def countdown_index(x, y, r: int) -> int | None:
@@ -88,10 +66,10 @@ def countdown_index(x, y, r: int) -> int | None:
     return _countdown_index(_reference(x, r), validate_seq(y), r)
 
 
-def _countdown_index(x: Seq, y: Seq, r: int, lo: int = 0) -> int | None:
-    """:func:`countdown_index` of the validated x and y[lo:]."""
+def _countdown_index(ends: Seq, y: Seq, r: int, lo: int = 0) -> int | None:
+    """:func:`countdown_index` of y[lo:] against the window ends."""
     for k in range(lo, len(y)):
-        verdict = _window_member(x, y, r, k)
+        verdict = _window_member(ends, y, r, k)
         if verdict is None:
             return None
         if verdict:
@@ -105,20 +83,17 @@ def dense_window_index(x, y, r: int) -> int | None:
     A window certifies the bound as soon as 2r known points land in it;
     certifying that an earlier window fails needs its full contents.
     """
-    x = _reference(x, r)
+    ends = _reference(x, r)
     y = validate_seq(y)
-    n = 0
-    while True:
-        win = _window(x, r, n)
-        if win is None:
-            return None
-        left, right = win
-        count = bisect_left(y, right) - bisect_left(y, left)
-        if count >= 2 * r:
+    start = 0  # index in y of window n's first point
+    for n, right in enumerate(ends):
+        stop = bisect_left(y, right, start)
+        if stop - start >= 2 * r:
             return n
         if y[-1] < right - 1:
             return None
-        n += 1
+        start = stop
+    return None
 
 
 def check_countdown_pairs(x, ys, r: int) -> dict:
@@ -128,7 +103,7 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
     down by one, or reset to at least r after a zero.  Pairs with an
     uncertified side are skipped, never failed.
     """
-    x = _reference(x, r)
+    ends = _reference(x, r)
     report: dict = {"checked": 0, "skipped": 0, "violations": [],
                     "resets": 0, "min_reset": None}
     for y in ys:
@@ -136,8 +111,8 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
         if len(y) == 1:  # the shift leaves nothing
             report["skipped"] += 1
             continue
-        a = _countdown_index(x, y, r)
-        b = _countdown_index(x, y, r, 1)
+        a = _countdown_index(ends, y, r)
+        b = _countdown_index(ends, y, r, 1)
         if a is None or b is None:
             report["skipped"] += 1
             continue

@@ -1129,6 +1129,14 @@ def loopless_digraph_census(m: int) -> list[frozenset[tuple[int, int]]]:
 
 # ---- shift-model windows from the raw definition ----
 
+def shift_seq(y) -> tuple[int, ...] | None:
+    """Drop the first element of a validated sequence; None once nothing
+    is left."""
+    from funcgraphs.shift import validate_seq
+    y = validate_seq(y)
+    return y[1:] if len(y) > 1 else None
+
+
 def window_member_oracle(x: tuple[int, ...], y: tuple[int, ...],
                          r: int) -> bool | None:
     """Direct evaluation of the window-count congruence.
@@ -1157,10 +1165,26 @@ def window_member_oracle(x: tuple[int, ...], y: tuple[int, ...],
         n += 1
 
 
+def dense_window_oracle(x: tuple[int, ...], y: tuple[int, ...],
+                        r: int) -> int | None:
+    """``dense_window_index`` with each window's points counted straight
+    from [x(2rn - r), x(2rn + r)), x(j) = 0 for j < 0."""
+    n = 0
+    while 2 * r * n + r < len(x):
+        lo = 0 if n == 0 else x[2 * r * n - r]
+        hi = x[2 * r * n + r]
+        if sum(lo <= v < hi for v in y) >= 2 * r:
+            return n
+        if y[-1] < hi - 1:  # an undercount is not yet certain
+            return None
+        n += 1
+    return None
+
+
 def check_countdown_pairs_reference(x, ys, r: int) -> dict:
     """The countdown edge check through the public, validating
     ``countdown_index`` and ``shift_seq`` on every call."""
-    from funcgraphs.shift import countdown_index, shift_seq
+    from funcgraphs.shift import countdown_index
     report: dict = {"checked": 0, "skipped": 0, "violations": [],
                     "resets": 0, "min_reset": None}
     for y in ys:

@@ -9,7 +9,8 @@ import oracles
 from funcgraphs.graphs import (
     MAX_GEN_NODES, UNBOUNDED, FunctionalGraph, _randbelow_bulk,
     ball_class_counts, class_diameters, gen_path, gen_random_forest,
-    gen_random_total, path_ends, proximity_classes, sorted_unique)
+    gen_random_total, label_array, path_ends, proximity_classes,
+    sorted_unique, vertex_array)
 from funcgraphs.partition import Partition
 from strategies import (
     forest_graphs, functional_graphs, partial_graphs, total_graphs)
@@ -387,7 +388,7 @@ def test_graph_from_array_matches_graph_from_list(g):
 
 def test_graph_keeps_the_sequence_it_was_built_from():
     succ = (1, 2, None)
-    assert FunctionalGraph(succ).succ is succ
+    assert FunctionalGraph(succ).succ == succ
     assert "succ" not in vars(FunctionalGraph(np.array([1, 2, -1])))
 
 
@@ -407,6 +408,17 @@ def test_array_and_list_graphs_report_the_same_range_error(succ):
 def test_graph_rejects_non_integer_successors(succ):
     with pytest.raises(ValueError):
         FunctionalGraph(succ)
+
+
+@pytest.mark.parametrize("bad", [1.7, 1.0, True, np.int64(1), "1", [1]])
+def test_labels_and_members_need_exact_ints(bad):
+    # floats used to be truncated and bools read as 1, silently
+    with pytest.raises(ValueError, match="labels must be None or integers"):
+        label_array([bad, 0])
+    with pytest.raises(ValueError, match="member must be integers"):
+        vertex_array([bad, 3], 10)
+    with pytest.raises(ValueError, match="member must be integers"):
+        vertex_array(iter([3, bad]), 10)
 
 
 def test_json_graph_is_checked_once_from_the_array():

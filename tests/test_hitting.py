@@ -159,6 +159,23 @@ def test_cover_extraction_full_cover():
     assert hs.members.tolist() == [9]
 
 
+def test_cover_extraction_reads_the_cover_once():
+    g = gen_path(100)
+    cover = list(range(0, 100, 3))
+    hs = hitting_from_cover(g, cover, 2)
+    assert len(hs.members) == 34
+    once = hitting_from_cover(g, iter(cover), 2)
+    assert once.members.tolist() == hs.members.tolist()
+    assert once.horizon == hs.horizon
+
+
+@pytest.mark.parametrize("bad", [1.9, True])
+def test_checked_labeling_needs_exact_ints(bad):
+    # a float label used to be truncated, and this labeling passed
+    with pytest.raises(ValueError, match="labels must be None or integers"):
+        check_labeling(FunctionalGraph([1, None]), [bad, 0], 2)
+
+
 @settings(max_examples=40)
 @given(forest_graphs(), st.integers(1, 4), st.data())
 def test_cover_extraction_always_independent(g, spacing, data):

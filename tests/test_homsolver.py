@@ -381,3 +381,12 @@ def test_hom_violations_names_a_label_outside_the_template():
     for bad in (-1, 2, 2 ** 70, -(2 ** 70)):
         with pytest.raises(ValueError, match=f"label {bad} outside"):
             hom_violations(g, [0, None, bad], h)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", [1], np.int64(1)])
+def test_hom_violations_names_a_label_that_is_not_an_int(bad):
+    g = gen_path(3)
+    h = Digraph(2, [(0, 1), (1, 0)])
+    with pytest.raises(ValueError) as exc:
+        hom_violations(g, [0, None, bad], h)
+    assert str(exc.value) == f"label {bad!r} is not an integer"

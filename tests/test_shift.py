@@ -1,11 +1,11 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from funcgraphs.shift import (
     check_countdown_pairs, countdown_index, dense_window_index,
-    gen_increasing_seq, sample_dominated, shift_seq, validate_seq,
-    window_member)
+    gen_increasing_seq, sample_dominated, validate_seq, window_member)
+from oracles import shift_seq
 from strategies import increasing_seqs
 
 
@@ -72,6 +72,18 @@ def test_dense_window_with_even_reference():
     # The other order never accumulates two evens in a width-2 window,
     # and a finite truncation reports absent rather than a refutation.
     assert dense_window_index(ident, tuple(range(0, 40, 2)), 1) is None
+
+
+@settings(max_examples=300)
+@given(increasing_seqs(max_len=60),
+       st.integers(1, 12).flatmap(
+           lambda gap: increasing_seqs(max_len=40, max_gap=gap)),
+       st.integers(1, 3))
+@example(x=odds(10), y=(0, 5), r=1)  # window 1 is never known to be full
+@example(x=odds(10), y=(0, 40), r=1)  # x runs out first
+def test_dense_window_matches_window_count_oracle(x, y, r):
+    assert dense_window_index(x, y, r) == \
+        oracles.dense_window_oracle(x, y, r)
 
 
 def test_dense_window_found_early_on_dominated_pairs():
