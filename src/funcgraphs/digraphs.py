@@ -7,15 +7,17 @@ that are ergodic, and the rest.
 
 A digraph is ergodic when some vertex v admits closed walks of every
 length >= some threshold.  Equivalently, some strongly connected
-component containing at least one edge has cycle-length gcd 1.  The
-threshold search is bounded by the Wielandt bound m^2 - 2m + 2 (plus m
-slack): beyond it, a primitive component admits closed walks of every
-length, so a bounded scan determines the exact minimum.
+component containing at least one edge has cycle-length gcd 1, and
+one sweep (:meth:`Digraph.periods`) finds every component's gcd.  The
+exact threshold at v comes from one BFS over the pairs (vertex, length
+mod g), where g is the length of the shortest closed walk at v
+(:meth:`Digraph.walk_lengths`), so no search needs a length bound.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -150,140 +152,129 @@ class Digraph:
               if u in index and v in index]
         return Digraph(len(keep), es), keep
 
-    # ---- strong components and periods ----
+    # ---- strong components, periods and walk lengths ----
 
     def scc(self) -> Partition:
-        """Strongly connected components (iterative Tarjan)."""
-        m = self.m
-        adj = self.adj()
-        index = [-1] * m
-        low = [0] * m
-        on_stack = [False] * m
-        stack: list[int] = []
-        comp = [-1] * m
-        counter = 0
-        ncomp = 0
+        """Strongly connected components (iterative Tarjan), built once."""
+        return self._scc
+
+    @cached_property
+    def _scc(self) -> Partition:
+        m, adj = self.m, self.adj()
+        index, low, comp = [-1] * m, [0] * m, [-1] * m
+        stack: list[int] = []  # entered vertices not yet in a component
+        count, ncomp = itertools.count(), 0
         for root in range(m):
-            if index[root] != -1:
+            if index[root] >= 0:
                 continue
-            work = [(root, 0)]
+            index[root] = low[root] = next(count)
+            stack.append(root)
+            work = [(root, iter(adj[root]))]
             while work:
-                v, ei = work[-1]
-                if ei == 0:
-                    index[v] = low[v] = counter
-                    counter += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                advanced = False
-                for j in range(ei, len(adj[v])):
-                    w = adj[v][j]
-                    if index[w] == -1:
-                        work[-1] = (v, j + 1)
-                        work.append((w, 0))
-                        advanced = True
+                v, out = work[-1]
+                for w in out:
+                    if index[w] < 0:
+                        index[w] = low[w] = next(count)
+                        stack.append(w)
+                        work.append((w, iter(adj[w])))
                         break
-                    if on_stack[w]:
+                    if comp[w] < 0:  # w is on the stack
                         low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp[w] = ncomp
-                        if w == v:
-                            break
-                    ncomp += 1
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                else:
+                    work.pop()
+                    if work:
+                        u = work[-1][0]
+                        low[u] = min(low[u], low[v])
+                    if low[v] == index[v]:
+                        while comp[v] < 0:
+                            comp[stack.pop()] = ncomp
+                        ncomp += 1
         return Partition(np.array(comp))
 
-    def component_period(self, component: Sequence[int]) -> int | None:
-        """gcd of cycle lengths inside a strong component, None if edgeless."""
-        comp = set(component)
-        inner = [(u, v) for u, v in self.edges if u in comp and v in comp]
-        if not inner:
-            return None
-        root = min(comp)
-        level = {root: 0}
-        frontier = [root]
-        adj = self.adj()
+    @cached_property
+    def _comp(self) -> list[int]:
+        """Per vertex, the id of its strong component in ``scc()``."""
+        return self.scc().id_array(self.m).tolist()
+
+    def periods(self) -> list[int]:
+        """Per strong component (by ``scc()`` id), the gcd of its cycle
+        lengths, 0 when it has no edge: a BFS along inner edges from the
+        component's least vertex levels it, and each inner edge (u, v)
+        adds level[u] + 1 - level[v] to the gcd."""
+        comp, adj = self._comp, self.adj()
+        level = [-1] * self.m
+        for root in range(self.m):  # the least vertex of a new component
+            if level[root] < 0:
+                level[root] = 0
+                queue = [root]
+                for u in queue:
+                    for v in adj[u]:
+                        if level[v] < 0 and comp[v] == comp[u]:
+                            level[v] = level[u] + 1
+                            queue.append(v)
+        periods = [0] * self.scc().num_classes
+        for u, v in self.edges:
+            if comp[u] == comp[v]:
+                periods[comp[u]] = gcd(periods[comp[u]],
+                                       level[u] + 1 - level[v])
+        return periods
+
+    def walk_lengths(self, v: int
+                     ) -> tuple[int | None, int | None, int | None]:
+        """(g, T, R) for the walks from v inside its strong component C,
+        each None when there is none: g is the least positive length of
+        a closed walk at v, closed walks at v have every length >= T (the
+        length-0 walk counts), and walks of every length >= R reach all C.
+
+        Putting a g-cycle at v in front of a walk keeps its end, so the
+        walks from v to w of lengths r mod g have every such length from
+        the least, least(w, r), on.  One BFS over the pairs (w, length
+        mod g) finds them: T = max_r least(v, r) - g + 1 and
+        R = max least - g + 1."""
+        if not 0 <= v < self.m:
+            raise ValueError(f"vertex {v} out of range for m={self.m}")
+        comp, adj = self._comp, self.adj()
+        c = comp[v]
+        dist, queue, g = {v: 0}, [v], 0
+        for u in queue:  # BFS in C; the first edge back to v closes g
+            for w in adj[u]:
+                if w == v and not g:
+                    g = dist[u] + 1
+                elif comp[w] == c and w not in dist:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not g:
+            return None, None, None
+        least, frontier, k = {v * g: 0}, [v], 0  # key w * g + r
         while frontier:
-            nxt = []
+            k += 1
+            r, nxt = k % g, []
             for u in frontier:
-                for v in adj[u]:
-                    if v in comp and v not in level:
-                        level[v] = level[u] + 1
-                        nxt.append(v)
+                for w in adj[u]:
+                    if comp[w] == c and w * g + r not in least:
+                        least[w * g + r] = k
+                        nxt.append(w)
             frontier = nxt
-        g = 0
-        for u, v in inner:
-            g = gcd(g, level[u] + 1 - level[v])
-        return abs(g)
+        closed = [least.get(v * g + r) for r in range(g)]
+        full = len(least) == g * len(dist)  # every pair of C reached
+        # layer k is the first empty one, so max least = k - 1
+        return (g, None if None in closed else max(closed) - g + 1,
+                k - g if full else None)
 
     # ---- ergodicity ----
 
-    def closed_walk_lengths(self, v: int, max_len: int) -> set[int]:
-        """Lengths k <= max_len of closed walks at v (0 included)."""
-        reach = 1 << v
-        lengths = {0}
-        for k in range(1, max_len + 1):
-            reach = self.step(self.out_masks, reach)
-            if reach >> v & 1:
-                lengths.add(k)
-            if not reach:
-                break
-        return lengths
-
     def is_ergodic(self) -> ErgodicWitness | None:
-        """Witness vertex with closed walks of every sufficient length.
+        """Witness vertex with closed walks of every sufficient length,
+        minimizing (threshold, vertex), or None when no strong component
+        with an edge is aperiodic; searched once per digraph."""
+        return self._witness
 
-        Returns the witness minimizing (threshold, vertex), or None when
-        no strong component with an edge is aperiodic.
-        """
-        candidates: list[int] = []
-        for component in self.scc().classes():
-            g = self.component_period(component)
-            if g == 1:
-                candidates.extend(component)
-        if not candidates:
-            return None
-        limit = wielandt_bound(self.m) + self.m
-        best: ErgodicWitness | None = None
-        for v in sorted(candidates):
-            lengths = self.closed_walk_lengths(v, limit)
-            threshold = 0
-            for k in range(limit, -1, -1):
-                if k not in lengths:
-                    threshold = k + 1
-                    break
-            if best is None or (threshold, v) < (best.threshold, best.vertex):
-                best = ErgodicWitness(v, threshold)
-        return best
-
-    def reach_all_threshold(self, v0: int) -> int:
-        """Least l such that paths of every length >= l from v0 reach
-        every vertex.
-
-        Requires the digraph to be strongly connected and ergodic.
-        """
-        if self.scc().num_classes != 1:
-            raise ValueError("digraph is not strongly connected")
-        if self.component_period(range(self.m)) != 1:
-            raise ValueError("digraph is not ergodic")
-        everyone = (1 << self.m) - 1
-        limit = wielandt_bound(self.m) + self.m
-        reach = 1 << v0
-        worst = -1 if reach == everyone else 0  # the length-0 walk
-        for k in range(1, limit + 1):
-            reach = self.step(self.out_masks, reach)
-            if reach != everyone:
-                worst = k
-        if reach != everyone:
-            raise ValueError("no full-reach length within the search bound")
-        return worst + 1
+    @cached_property
+    def _witness(self) -> ErgodicWitness | None:
+        periods, comp = self.periods(), self._comp
+        best = min(((self.walk_lengths(v)[1], v) for v in range(self.m)
+                    if periods[comp[v]] == 1), default=None)
+        return None if best is None else ErgodicWitness(best[1], best[0])
 
 
 class GraphShapeError(ValueError):

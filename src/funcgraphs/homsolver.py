@@ -127,9 +127,7 @@ def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
     comp = next(c for c in h.scc().classes() if witness.vertex in c)
     h_sub, to_orig = h.induced(comp)
     v0_sub = to_orig.index(witness.vertex)
-    ell0 = h_sub.reach_all_threshold(v0_sub)
-    lengths = h_sub.closed_walk_lengths(v0_sub, h_sub.m)
-    gmin = min(l for l in lengths if l > 0)
+    gmin, _, ell0 = h_sub.walk_lengths(v0_sub)
     cycle = path_of_length(h_sub, v0_sub, v0_sub, gmin)
     assert cycle is not None
     windows = []

@@ -630,6 +630,70 @@ def reach_all_threshold_oracle(m: int, edges: list[tuple[int, int]],
     return best
 
 
+# ---- bounded scans, references for Digraph.periods and walk_lengths ----
+
+def component_period(d, component) -> int | None:
+    """gcd of cycle lengths inside a strong component of the digraph d,
+    None if edgeless (one BFS and one edge pass per component)."""
+    comp = set(component)
+    inner = [(u, v) for u, v in d.edges if u in comp and v in comp]
+    if not inner:
+        return None
+    root = min(comp)
+    level = {root: 0}
+    frontier = [root]
+    adj = d.adj()
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in comp and v not in level:
+                    level[v] = level[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    g = 0
+    for u, v in inner:
+        g = gcd(g, level[u] + 1 - level[v])
+    return abs(g)
+
+
+def closed_walk_lengths(d, v: int, max_len: int) -> set[int]:
+    """Lengths k <= max_len of closed walks at v in d (0 included)."""
+    reach = 1 << v
+    lengths = {0}
+    for k in range(1, max_len + 1):
+        reach = d.step(d.out_masks, reach)
+        if reach >> v & 1:
+            lengths.add(k)
+        if not reach:
+            break
+    return lengths
+
+
+def reach_all_threshold(d, v0: int) -> int:
+    """Least l such that walks of every length >= l from v0 reach every
+    vertex of d, by a scan to the Wielandt bound plus m.
+
+    Requires d to be strongly connected and ergodic.
+    """
+    from funcgraphs.digraphs import wielandt_bound
+    if d.scc().num_classes != 1:
+        raise ValueError("digraph is not strongly connected")
+    if component_period(d, range(d.m)) != 1:
+        raise ValueError("digraph is not ergodic")
+    everyone = (1 << d.m) - 1
+    limit = wielandt_bound(d.m) + d.m
+    reach = 1 << v0
+    worst = -1 if reach == everyone else 0  # the length-0 walk
+    for k in range(1, limit + 1):
+        reach = d.step(d.out_masks, reach)
+        if reach != everyone:
+            worst = k
+    if reach != everyone:
+        raise ValueError("no full-reach length within the search bound")
+    return worst + 1
+
+
 def in_lists(h) -> list[list[int]]:
     """Per template vertex, its in-neighbours in ascending order."""
     lists: list[list[int]] = [[] for _ in range(h.m)]

@@ -241,7 +241,7 @@ def test_criterion_06_template_trichotomy(capsys):
     assert classify(h23) is TemplateClass.ERGODIC_NO_LOOP
     witness = h23.is_ergodic()
     assert witness.threshold == 2
-    assert h23.reach_all_threshold(0) == 4
+    assert h23.walk_lengths(0)[2] == 4
     _report(capsys, 6, True,
             f"census of 218 four-vertex digraphs + {sampled} samples at "
             f"m=5,6 agree with the closed-walk oracle; anchors "

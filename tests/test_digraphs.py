@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -7,6 +8,7 @@ import oracles
 from funcgraphs.digraphs import (
     Digraph, GraphShapeError, TemplateClass, classify, parse_walk,
     path_of_length, power_walk, wielandt_bound)
+from funcgraphs.partition import Partition
 from oracles import countdown_digraph
 from strategies import digraph_templates, strongly_connected_templates
 
@@ -40,6 +42,17 @@ def test_scc_two_cycle_with_pendant():
     assert classes == [(0, 1), (2,)]
 
 
+@settings(max_examples=200)
+@given(digraph_templates(max_m=6))
+def test_scc_matches_mutual_reachability(d):
+    a = oracles.adjacency_matrix(d.m, d.edges)
+    reach = np.eye(d.m, dtype=bool)
+    for _ in range(d.m):
+        reach |= reach @ a
+    # each vertex's class named by its least mutually reachable vertex
+    assert d.scc() == Partition(np.argmax(reach & reach.T, axis=1))
+
+
 def test_is_ergodic_two_three_cycles():
     w = two_three_cycles().is_ergodic()
     assert w is not None
@@ -53,13 +66,13 @@ def test_two_cycle_not_ergodic():
 
 def test_closed_walk_lengths_match_matrix_oracle():
     d = two_three_cycles()
-    got = d.closed_walk_lengths(0, 9) - {0}
+    got = oracles.closed_walk_lengths(d, 0, 9) - {0}
     want = oracles.closed_walk_lengths_oracle(d.m, d.edges, 0, 9)
     assert got == want == {2, 3, 4, 5, 6, 7, 8, 9}
 
 
 def test_reach_all_threshold_two_three():
-    assert two_three_cycles().reach_all_threshold(0) == 4
+    assert two_three_cycles().walk_lengths(0)[2] == 4
 
 
 def test_reach_all_threshold_matches_oracle_on_chorded_cycle():
@@ -67,7 +80,7 @@ def test_reach_all_threshold_matches_oracle_on_chorded_cycle():
     d = Digraph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
     bound = wielandt_bound(3) + 6
     want = oracles.reach_all_threshold_oracle(3, d.edges, 0, bound)
-    assert d.reach_all_threshold(0) == want
+    assert d.walk_lengths(0)[2] == want
 
 
 @pytest.mark.parametrize("d, want", [
@@ -77,7 +90,7 @@ def test_reach_all_threshold_matches_oracle_on_chorded_cycle():
     (Digraph(3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]), 1),
 ])
 def test_reach_all_threshold_counts_the_length_zero_walk(d, want):
-    assert d.reach_all_threshold(0) == want
+    assert d.walk_lengths(0)[2] == want
 
 
 @settings(max_examples=200)
@@ -85,17 +98,81 @@ def test_reach_all_threshold_counts_the_length_zero_walk(d, want):
 @example(Digraph(2, [(0, 0), (0, 1), (1, 0)]))
 @example(Digraph(3, [(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]))
 def test_reach_all_threshold_matches_oracle(d):
-    assume(d.component_period(range(d.m)) == 1)
+    assume(oracles.component_period(d, range(d.m)) == 1)
     bound = wielandt_bound(d.m) + d.m
     for v0 in range(d.m):
-        assert d.reach_all_threshold(v0) == \
+        assert d.walk_lengths(v0)[2] == \
             oracles.reach_all_threshold_oracle(d.m, d.edges, v0, bound)
 
 
 def test_reach_all_threshold_requires_strong_connectivity():
     d = Digraph(2, [(0, 0), (0, 1), (1, 1)])
     with pytest.raises(ValueError):
-        d.reach_all_threshold(0)
+        oracles.reach_all_threshold(d, 0)
+
+
+def chorded_cycle(m):
+    # m-cycle 0 -> 1 -> ... -> m-1 -> 0 with the chord m-1 -> 1
+    return Digraph(m, [(i, (i + 1) % m) for i in range(m)] + [(m - 1, 1)])
+
+
+@settings(max_examples=200)
+@given(digraph_templates(max_m=6))
+@example(Digraph(1, []))
+@example(Digraph(2, [(0, 0), (0, 1), (1, 0)]))
+def test_walk_lengths_match_matrix_oracles(d):
+    horizon = 2 * d.m * d.m + d.m
+    connected = d.scc().num_classes == 1
+    for v in range(d.m):
+        g, threshold, reach_all = d.walk_lengths(v)
+        lengths = oracles.closed_walk_lengths_oracle(
+            d.m, d.edges, v, horizon)
+        assert g == min(lengths, default=None)
+        # least t with closed walks at every length in [t, horizon]; a
+        # periodic or acyclic v has no run longer than one length
+        t = horizon + 1
+        while t - 1 in lengths | {0}:
+            t -= 1
+        assert threshold == (t if t <= d.m * d.m else None)
+        if connected:
+            assert reach_all == oracles.reach_all_threshold_oracle(
+                d.m, d.edges, v, horizon)
+
+
+@settings(max_examples=200)
+@given(digraph_templates(max_m=6))
+def test_periods_match_component_oracle(d):
+    periods = d.periods()
+    classes = d.scc().classes()
+    assert len(periods) == len(classes)
+    for period, component in zip(periods, classes):
+        assert period == (oracles.component_period(d, component) or 0)
+
+
+@pytest.mark.parametrize("m", range(3, 61))
+def test_chorded_cycle_threshold_is_one_past_frobenius(m):
+    # closed walks at 1 have lengths a(m - 1) + bm, whose Frobenius
+    # number is (m - 1)(m - 2) - 1
+    w = chorded_cycle(m).is_ergodic()
+    assert (w.vertex, w.threshold) == (1, (m - 1) * (m - 2))
+
+
+@pytest.mark.parametrize("v", [2, 5, -1])
+def test_walk_lengths_rejects_vertices_outside_the_template(v):
+    with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+        Digraph(2, [(0, 1), (1, 0)]).walk_lengths(v)
+
+
+def test_components_and_witness_are_found_once(monkeypatch):
+    d = two_three_cycles()
+    assert d.scc() is d.scc()
+    w = d.is_ergodic()
+
+    def no_search(self, v):
+        raise AssertionError("walk lengths searched again")
+
+    monkeypatch.setattr(Digraph, "walk_lengths", no_search)
+    assert d.is_ergodic() is w
 
 
 def test_path_of_length_examples():
