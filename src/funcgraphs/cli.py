@@ -252,21 +252,23 @@ def _cmd_hom(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    if args.spacing < 1:  # checked before the draws, as --count is
+        raise _Malformed(f"-r must be >= 1, got {args.spacing}")
+    if args.count < 0:
+        raise _Malformed(f"--count must be >= 0, got {args.count}")
     x = shift.gen_increasing_seq(args.length, args.seed)
-    ys = shift.sample_dominated(x, args.count, args.seed + 1)
-    report = shift.check_countdown_pairs(x, ys, args.spacing)
-    dense = sum(1 for y in ys
-                if shift.dense_window_index(x, y, args.spacing) is not None)
+    report = shift.check_countdown_pairs(
+        x, shift.sample_dominated(x, args.count, args.seed + 1), args.spacing)
     out = {"spacing": args.spacing, "length": args.length,
            "count": args.count, "seed": args.seed,
            "checked": report["checked"], "skipped": report["skipped"],
            "violations": len(report["violations"]),
            "resets": report["resets"], "min_reset": report["min_reset"],
-           "dense_found": dense, "ok": report["ok"]}
+           "dense_found": report["dense_found"], "ok": report["ok"]}
     _emit(out, f"countdown relation r={args.spacing}: "
           f"{report['checked']} pairs checked, "
           f"{len(report['violations'])} violations, dense windows "
-          f"{dense}/{len(ys)}")
+          f"{report['dense_found']}/{args.count}")
     return PASS if report["ok"] else FAIL
 
 

@@ -135,6 +135,8 @@ def check_labeling(g: FunctionalGraph, labels: Labeling, spacing: int
 
     Positive labels must decrement along the edge; a zero label must be
     followed by a label >= spacing (see :func:`label_array`)."""
+    if spacing < 1:
+        raise ValueError("spacing must be >= 1")
     if len(labels) != g.n:
         raise ValueError("labeling length does not match vertex count")
     lab, succ = label_array(labels), g.succ_array

@@ -1247,12 +1247,14 @@ def dense_window_oracle(x: tuple[int, ...], y: tuple[int, ...],
 
 def check_countdown_pairs_reference(x, ys, r: int) -> dict:
     """The countdown edge check through the public, validating
-    ``countdown_index`` and ``shift_seq`` on every call."""
+    ``countdown_index`` and ``shift_seq`` on every call, with
+    ``dense_found`` counted by :func:`dense_window_oracle`."""
     from funcgraphs.shift import countdown_index
     report: dict = {"checked": 0, "skipped": 0, "violations": [],
-                    "resets": 0, "min_reset": None}
+                    "resets": 0, "min_reset": None, "dense_found": 0}
     for y in ys:
         tail = shift_seq(y)
+        report["dense_found"] += dense_window_oracle(x, y, r) is not None
         a = None if tail is None else countdown_index(x, y, r)
         b = None if a is None else countdown_index(x, tail, r)
         if b is None:

@@ -310,7 +310,7 @@ def test_criterion_09_countdown_relation(capsys):
     pairs_per_r = 1000
     for r in (1, 2, 3):
         x = gen_increasing_seq(20 * r * r + 40, 900 + r)
-        ys = sample_dominated(x, pairs_per_r, 901 + r)
+        ys = list(sample_dominated(x, pairs_per_r, 901 + r))
         report = check_countdown_pairs(x, ys, r)
         assert report["violations"] == [], (r, report["violations"][:3])
         assert report["checked"] >= 0.9 * pairs_per_r, (r, report)

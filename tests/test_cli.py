@@ -100,6 +100,15 @@ def test_drhom_round_trip_and_labels_file(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spacing", ["0", "-2"])
+def test_drhom_labels_with_a_spacing_below_one_are_a_usage_error(
+        tmp_path, capsys, spacing):
+    labels = tmp_path / "labels.json"
+    labels.write_text(json.dumps({"labels": [1, 0, 1, 0]}))
+    assert_one_line_error(*run(capsys, "drhom", "--kind", "path", "--n", "4",
+                               "--labels", str(labels), "-r", spacing))
+
+
 def test_asdim_pipeline_passes(capsys):
     code, report, err = run(capsys, "asdim", "--kind", "path", "--n", "600",
                             "--t", "1")
@@ -229,6 +238,34 @@ def test_shift_countdown_report(capsys):
     assert report["ok"] and report["violations"] == 0
     assert report["dense_found"] == 60
     assert "0 violations" in err
+
+
+def test_shift_validates_each_sample_once(capsys, monkeypatch):
+    validate, calls = funcgraphs.shift.validate_seq, []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return validate(xs)
+
+    def no_second_pass(x, y, r):
+        raise AssertionError("dense windows searched apart")
+
+    monkeypatch.setattr(funcgraphs.shift, "validate_seq", counted)
+    monkeypatch.setattr(funcgraphs.shift, "dense_window_index", no_second_pass)
+    code, report, _ = run(capsys, "shift", "--length", "200", "--count", "7")
+    assert code == 0 and report["dense_found"] == 7
+    assert calls == [200] * (7 + 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["-r", "0", "--length", "3000000", "--count", "1"],
+    ["--count", "-1", "--length", "3000000"],
+    ["--length", str(funcgraphs.shift.MAX_LENGTH + 1)],
+])
+def test_shift_arguments_are_checked_before_any_draw(capsys, monkeypatch,
+                                                      argv):
+    monkeypatch.setattr(funcgraphs.shift.random, "Random", oracles.no_draws)
+    assert_one_line_error(*run(capsys, "shift", *argv))
 
 
 def test_local_ruling_and_template(tmp_path, capsys):

@@ -215,6 +215,15 @@ def test_spacing_below_one_rejected():
         periodic_hitting(g, 1)
 
 
+@pytest.mark.parametrize("spacing", [0, -2])
+def test_labeling_spacing_below_one_rejected(spacing):
+    # a valid countdown labeling for every spacing up to 2
+    g, labels = gen_path(4), [2, 1, 0, 2]
+    for call in (check_labeling, hitting_from_labeling):
+        with pytest.raises(ValueError, match="spacing must be >= 1"):
+            call(g, labels, spacing)
+
+
 @settings(max_examples=200)
 @given(functional_graphs(), st.data())
 def test_label_arrays_match_orbit_folds(g, data):

@@ -1,9 +1,13 @@
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import funcgraphs.shift
 import oracles
 from funcgraphs.shift import (
-    check_countdown_pairs, countdown_index, dense_window_index,
+    MAX_LENGTH, check_countdown_pairs, countdown_index, dense_window_index,
     gen_increasing_seq, sample_dominated, validate_seq, window_member)
 from oracles import shift_seq
 from strategies import increasing_seqs
@@ -111,12 +115,28 @@ def test_dense_window_enables_countdown():
 
 def test_domination_sampling_is_pointwise_bounded():
     x = gen_increasing_seq(120, 3)
-    ys = sample_dominated(x, 50, 4)
+    ys = list(sample_dominated(x, 50, 4))
     assert len(ys) == 50
     for y in ys:
         assert len(y) == len(x)
         assert all(a <= b for a, b in zip(y, x))
         validate_seq(y)
+
+
+def test_sampling_checks_its_arguments_at_the_call():
+    x = gen_increasing_seq(20, 3)
+    with pytest.raises(ValueError, match="count must be"):
+        sample_dominated(x, -1, 4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sample_dominated((3, 1), 2, 4)
+
+
+@pytest.mark.parametrize("length", [0, MAX_LENGTH + 1, 10 ** 20])
+def test_sequence_length_outside_the_cap_is_rejected_before_drawing(
+        monkeypatch, length):
+    monkeypatch.setattr(funcgraphs.shift.random, "Random", oracles.no_draws)
+    with pytest.raises(ValueError, match="length must be in"):
+        gen_increasing_seq(length, 0)
 
 
 def test_identity_dominates_but_shifted_up_does_not():
@@ -153,6 +173,51 @@ def test_countdown_pairs_observe_resets():
     assert report["min_reset"] >= r
 
 
+def test_countdown_pairs_over_the_sample_iterator():
+    for r in (1, 2, 3):
+        x = gen_increasing_seq(200 * r, seed=50 + r)
+        report = check_countdown_pairs(x, sample_dominated(x, 40, 60 + r), r)
+        ys = list(sample_dominated(x, 40, 60 + r))
+        assert report == check_countdown_pairs(x, ys, r)
+        assert report["dense_found"] == 40
+        ys += [y[-k:] for y in ys[:10] for k in (1, 2 * r - 1, 2 * r + 5)]
+        assert check_countdown_pairs(x, ys, r)["dense_found"] == sum(
+            dense_window_index(x, y, r) is not None for y in ys) < len(ys)
+
+
+def test_countdown_pairs_hold_one_sample_at_a_time():
+    x = gen_increasing_seq(20_000, seed=5)
+    [one] = sample_dominated(x, 1, 6)
+    size = sys.getsizeof(one) + sum(map(sys.getsizeof, one))
+    peaks = []
+    for count in (4, 16):
+        tracemalloc.start()
+        try:
+            check_countdown_pairs(x, sample_dominated(x, count, 6), 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < size
+
+
+def test_countdown_pairs_skip_each_uncertified_side():
+    x, r = odds(10), 1  # window ends 3, 7, 11, ...
+    # one entry: the shift leaves nothing
+    single = (6,)
+    # a False verdict at index 0, then an uncertified one at index 1
+    stalls = (0, 3, 4)
+    assert window_member(x, stalls, r) is False
+    assert countdown_index(x, stalls, r) is None
+    # a reset (index 0) whose shift is uncertified
+    reset = (0, 1, 3)
+    assert countdown_index(x, reset, r) == 0
+    assert countdown_index(x, reset[1:], r) is None
+    for y in (single, stalls, reset):
+        report = check_countdown_pairs(x, [y], r)
+        assert (report["checked"], report["skipped"]) == (0, 1)
+        assert report == oracles.check_countdown_pairs_reference(x, [y], r)
+
+
 @settings(max_examples=120)
 @given(increasing_seqs(max_len=50), increasing_seqs(max_len=40),
        st.integers(1, 3))
@@ -181,7 +246,7 @@ def test_countdown_pairs_match_validating_reference(x, ys, r):
 def test_countdown_pairs_on_dominated_samples_match_reference():
     for r in (1, 2, 3):
         x = gen_increasing_seq(300, seed=30 + r)
-        ys = sample_dominated(x, 60, seed=40 + r)
+        ys = list(sample_dominated(x, 60, seed=40 + r))
         ys += [y[k:] for y in ys[:20] for k in (1, 5, 299)]
         assert check_countdown_pairs(x, ys, r) == \
             oracles.check_countdown_pairs_reference(x, ys, r)
