@@ -58,7 +58,9 @@ def main(argv=None) -> int:
                 data = ergodic_solver_data(h)
                 if data.reach_all > max_reach:
                     max_reach = data.reach_all
-                    bound_for_max = wielandt_bound(data.h_sub.m)
+                    v0 = h.is_ergodic().vertex
+                    bound_for_max = wielandt_bound(len(next(
+                        c for c in h.scc().classes() if v0 in c)))
             else:
                 counts["non"] += 1
         print(f"{m:>2} {total:>7} {counts['sink']:>6} "

@@ -144,14 +144,6 @@ class Digraph:
     def is_sinkless(self) -> bool:
         return len({u for u, _ in self.edges}) == self.m  # no m lists
 
-    def induced(self, vertices: Sequence[int]) -> tuple["Digraph", list[int]]:
-        """Induced subgraph; returns it with the old labels of its vertices."""
-        keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        es = [(index[u], index[v]) for u, v in self.edges
-              if u in index and v in index]
-        return Digraph(len(keep), es), keep
-
     # ---- strong components, periods and walk lengths ----
 
     def scc(self) -> Partition:
@@ -324,13 +316,3 @@ def power_walk(h: Digraph, walk: str) -> Digraph:
         edges.extend((x, y) for y in range(h.m) if reach >> y & 1)
     return Digraph(h.m, edges)
 
-
-def path_of_length(h: Digraph, u: int, w: int, length: int) -> list[int] | None:
-    """Lexicographically least directed path (as a vertex list) of the
-    exact length from u to w, or None."""
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    allowed = [(1 << h.m) - 1] * (length + 1)
-    allowed[0] &= 1 << u
-    allowed[-1] &= 1 << w
-    return h.least_walk(allowed)

@@ -128,6 +128,7 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
         a = _countdown_index(ends, y, r)
         b = (None if a is None else a - 1 if a > 0
              else _countdown_index(ends, y, r, 1))
+        head, y = y[0], None  # drop the sample before the next is drawn
         if b is None:
             report["skipped"] += 1
             continue
@@ -137,7 +138,7 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
             if report["min_reset"] is None or b < report["min_reset"]:
                 report["min_reset"] = b
         if (b != a - 1) if a > 0 else (b < r):
-            report["violations"].append((y[0], a, b))
+            report["violations"].append((head, a, b))
     report["ok"] = not report["violations"]
     return report
 

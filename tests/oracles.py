@@ -713,6 +713,15 @@ def least_walk_oracle(edges: frozenset[tuple[int, int]],
     return None
 
 
+def path_of_length(h, u: int, w: int, length: int) -> list[int] | None:
+    """Lexicographically least walk of the exact length from u to w (None
+    if there is none), one ``Digraph.least_walk`` per target."""
+    allowed = [-1] * (length + 1)  # -1: every vertex
+    allowed[0] &= 1 << u
+    allowed[-1] &= 1 << w
+    return h.least_walk(allowed)
+
+
 def path_of_length_oracle(m: int, edges: frozenset[tuple[int, int]],
                           u: int, w: int, length: int) -> list[int] | None:
     """Lexicographically least vertex sequence u, ..., w with ``length``
@@ -1034,6 +1043,18 @@ def retract_by_components(g, psi: list[int], h):
 
 # ---- entry-window ergodic solver ----
 
+def induced(h, vertices):
+    """Induced subgraph of the digraph h, with the old labels of its
+    vertices."""
+    from funcgraphs.digraphs import Digraph
+
+    keep = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    es = [(index[u], index[v]) for u, v in h.edges
+          if u in index and v in index]
+    return Digraph(len(keep), es), keep
+
+
 def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     """The original ``homsolver.solve_ergodic``, kept as the reference
     for the tree-order fold and for the distributed template solver.
@@ -1044,13 +1065,15 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     k being their steps to the first window vertex; window vertices walk
     a fresh length-L path from the witness to their member's label.
     """
-    from funcgraphs.digraphs import path_of_length
     from funcgraphs.hitting import is_forward_independent
-    from funcgraphs.homsolver import ergodic_solver_data
 
     assert g.acyclic
-    data = ergodic_solver_data(h)
-    ell0 = data.reach_all
+    v0 = h.is_ergodic().vertex
+    comp = next(c for c in h.scc().classes() if v0 in c)
+    h_sub, to_orig = induced(h, comp)
+    v0_sub = to_orig.index(v0)
+    cycle_len, _, ell0 = h_sub.walk_lengths(v0_sub)
+    cycle = path_of_length(h_sub, v0_sub, v0_sub, cycle_len)
     if not is_forward_independent(g, hitting.members, ell0):
         raise ValueError(
             f"hitting set is not {ell0}-forward-independent")
@@ -1083,17 +1106,17 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
     for x in order:
         if window[x] is None and to_window[x] is not None:
             k = to_window[x]
-            psi[x] = data.to_orig[data.cycle[(-k) % data.cycle_len]]
+            psi[x] = to_orig[cycle[(-k) % cycle_len]]
     for x in range(n):
         if window[x] is None:
             continue
         z, j = window[x]
         if psi[z] is None:
             continue
-        z_sub = data.to_orig.index(psi[z])
-        path = path_of_length(data.h_sub, data.v0_sub, z_sub, ell0)
+        z_sub = to_orig.index(psi[z])
+        path = path_of_length(h_sub, v0_sub, z_sub, ell0)
         assert path is not None, "reach_all threshold violated"
-        psi[x] = data.to_orig[path[ell0 - j]]
+        psi[x] = to_orig[path[ell0 - j]]
     return psi
 
 

@@ -451,6 +451,26 @@ def test_unusable_template_is_a_usage_error_before_the_build(
     assert_one_line_error(code, report, err)
 
 
+@pytest.mark.parametrize("command", ["hom", "local"])
+@pytest.mark.parametrize("cap", [29, 30])
+def test_ergodic_tables_above_the_cap_are_a_usage_error(
+        tmp_path, capsys, monkeypatch, command, cap):
+    # the template needs (m + c)(L + 1) = (4 + 2) * (4 + 1) = 30 entries
+    monkeypatch.setattr(homsolver, "MAX_TABLE_ENTRIES", cap)
+    if cap < 30:
+        def no_walk(*args):
+            raise AssertionError("tables built")
+
+        monkeypatch.setattr(funcgraphs.Digraph, "least_walk", no_walk)
+    code, report, err = run(capsys, command, "--template",
+                            two_three_path(tmp_path), "--n", "200")
+    if cap < 30:
+        assert_one_line_error(code, report, err)
+        assert "30 entries" in err
+    else:
+        assert code == 0 and report["labeled"] > 0
+
+
 def test_huge_printable_spacing_runs(capsys):
     code, report, _ = run(capsys, "local", "-r", str(2 ** 2000), "--n", "50",
                           "--segments", "3")

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from funcgraphs.digraphs import (
     Digraph, GraphShapeError, TemplateClass, classify, parse_walk,
-    path_of_length, power_walk, wielandt_bound)
+    power_walk, wielandt_bound)
 from funcgraphs.partition import Partition
-from oracles import countdown_digraph
+from oracles import countdown_digraph, path_of_length
 from strategies import digraph_templates, strongly_connected_templates
 
 
@@ -280,7 +280,7 @@ def test_wielandt_bound_values():
 
 def test_induced_subgraph_relabels():
     d = two_three_cycles()
-    sub, to_orig = d.induced([0, 2, 3])
+    sub, to_orig = oracles.induced(d, [0, 2, 3])
     assert sub.m == 3
     assert to_orig == [0, 2, 3]
     back = {(to_orig[u], to_orig[v]) for u, v in sub.edges}

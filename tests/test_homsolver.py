@@ -44,9 +44,44 @@ def test_solve_loop_requires_a_loop():
 def test_solver_data_for_two_three_cycles():
     data = ergodic_solver_data(two_three_cycles())
     assert data.reach_all == 4
-    assert data.cycle_len == 2
-    assert data.cycle == (0, 1, 0)
-    assert data.to_orig[data.v0_sub] == 0
+    assert data.cycle.tolist() == [0, 1]
+    assert data.windows.tolist() == [[0, 1, 0, 1, 0], [0, 2, 3, 0, 1]]
+
+
+def check_tables_against_per_target_walks(h, rows=None):
+    """The cycle and the windows ``rows`` (all by default) against one
+    least walk per target."""
+    data = ergodic_solver_data(h)
+    v0, ell0 = h.is_ergodic().vertex, data.reach_all
+    cycle = data.cycle.tolist()
+    c = len(cycle)
+    closed = [oracles.path_of_length(h, v0, v0, k) for k in range(1, c + 1)]
+    assert closed[:-1] == [None] * (c - 1)  # c is the least length
+    assert cycle == closed[-1][:-1]
+    assert data.windows.shape == (c, ell0 + 1)
+    for p in range(c) if rows is None else rows:
+        assert data.windows[p].tolist() == oracles.path_of_length(
+            h, v0, cycle[p], ell0)
+    return data
+
+
+@settings(max_examples=150)
+@given(digraph_templates(max_m=6, sinkless=True).map(
+    lambda d: Digraph(d.m, [(u, v) for u, v in d.edges if u != v])).filter(
+    lambda d: d.is_sinkless() and d.is_ergodic() is not None))
+def test_ergodic_tables_match_per_target_walks(h):
+    data = check_tables_against_per_target_walks(h)
+    if h.m <= 4:  # and the walks that enumeration finds
+        v0, ell0 = h.is_ergodic().vertex, data.reach_all
+        assert [oracles.path_of_length_oracle(h.m, h.edges, v0, z, ell0)
+                for z in data.cycle.tolist()] == data.windows.tolist()
+
+
+def test_ergodic_tables_match_per_target_walks_on_chorded_cycles():
+    for m in range(3, 61):  # every window up to m = 20, then three
+        h = Digraph(m, [(i, (i + 1) % m) for i in range(m)] + [(m - 1, 1)])
+        check_tables_against_per_target_walks(
+            h, None if m <= 20 else {0, m // 2, m - 2})
 
 
 def test_solver_data_rejects_wrong_shapes():

@@ -200,6 +200,22 @@ def test_countdown_pairs_hold_one_sample_at_a_time():
     assert abs(peaks[1] - peaks[0]) < size
 
 
+def test_countdown_pairs_drop_each_sample_before_the_next_draw():
+    # a second sample costs nothing when the first is gone before it is drawn
+    x = gen_increasing_seq(20_000, seed=5)
+    [one] = sample_dominated(x, 1, 6)
+    size = sys.getsizeof(one) + sum(map(sys.getsizeof, one))
+    peaks = []
+    for count in (1, 2):
+        tracemalloc.start()
+        try:
+            check_countdown_pairs(x, sample_dominated(x, count, 6), 2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < size / 2
+
+
 def test_countdown_pairs_skip_each_uncertified_side():
     x, r = odds(10), 1  # window ends 3, 7, 11, ...
     # one entry: the shift leaves nothing
