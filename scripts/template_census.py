@@ -13,8 +13,13 @@ import sys
 from itertools import permutations
 
 from funcgraphs.digraphs import (
-    Digraph, GraphShapeError, TemplateClass, classify, wielandt_bound)
+    Digraph, GraphShapeError, TemplateClass, classify)
 from funcgraphs.homsolver import ergodic_solver_data
+
+
+def wielandt_bound(m: int) -> int:
+    """Wielandt's bound on the exponent of a primitive m-vertex digraph."""
+    return m * m - 2 * m + 2
 
 
 def loopless_census(m: int):

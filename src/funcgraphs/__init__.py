@@ -9,7 +9,7 @@ from .asdim import (
     equivalence_from_coloring, verify_cover_witness, verify_eqrel_witness)
 from .digraphs import (
     Digraph, ErgodicWitness, GraphShapeError, TemplateClass, classify,
-    power_walk, wielandt_bound)
+    power_walk)
 from .graphs import (
     FunctionalGraph, ball_class_counts, class_diameters, gen_path,
     gen_random_forest, gen_random_total, proximity_classes)

@@ -288,7 +288,7 @@ def _cmd_local(args) -> int:
                                       segments=args.segments)
     if args.template is not None:
         trace = local_sim.run_local(alg, net, round_cap=args.cap)
-        labels = np.array(trace.outputs, dtype=np.int64)
+        labels = alg.labels(trace.outputs)
         bad = homsolver.hom_violations(net, labels, h)
         labeled = int(np.count_nonzero(labels >= 0))
         ok = not bad and labeled > 0

@@ -42,10 +42,6 @@ class ErgodicWitness:
     threshold: int
 
 
-def wielandt_bound(m: int) -> int:
-    return m * m - 2 * m + 2
-
-
 class Digraph:
     """Digraph on vertices 0..m-1 with an edge set (loops allowed)."""
 

@@ -96,23 +96,25 @@ class ErgodicSolverData:
     cycle: np.ndarray
     windows: np.ndarray
 
-    def label(self, first: int, gap: int) -> int:
-        """Label in H of a vertex ``first`` steps before the next member,
-        where that member's own next member is ``gap`` steps further.
+    def labels(self, first: np.ndarray, gap: np.ndarray) -> np.ndarray:
+        """Labels in H of vertices ``first`` steps before their next
+        member, where that member's own next member is ``gap`` steps
+        further, both int64 arrays.
 
         With L = reach_all, a vertex more than L steps before its member
         takes the cycle label first - L steps before the witness.  The
         L vertices before a member (its entry window) walk from the
-        witness to the member's own label.  -1, as an argument or as the
-        result, marks a value cut off by a sink or by the end of a window.
+        witness to the member's own label.  -1, in the arguments or in
+        the result, marks a value cut off by a sink or by the end of a
+        window; ``gap`` is -1 wherever ``first`` is.
         """
         ell0, c = self.reach_all, len(self.cycle)
-        if first > ell0:
-            return self.cycle.item((ell0 - first) % c)
-        if first < 0 or gap < 0:
-            return -1
-        assert gap > ell0, "members too close for the template threshold"
-        return self.windows.item((ell0 - gap) % c, ell0 - first)
+        psi = np.where(first > ell0, self.cycle[(ell0 - first) % c], -1)
+        near = (first <= ell0) & (gap >= 0)  # a member ahead: first >= 1
+        gap = gap[near]
+        assert np.all(gap > ell0), "members too close for the threshold"
+        psi[near] = self.windows[(ell0 - gap) % c, ell0 - first[near]]
+        return psi
 
 
 def ergodic_solver_data(h: Digraph) -> ErgodicSolverData:
@@ -172,13 +174,13 @@ def solve_ergodic(g: FunctionalGraph, data: ErgodicSolverData,
     reach-all threshold L.  Each vertex's steps to the first member
     ahead, and that member's own steps to the next, come from one
     :func:`~funcgraphs.hitting.next_member` call and index ``data``'s
-    cycle and windows as :meth:`ErgodicSolverData.label` does.  Vertices
-    whose forward data is cut off by a sink get -1.  The same call shows
-    independence: no member's next member is within L steps.
+    cycle and windows through :meth:`ErgodicSolverData.labels`.
+    Vertices whose forward data is cut off by a sink get -1.  The same
+    call shows independence: no member's next member is within L steps.
     """
     if not g.acyclic:
         raise ValueError("solve_ergodic requires an acyclic graph")
-    ell0, c = data.reach_all, len(data.cycle)
+    ell0 = data.reach_all
     members = vertex_array(hitting.members, g.n)
     first, member = next_member(g, members)
     ahead = first[members]
@@ -186,11 +188,7 @@ def solve_ergodic(g: FunctionalGraph, data: ErgodicSolverData,
         raise ValueError(
             f"hitting set is not {ell0}-forward-independent")
     # after[x]: first[] of the member first[x] steps ahead of x
-    after = np.where(member < 0, -1, first[member])
-    psi = np.where(first > ell0, data.cycle[(ell0 - first) % c], -1)
-    near = (first <= ell0) & (after >= 0)  # a member ahead: first >= 1
-    psi[near] = data.windows[(ell0 - after[near]) % c, ell0 - first[near]]
-    return psi
+    return data.labels(first, np.where(member < 0, -1, first[member]))
 
 
 def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .digraphs import Digraph
 from .graphs import FunctionalGraph, int_array, path_ends
-from .homsolver import ErgodicSolverData, ergodic_solver_data
+from .homsolver import ergodic_solver_data
 
 MAX_NODES = 2 ** 21 - 1  # the largest n with n**3 < 2**63
 
@@ -358,28 +358,19 @@ def verify_ruling(net: PathNetwork, members: Sequence[bool] | np.ndarray,
             "hitting": hits, "ok": independent and hits}
 
 
-def window_label(bits: list[bool], data: ErgodicSolverData) -> int:
-    """Template label from a forward membership window.
-
-    bits[0] is the node's own membership, bits[i] the node i steps
-    ahead; the window ends at the path end or its length.  The steps to
-    the first member ahead and from it to the second go through
-    :meth:`ErgodicSolverData.label`, -1 for a member not in the window.
-    """
-    ahead = (i for i in range(1, len(bits)) if bits[i])
-    first = next(ahead, -1)
-    second = next(ahead, -1)
-    return data.label(first, second - first if second >= 0 else -1)
-
-
 class TemplateSolverAlgorithm:
     """Distributed homomorphism labeling into an ergodic template.
 
     Runs the ruling-set algorithm at the template's reach-all
-    threshold, then gathers a forward membership window long enough to
-    place each node, and labels it by the centralized solver's rule,
-    :meth:`ErgodicSolverData.label`.  Nodes whose window is cut off by
-    the path end output -1.
+    threshold, then W = ``window`` gather rounds.  In each one a node
+    passes its predecessor (joined, first, second): its membership and
+    its steps to the first and second members ahead, -1 for one not yet
+    seen.  After k rounds a node has seen k hops ahead, so the round
+    count is the locality bound: first <= W and first + gap <= W, or -1.
+    Each node outputs (first, gap), and :meth:`labels` maps the outputs
+    through the centralized solver's rule,
+    :meth:`ErgodicSolverData.labels`; a node that sees no member, or
+    sees one within L steps but not the one after it, gets -1.
     """
 
     def __init__(self, template: Digraph):
@@ -393,21 +384,29 @@ class TemplateSolverAlgorithm:
     def boot(self, view: NodeView):
         inner, tp, ts = self.ruling.boot(view)
         base = len(inner["plan"]) - 1
-        return {"inner": inner, "bits": None, "base": base}, tp, ts
+        return {"inner": inner, "seen": None, "base": base}, tp, ts
 
     def step(self, view: NodeView, state, rnd, from_pred, from_succ):
         base = state["base"]
         if rnd <= base:
             state["inner"], tp, ts = self.ruling.step(
                 view, state["inner"], rnd, from_pred, from_succ)
-            if rnd == base:
-                state["bits"] = [self.ruling.finish(view, state["inner"])]
-                return state, state["bits"][:self.window], None
-            return state, tp, ts
-        # gather phase: windows flow backwards, one hop per round
-        if from_succ is not None:
-            state["bits"] = [state["bits"][0]] + list(from_succ)
-        return state, state["bits"][:self.window], None
+            if rnd < base:
+                return state, tp, ts
+            state["seen"] = (self.ruling.finish(view, state["inner"]), -1, -1)
+        elif from_succ is not None:  # counters flow back one hop a round
+            joined, first, second = from_succ
+            if joined:
+                first, second = 0, first
+            state["seen"] = (state["seen"][0], first + (first >= 0),
+                             second + (second >= 0))
+        return state, state["seen"], None
 
-    def finish(self, view: NodeView, state) -> int:
-        return window_label(state["bits"], self.data)
+    def finish(self, view: NodeView, state) -> tuple[int, int]:
+        _, first, second = state["seen"]
+        return first, second - first if second >= 0 else -1
+
+    def labels(self, outputs: Sequence[tuple[int, int]]) -> np.ndarray:
+        """Template labels of the nodes' (first, gap) outputs."""
+        first, gap = np.array(outputs, dtype=np.int64).reshape(-1, 2).T
+        return self.data.labels(first, gap)

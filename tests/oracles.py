@@ -263,10 +263,6 @@ def bfs_dists(succ: list[int | None], source: int) -> list[int | None]:
     return dist
 
 
-def bfs_distance(succ: list[int | None], x: int, y: int) -> int | None:
-    return bfs_dists(succ, x)[y]
-
-
 def bfs_ball(succ: list[int | None], x: int, radius: int) -> set[int]:
     d = bfs_dists(succ, x)
     return {v for v, dv in enumerate(d) if dv is not None and dv <= radius}
@@ -526,7 +522,7 @@ def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
 
     data = ergodic_solver_data(h)
     members = vertex_set(hitting.members)
-    first = [-1] * g.n  # -1: no member ahead, as data.label reads it
+    first = [-1] * g.n  # -1: no member ahead, as data.labels reads it
     after = [-1] * g.n
     for x in g.tree_order():
         y = g.succ[x]
@@ -537,7 +533,7 @@ def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
         elif first[y] >= 0:
             first[x], after[x] = first[y] + 1, after[y]
     return [None if v < 0 else v
-            for v in (data.label(f, a) for f, a in zip(first, after))]
+            for v in data.labels(np.array(first), np.array(after)).tolist()]
 
 
 # ---- edge checks, one edge at a time ----
@@ -632,6 +628,12 @@ def reach_all_threshold_oracle(m: int, edges: list[tuple[int, int]],
 
 # ---- bounded scans, references for Digraph.periods and walk_lengths ----
 
+def wielandt_bound(m: int) -> int:
+    """Wielandt's bound on the exponent of a primitive m-vertex digraph;
+    the scans below search that far plus m."""
+    return m * m - 2 * m + 2
+
+
 def component_period(d, component) -> int | None:
     """gcd of cycle lengths inside a strong component of the digraph d,
     None if edgeless (one BFS and one edge pass per component)."""
@@ -676,7 +678,6 @@ def reach_all_threshold(d, v0: int) -> int:
 
     Requires d to be strongly connected and ergodic.
     """
-    from funcgraphs.digraphs import wielandt_bound
     if d.scc().num_classes != 1:
         raise ValueError("digraph is not strongly connected")
     if component_period(d, range(d.m)) != 1:
@@ -1127,6 +1128,24 @@ def reference_only(alg) -> SimpleNamespace:
     on the reference engine whatever the wiring."""
     return SimpleNamespace(total_rounds=alg.total_rounds, boot=alg.boot,
                            step=alg.step, finish=alg.finish)
+
+
+def window_pairs(net, members, window: int) -> list[tuple[int, int]]:
+    """Per node, (first, gap) by a walk of at most ``window`` steps
+    forward: the steps to the first member ahead, and from it to the
+    second, -1 for a member the walk does not meet."""
+    pairs = []
+    for x in range(net.n):
+        ahead, v = [], x
+        for i in range(1, window + 1):
+            v = net.succ[v]
+            if v is None:
+                break
+            if members[v]:
+                ahead.append(i)
+        first, second = (ahead + [-1, -1])[:2]
+        pairs.append((first, second - first if second >= 0 else -1))
+    return pairs
 
 
 def ruling_outputs_every_level(alg, net) -> np.ndarray:

@@ -7,9 +7,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import oracles
 from funcgraphs.digraphs import (
     Digraph, GraphShapeError, TemplateClass, classify, parse_walk,
-    power_walk, wielandt_bound)
+    power_walk)
 from funcgraphs.partition import Partition
-from oracles import countdown_digraph, path_of_length
+from oracles import countdown_digraph, path_of_length, wielandt_bound
 from strategies import digraph_templates, strongly_connected_templates
 
 

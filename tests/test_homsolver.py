@@ -136,6 +136,18 @@ def test_solve_ergodic_checks_spacing_exactly(gap):
         assert solve_ergodic(g, data, hs)[9] >= 0
 
 
+@pytest.mark.parametrize("gap", [4, 5])
+def test_labels_refuse_members_within_reach_all(gap):
+    # the rule itself holds the same line: a window read needs gap > 4
+    data = ergodic_solver_data(two_three_cycles())
+    first, gaps = np.array([1, 5, -1]), np.array([gap, -1, -1])
+    if gap <= 4:
+        with pytest.raises(AssertionError, match="members too close"):
+            data.labels(first, gaps)
+    else:
+        assert data.labels(first, gaps).tolist() == [0, 1, -1]
+
+
 def test_solve_ergodic_rejects_cyclic_input():
     h = two_three_cycles()
     rho = FunctionalGraph([1, 2, 3, 1])

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from funcgraphs import local_sim
@@ -395,9 +395,9 @@ def test_template_solver_matches_centralized():
     members = np.flatnonzero(members_trace.outputs)
     hitting = HittingSet(members, alg.data.reach_all, net.n)
     central = solve_ergodic(net, alg.data, hitting)
-    assert np.array_equal(trace.outputs, central)
+    assert np.array_equal(alg.labels(trace.outputs), central)
 
-    labels = oracles.partial_list(np.array(trace.outputs))
+    labels = oracles.partial_list(alg.labels(trace.outputs))
     labeled_edges = [(x, net.succ[x]) for x in range(net.n)
                      if net.succ[x] is not None
                      and labels[x] is not None
@@ -424,8 +424,43 @@ def test_template_solver_matches_window_oracle(h, n, segments, id_mode,
     trace = run_local(oracles.reference_only(alg), net)
     ruled = run_local(oracles.reference_only(alg.ruling), net).outputs
     hitting = HittingSet(np.flatnonzero(ruled), alg.data.reach_all, net.n)
-    assert oracles.partial_list(np.array(trace.outputs)) == \
+    assert oracles.partial_list(alg.labels(trace.outputs)) == \
         oracles.solve_ergodic_by_windows(net, h, hitting)
+
+
+@settings(max_examples=60, deadline=None)
+@given(h=ergodic_templates(), n=st.integers(1, 80),
+       segments=st.integers(1, 3), id_mode=ID_LAYOUTS,
+       seed=st.integers(0, 50), shuffle=st.booleans(),
+       order_seed=st.one_of(st.none(), st.integers(0, 99)))
+@example(h=two_three_cycles(), n=80, segments=1, id_mode="random", seed=3,
+         shuffle=False, order_seed=None)  # a node sees a member W steps on
+def test_template_solver_outputs_match_window_pairs(h, n, segments, id_mode,
+                                                    seed, shuffle,
+                                                    order_seed):
+    # the raw (first, gap) outputs are exactly what a walk of W steps
+    # sees, so the gather rounds alone bound what a node reads
+    net = id_layout(make_path_network(n, seed=seed,
+                                      segments=min(segments, n)), id_mode)
+    if shuffle:
+        net = permute_network(net, seed=seed)
+    alg = TemplateSolverAlgorithm(h)
+    trace = run_local(oracles.reference_only(alg), net, order_seed=order_seed)
+    ruled = run_local(oracles.reference_only(alg.ruling), net).outputs
+    assert trace.outputs == oracles.window_pairs(net, ruled, alg.window)
+
+
+def test_template_solver_outputs_stay_in_the_window():
+    h = two_three_cycles()
+    net = make_path_network(3000, seed=4, segments=5)
+    alg = TemplateSolverAlgorithm(h)
+    w = alg.window
+    trace = run_local(oracles.reference_only(alg), net)
+    far = [first + gap if gap >= 0 else first
+           for first, gap in trace.outputs]
+    assert all(first == gap == -1 or 1 <= first <= f <= w
+               for (first, gap), f in zip(trace.outputs, far))
+    assert max(far) == w  # the bound is met, so one more round shows
 
 
 @st.composite
