@@ -1,12 +1,13 @@
 """Command-line entry point.
 
-Every subcommand prints a machine-readable JSON report to stdout (keys
-sorted, no timestamps, so identical inputs and seeds give byte-identical
-output) and a one-line human summary to stderr.  Exit codes: 0 when the
-check passes or the object exists, 1 when it fails or is absent, 2 on
-usage errors, malformed input files or out-of-domain input (a cyclic
-graph where an acyclic one is needed, a zero spacing, ...), reported as
-one ``error:`` line.
+Every subcommand returns a machine-readable report, a one-line human
+summary and a verdict.  ``main`` alone prints the report as JSON to
+stdout (keys sorted, no timestamps, so identical inputs and seeds give
+byte-identical output) and the summary to stderr, and picks the exit
+code: 0 when the verdict holds (the check passes or the object exists),
+1 when it does not, 2 on usage errors, malformed input files or
+out-of-domain input (a cyclic graph where an acyclic one is needed, a
+zero spacing, ...), reported as one ``error:`` line.
 
 The default seed comes from the FUNCGRAPHS_SEED environment variable
 and is echoed in every report that uses randomness.
@@ -27,6 +28,7 @@ from .graphs import FunctionalGraph
 
 PASS, FAIL, USAGE = 0, 1, 2
 _MAX_POWER = 10 ** 5  # the largest power -p: p template steps, each O(edges)
+_Result = tuple[dict, str, bool]  # a subcommand's report, summary and verdict
 
 
 def _default_seed() -> int:
@@ -37,12 +39,12 @@ def _default_seed() -> int:
         raise _Malformed(f"FUNCGRAPHS_SEED must be an integer, got {raw!r}")
 
 
-def _emit(report: dict, summary: str) -> None:
-    print(json.dumps(report, sort_keys=True))
-    print(summary, file=sys.stderr)
+class _Malformed(Exception):
+    pass
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, cls=None, what: str = ""):
+    """The JSON object in ``path``, or ``cls.from_json_dict`` of it."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -50,39 +52,32 @@ def _load_json(path: str) -> dict:
         raise _Malformed(f"cannot read {path}: {exc}")
     if not isinstance(data, dict):
         raise _Malformed(f"{path}: expected a JSON object")
-    return data
-
-
-class _Malformed(Exception):
-    pass
-
-
-def _write_json(path: str, doc: dict) -> None:
+    if cls is None:
+        return data
     try:
-        with open(path, "w") as fh:
+        return cls.from_json_dict(data)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise _Malformed(f"{path}: not a {what}: {exc}")
+
+
+def _out(args, doc: dict, summary: str, written: tuple[dict, str]) -> _Result:
+    """``doc`` and ``summary``; with ``--out``, ``doc`` goes to that file
+    and the ``written`` report and summary, which name it, come back."""
+    if not args.out:
+        return doc, summary, True
+    try:
+        with open(args.out, "w") as fh:
             json.dump(doc, fh, sort_keys=True)
             fh.write("\n")
     except OSError as exc:
-        raise _Malformed(f"cannot write {path}: {exc}")
+        raise _Malformed(f"cannot write {args.out}: {exc}")
+    report, summary = written
+    return {**report, "out": args.out}, f"{summary} to {args.out}", True
 
 
 def _label_list(labels: np.ndarray) -> list[int | None]:
     """A labeling for a JSON report: null for unlabeled (-1)."""
     return [None if v < 0 else v for v in labels.tolist()]
-
-
-def _load_graph(path: str) -> FunctionalGraph:
-    try:
-        return FunctionalGraph.from_json_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _Malformed(f"{path}: not a functional graph: {exc}")
-
-
-def _load_template(path: str) -> Digraph:
-    try:
-        return Digraph.from_json_dict(_load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _Malformed(f"{path}: not a digraph: {exc}")
 
 
 def make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
@@ -101,7 +96,8 @@ def make_graph(kind: str, n: int, seed: int) -> FunctionalGraph:
 
 def _graph_from_args(args) -> tuple[FunctionalGraph, dict]:
     if args.graph is not None:
-        return _load_graph(args.graph), {"source": args.graph}
+        return (_load(args.graph, FunctionalGraph, "functional graph"),
+                {"source": args.graph})
     g = make_graph(args.kind, args.n, args.seed)
     return g, {"source": {"kind": args.kind, "n": args.n, "seed": args.seed}}
 
@@ -117,21 +113,16 @@ def _add_graph_opts(p: argparse.ArgumentParser, default_n: int) -> None:
 
 # ---- subcommands ----
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> _Result:
     g = make_graph(args.kind, args.n, args.seed)
-    doc = g.to_json_dict()
-    if args.out:
-        _write_json(args.out, doc)
-        _emit({"kind": args.kind, "n": g.n, "seed": args.seed,
-               "acyclic": g.acyclic, "out": args.out},
-              f"wrote {args.kind} graph n={g.n} to {args.out}")
-    else:
-        _emit(doc, f"{args.kind} graph n={g.n} seed={args.seed} "
-              f"acyclic={g.acyclic}")
-    return PASS
+    return _out(args, g.to_json_dict(),
+                f"{args.kind} graph n={g.n} seed={args.seed} "
+                f"acyclic={g.acyclic}",
+                ({"kind": args.kind, "n": g.n, "seed": args.seed,
+                  "acyclic": g.acyclic}, f"wrote {args.kind} graph n={g.n}"))
 
 
-def _cmd_hit(args) -> int:
+def _cmd_hit(args) -> _Result:
     g, src = _graph_from_args(args)
     hs = hitting.greedy_hitting(g, args.spacing)
     independent = hitting.is_forward_independent(g, hs.members, hs.spacing)
@@ -140,24 +131,21 @@ def _cmd_hit(args) -> int:
     report = {**src, "n": g.n, "spacing": hs.spacing, "horizon": hs.horizon,
               "members": hs.members.tolist(), "independent": independent,
               "hitting": hits, "ok": ok}
-    _emit(report, f"greedy hitting set: {len(hs.members)} members, "
-          f"independent={independent} hitting={hits}")
-    return PASS if ok else FAIL
+    return report, (f"greedy hitting set: {len(hs.members)} members, "
+                    f"independent={independent} hitting={hits}"), ok
 
 
-def _cmd_drhom(args) -> int:
+def _cmd_drhom(args) -> _Result:
     g, src = _graph_from_args(args)
     if args.labels:
-        doc = _load_json(args.labels)
-        labels = doc.get("labels")
+        labels = _load(args.labels).get("labels")
         if not isinstance(labels, list):
             raise _Malformed(f"{args.labels}: expected a 'labels' array")
         hs = hitting.hitting_from_labeling(g, labels, args.spacing)
-        _emit({**src, "spacing": args.spacing,
-               "members": hs.members.tolist(), "ok": True},
-              f"labeling converts to a {hs.spacing}-independent hitting set "
-              f"with {len(hs.members)} members")
-        return PASS
+        return ({**src, "spacing": args.spacing,
+                 "members": hs.members.tolist(), "ok": True},
+                f"labeling converts to a {hs.spacing}-independent hitting "
+                f"set with {len(hs.members)} members", True)
     hs = hitting.greedy_hitting(g, args.spacing)
     labels = hitting.labeling_from_hitting(g, hs.members)
     bad, back = hitting.check_labeling(g, labels, args.spacing)
@@ -165,23 +153,21 @@ def _cmd_drhom(args) -> int:
     report = {**src, "spacing": args.spacing,
               "labels": _label_list(labels), "countdown_violations": len(bad),
               "round_trip": ok, "ok": ok}
-    _emit(report, f"countdown labeling: {len(bad)} violations, "
-          f"round trip {'exact' if ok else 'BROKEN'}")
-    return PASS if ok else FAIL
+    return report, (f"countdown labeling: {len(bad)} violations, "
+                    f"round trip {'exact' if ok else 'BROKEN'}"), ok
 
 
-def _cmd_asdim(args) -> int:
+def _cmd_asdim(args) -> _Result:
     g, src = _graph_from_args(args)
     report = asdim.asdim_pipeline(g, tuple(args.t or [1]))
     out = {**src, "n": g.n, "report": report, "ok": report["ok"]}
     diam = max(r["cover"]["max_diameter"] for r in report["t"].values())
-    _emit(out, f"two-set witness pipeline t={list(report['t'])}: "
-          f"max class diameter {diam}, ok={report['ok']}")
-    return PASS if report["ok"] else FAIL
+    return out, (f"two-set witness pipeline t={list(report['t'])}: "
+                 f"max class diameter {diam}, ok={report['ok']}"), report["ok"]
 
 
-def _cmd_classify(args) -> int:
-    h = _load_template(args.template)
+def _cmd_classify(args) -> _Result:
+    h = _load(args.template, Digraph, "digraph")
     cls = digraphs.classify(h)
     report = {"source": args.template, "m": h.m, "class": cls.value}
     if cls is digraphs.TemplateClass.ERGODIC_NO_LOOP:
@@ -190,38 +176,32 @@ def _cmd_classify(args) -> int:
     names = {digraphs.TemplateClass.LOOP: "Loop",
              digraphs.TemplateClass.ERGODIC_NO_LOOP: "ErgodicNoLoop",
              digraphs.TemplateClass.NON_ERGODIC: "NonErgodic"}
-    _emit(report, names[cls])
-    return PASS
+    return report, names[cls], True
 
 
-def _cmd_power(args) -> int:
+def _cmd_power(args) -> _Result:
     if args.walk is None and not 1 <= args.p <= _MAX_POWER:
         raise _Malformed(f"-p must be in [1, {_MAX_POWER}], got {args.p}")
-    h = _load_template(args.template)
+    h = _load(args.template, Digraph, "digraph")
     walk = args.walk if args.walk is not None else "f" * args.p
     powered = digraphs.power_walk(h, walk)
-    doc = powered.to_json_dict()
-    if args.out:
-        _write_json(args.out, doc)
-        _emit({"source": args.template, "walk": walk, "m": powered.m,
-               "edges": len(powered.edges), "out": args.out},
-              f"wrote walk power '{walk}' to {args.out}")
-    else:
-        _emit(doc, f"walk power '{walk}': {len(powered.edges)} edges")
-    return PASS
+    edges = len(powered.edges)
+    return _out(args, powered.to_json_dict(),
+                f"walk power '{walk}': {edges} edges",
+                ({"source": args.template, "walk": walk, "m": powered.m,
+                  "edges": edges}, f"wrote walk power '{walk}'"))
 
 
-def _cmd_hom(args) -> int:
-    h = _load_template(args.template)
+def _cmd_hom(args) -> _Result:
+    h = _load(args.template, Digraph, "digraph")
     g, src = _graph_from_args(args)
     if g.is_total:
         psi = homsolver.decide_hom(g, h)
         present = psi is not None
         report = {**src, "mode": "decide", "present": present,
                   "labels": psi.tolist() if present else None}
-        _emit(report, "homomorphism present" if present
-              else "no homomorphism")
-        return PASS if present else FAIL
+        return report, ("homomorphism present" if present
+                        else "no homomorphism"), present
     cls = digraphs.classify(h)
     if cls is digraphs.TemplateClass.LOOP:
         psi = homsolver.solve_loop(g, h)
@@ -246,12 +226,11 @@ def _cmd_hom(args) -> int:
               "labels": _label_list(psi), "labeled": labeled,
               "interior_horizon": horizon,
               "violations": len(bad_interior), "ok": ok}
-    _emit(report, f"solved via {cls.value}: {labeled}/{g.n} labeled, "
-          f"{len(bad_interior)} interior violations")
-    return PASS if ok else FAIL
+    return report, (f"solved via {cls.value}: {labeled}/{g.n} labeled, "
+                    f"{len(bad_interior)} interior violations"), ok
 
 
-def _cmd_shift(args) -> int:
+def _cmd_shift(args) -> _Result:
     if args.spacing < 1:  # checked before the draws, as --count is
         raise _Malformed(f"-r must be >= 1, got {args.spacing}")
     if args.count < 0:
@@ -265,14 +244,13 @@ def _cmd_shift(args) -> int:
            "violations": len(report["violations"]),
            "resets": report["resets"], "min_reset": report["min_reset"],
            "dense_found": report["dense_found"], "ok": report["ok"]}
-    _emit(out, f"countdown relation r={args.spacing}: "
-          f"{report['checked']} pairs checked, "
-          f"{len(report['violations'])} violations, dense windows "
-          f"{report['dense_found']}/{args.count}")
-    return PASS if report["ok"] else FAIL
+    return out, (f"countdown relation r={args.spacing}: "
+                 f"{report['checked']} pairs checked, "
+                 f"{len(report['violations'])} violations, dense windows "
+                 f"{report['dense_found']}/{args.count}"), report["ok"]
 
 
-def _cmd_local(args) -> int:
+def _cmd_local(args) -> _Result:
     if (args.spacing is None) == (args.template is None):
         raise _Malformed("give exactly one of --spacing or --template")
     if args.template is None:
@@ -282,32 +260,30 @@ def _cmd_local(args) -> int:
         except ValueError:
             raise _Malformed("-r too large to print the round count") from None
     else:
-        h = _load_template(args.template)
+        h = _load(args.template, Digraph, "digraph")
         alg = local_sim.TemplateSolverAlgorithm(h)
     net = local_sim.make_path_network(args.n, args.seed,
                                       segments=args.segments)
-    if args.template is not None:
-        trace = local_sim.run_local(alg, net, round_cap=args.cap)
-        labels = alg.labels(trace.outputs)
-        bad = homsolver.hom_violations(net, labels, h)
-        labeled = int(np.count_nonzero(labels >= 0))
-        ok = not bad and labeled > 0
-        report = {"n": args.n, "seed": args.seed, "template": args.template,
-                  "rounds": trace.rounds, "engine": trace.engine,
-                  "labeled": labeled, "violations": len(bad), "ok": ok}
-        _emit(report, f"template solving in {trace.rounds} rounds: "
-              f"{labeled}/{args.n} labeled, {len(bad)} violations")
-        return PASS if ok else FAIL
     trace = local_sim.run_local(alg, net, round_cap=args.cap)
-    check = local_sim.verify_ruling(net, trace.outputs, args.spacing,
-                                    alg.gap_bound())
-    report = {"n": args.n, "seed": args.seed, "spacing": args.spacing,
-              "rounds": trace.rounds, "engine": trace.engine,
-              "gap_bound": alg.gap_bound(), **check}
-    _emit(report, f"ruling set in {trace.rounds} rounds: "
-          f"{check['members']} members, independent={check['independent']} "
-          f"hitting={check['hitting']}")
-    return PASS if check["ok"] else FAIL
+    report = {"n": args.n, "seed": args.seed, "rounds": trace.rounds,
+              "engine": trace.engine}
+    if args.template is None:
+        check = local_sim.verify_ruling(net, trace.outputs, args.spacing,
+                                        alg.gap_bound())
+        report.update(spacing=args.spacing, gap_bound=alg.gap_bound(),
+                      **check)
+        return report, (
+            f"ruling set in {trace.rounds} rounds: {check['members']} "
+            f"members, independent={check['independent']} "
+            f"hitting={check['hitting']}"), check["ok"]
+    labels = alg.labels(trace.outputs)
+    bad = homsolver.hom_violations(net, labels, h)
+    labeled = int(np.count_nonzero(labels >= 0))
+    ok = not bad and labeled > 0
+    report.update(template=args.template, labeled=labeled,
+                  violations=len(bad), ok=ok)
+    return report, (f"template solving in {trace.rounds} rounds: "
+                    f"{labeled}/{args.n} labeled, {len(bad)} violations"), ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +363,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        report, summary, holds = args.func(args)
+        print(json.dumps(report, sort_keys=True))
+        print(summary, file=sys.stderr)
+        return PASS if holds else FAIL
     except (_Malformed, ValueError, local_sim.RoundLimitError) as exc:
         # the library raises ValueError (GraphShapeError included) only
         # to reject out-of-domain input

@@ -309,6 +309,9 @@ def power_walk(h: Digraph, walk: str) -> Digraph:
         reach = 1 << x
         for c in walk:
             reach = h.step(masks[c], reach)
-        edges.extend((x, y) for y in range(h.m) if reach >> y & 1)
+        while reach:  # one pass per edge written, as in Digraph.step
+            low = reach & -reach
+            edges.append((x, low.bit_length() - 1))
+            reach ^= low
     return Digraph(h.m, edges)
 

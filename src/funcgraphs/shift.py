@@ -27,10 +27,15 @@ from collections.abc import Iterator
 import operator
 import random
 
+import numpy as np
+
+from .graphs import _randbelow_bulk
+
 Seq = tuple[int, ...]
 # A `shift` request peaks at about 29 MB plus 125 MB per million entries
 # (measured up to 3 * 10^6): about 1.3 GB at this length.
 MAX_LENGTH = 10 ** 7
+_BLOCK = 1 << 12  # entries drawn per bulk read in gen_increasing_seq
 
 
 def validate_seq(xs) -> Seq:
@@ -144,13 +149,21 @@ def check_countdown_pairs(x, ys, r: int) -> dict:
 
 
 def gen_increasing_seq(length: int, seed: int) -> Seq:
-    """Random increasing sequence: start in [0, 2], gaps in [1, 3]."""
+    """Random increasing sequence: start in [0, 2], gaps in [1, 3].
+
+    The stdlib draws ``randint(0, 2)``, then ``randint(1, 3)`` per gap:
+    each is ``randrange(3)`` plus its low end, so the draws are replayed
+    in bulk, a block at a time.  Blocks keep numpy's temporaries under
+    glibc's 128 KiB mmap threshold: freeing a larger one raises that
+    threshold, and the lists of a ``shift`` request then peak higher.
+    """
     if not 1 <= length <= MAX_LENGTH:
         raise ValueError(f"length must be in [1, {MAX_LENGTH}]")
-    rng = random.Random(seed)
-    vals = [rng.randint(0, 2)]
-    for _ in range(length - 1):
-        vals.append(vals[-1] + rng.randint(1, 3))
+    rng, vals, last = random.Random(seed), [], -1
+    for lo in range(0, length, _BLOCK):
+        gaps = _randbelow_bulk(rng, np.full(min(_BLOCK, length - lo), 3)) + 1
+        vals += (np.cumsum(gaps) + last).tolist()
+        last = vals[-1]
     return tuple(vals)
 
 

@@ -184,9 +184,10 @@ def countdown_digraph(spacing: int, top: int):
 
 # ---- random generators, one stdlib draw at a time ----
 #
-# The original ``graphs.gen_random_forest`` and ``gen_random_total``,
-# kept as the reference for the bulk replay of their draws.  They
-# return the successor list, -1 for a sink.
+# The original ``graphs.gen_random_forest``, ``gen_random_total`` and
+# ``shift.gen_increasing_seq``, kept as the reference for the bulk
+# replay of their draws.  The graph generators return the successor
+# list, -1 for a sink.
 
 def gen_random_forest_loop(n: int, seed: int) -> list[int]:
     rng = random.Random(seed)
@@ -222,6 +223,14 @@ def gen_random_forest_loop(n: int, seed: int) -> list[int]:
 def gen_random_total_loop(n: int, seed: int) -> list[int]:
     rng = random.Random(seed)
     return [rng.randrange(n) for _ in range(n)]
+
+
+def gen_increasing_seq_loop(length: int, seed: int) -> tuple[int, ...]:
+    rng = random.Random(seed)
+    vals = [rng.randint(0, 2)]
+    for _ in range(length - 1):
+        vals.append(vals[-1] + rng.randint(1, 3))
+    return tuple(vals)
 
 
 def no_draws(seed):

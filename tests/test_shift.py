@@ -139,6 +139,17 @@ def test_sequence_length_outside_the_cap_is_rejected_before_drawing(
         gen_increasing_seq(length, 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3000), st.integers())
+@example(1, 0)
+@example(2, 0)
+@example(40_000, 3)  # past one 2^14-word bulk read
+def test_increasing_seq_replays_the_stdlib_loop(length, seed):
+    x = gen_increasing_seq(length, seed)
+    assert x == oracles.gen_increasing_seq_loop(length, seed)
+    assert all(type(v) is int for v in x)
+
+
 def test_identity_dominates_but_shifted_up_does_not():
     x = gen_increasing_seq(50, 7)
     assert all(a <= b for a, b in zip(x, x))
