@@ -15,9 +15,9 @@ This module has three layers:
 The ergodic solver reads each vertex's next member from
 :func:`funcgraphs.hitting.next_member`.  The total-graph passes sweep
 the whole graph's tree order (:meth:`FunctionalGraph.tree_order`, every
-off-cycle vertex after its successor), bottom-up or top-down, with
-feasible label sets as Python-int bitmasks over the template (see
-:meth:`Digraph.step` and :meth:`Digraph.least_walk`).
+off-cycle vertex after its successor), bottom-up for heights and
+top-down for labels, with label sets as Python-int bitmasks over the
+template (see :meth:`Digraph.step` and :meth:`Digraph.least_walk`).
 """
 
 from __future__ import annotations
@@ -195,54 +195,52 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
     """Find a homomorphism from a total functional graph, or None.
 
     Each weak component of G is one directed cycle with in-trees, and
-    the whole graph is handled in three passes over one tree order.
-    The bottom-up pass collects the feasible template labels of every
-    vertex as a bitmask over H (no width limit): a tree vertex passes
-    its successor the out-neighbours of its own feasible labels, and an
-    empty set means no homomorphism.  Each cycle, which starts at its
-    least vertex, takes the least label a there from which
-    :meth:`Digraph.least_walk` closes a walk through the cycle's
-    feasible sets back onto a.  The top-down pass gives every tree
-    vertex its least feasible label with an edge to its successor's
-    label.  Labels depend only on a vertex's own component, so the
-    output is deterministic but not the globally least labeling.
+    two facts about a sinkless H decide it.  A vertex whose longest
+    in-path has k steps can take exactly ``reach[k]``, the labels that
+    end a k-step walk in H; these sets shrink at most m - 1 times, so
+    heights are capped at m - 1.  Every closed walk of H lies in every
+    ``reach[k]``, so G maps to H exactly when H has a closed walk of
+    each cycle length of G.  Each distinct length takes the least label
+    a from which :meth:`Digraph.least_walk` closes a walk of that length
+    back onto a, and every cycle of that length, from its least vertex,
+    reuses it.  The top-down pass gives every tree vertex its least
+    label in its ``reach`` set with an edge to its successor's label,
+    so the output is deterministic but not the globally least labeling.
     """
     if not g.is_total:
         raise ValueError("decide_hom expects a total graph")
     if not h.is_sinkless():
         raise GraphShapeError("template has a sink")
-    succ = g.succ
-    tree = g.tree_order()
-    # feas[x]: labels v such that the tree hanging strictly above x
-    # admits a homomorphism sending x to v
-    feas = [(1 << h.m) - 1] * g.n
-    passed: dict[int, int] = {}  # feasible mask -> mask sent to successor
+    succ, tree, cap = g.succ, g.tree_order(), h.m - 1
+    height = [0] * g.n  # steps of the longest in-path, capped at m - 1
     for x in reversed(tree):
-        mask = feas[x]
-        out = passed.get(mask)
-        if out is None:
-            out = passed[mask] = h.step(h.out_masks, mask)
         y = succ[x]
-        feas[y] &= out
-        if not feas[y]:
-            return None
+        if height[x] >= height[y]:
+            k = height[x] + 1
+            height[y] = k if k <= cap else cap
+    deepest = max(height, default=0)
+    reach = [(1 << h.m) - 1]  # reach[k]: the ends of k-step walks in H
+    while len(reach) <= deepest:
+        reach.append(h.step(h.out_masks, reach[-1]))
+        if reach[-1] == reach[-2]:  # stable from here on: share it
+            reach += reach[-1:] * (deepest + 1 - len(reach))
     psi = [-1] * g.n
+    walks: dict[int, list[int] | None] = {}  # cycle length -> its labels
     for cyc in g.cycles():
-        rest = [feas[x] for x in cyc[1:]]
-        for a in range(h.m):
-            if feas[cyc[0]] >> a & 1:
-                labels = h.least_walk([1 << a, *rest, 1 << a])
-                if labels is not None:
-                    break
-        else:
+        if len(cyc) not in walks:
+            rest = [reach[-1]] * (len(cyc) - 1)
+            walks[len(cyc)] = next(filter(None, (
+                h.least_walk([1 << a, *rest, 1 << a])
+                for a in range(h.m) if reach[-1] >> a & 1)), None)
+        labels = walks[len(cyc)]
+        if labels is None:
             return None
         for x, v in zip(cyc, labels):
             psi[x] = v
     in_masks = h.in_masks
     for x in tree:
-        fits = feas[x] & in_masks[psi[succ[x]]]
+        fits = reach[height[x]] & in_masks[psi[succ[x]]]
         assert fits, "feasible labels lost their edge"
         psi[x] = (fits & -fits).bit_length() - 1
     assert -1 not in psi
     return np.array(psi, dtype=np.int64)
-

@@ -317,6 +317,14 @@ def test_retraction_on_random_instances():
             assert labels <= {0, 1}
 
 
+def shuffled_map(succ, perm):
+    """The map ``succ`` with each vertex x renamed perm[x]."""
+    shuffled = [0] * len(succ)
+    for x, y in enumerate(succ):
+        shuffled[perm[x]] = perm[y]
+    return FunctionalGraph(shuffled)
+
+
 @st.composite
 def many_component_maps(draw):
     """Disjoint unions of random maps and one cycle of length up to 40
@@ -328,11 +336,7 @@ def many_component_maps(draw):
     for part in parts:
         base = len(succ)
         succ += [base + s for s in part.succ]
-    perm = draw(st.permutations(range(len(succ))))
-    shuffled = [0] * len(succ)
-    for x, y in enumerate(succ):
-        shuffled[perm[x]] = perm[y]
-    return FunctionalGraph(shuffled)
+    return shuffled_map(succ, draw(st.permutations(range(len(succ)))))
 
 
 def check_against_components_oracle(g, h):
@@ -362,6 +366,72 @@ def test_decide_matches_component_oracle_on_wide_templates():
         succ = [(i + 1) % length for i in range(length)]
         succ += [rng.randrange(len(succ) + i) for i in range(300)]
         check_against_components_oracle(FunctionalGraph(succ), h)
+
+
+@st.composite
+def tailed_cycle_templates(draw):
+    """A source chain into a cycle, plus up to three random edges, with
+    the labels permuted: the ends of k-step walks lose one chain vertex
+    per step until the edges stop them."""
+    tail, c = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    m = tail + c
+    edges = {(i, i + 1) for i in range(tail)}
+    edges |= {(tail + i, tail + (i + 1) % c) for i in range(c)}
+    vertex = st.integers(0, m - 1)
+    edges |= draw(st.sets(st.tuples(vertex, vertex), max_size=3))
+    perm = draw(st.permutations(range(m)))
+    return Digraph(m, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def deep_cycle_maps(draw, max_depth: int = 12):
+    """Up to three cycle lengths, up to four cycles of each, every
+    cycle with an in-path of up to ``max_depth`` steps and a few random
+    tree vertices, with the vertex ids shuffled."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    succ: list[int] = []
+    for length in lengths * draw(st.integers(1, 4)):
+        base = len(succ)
+        succ += [base + (i + 1) % length for i in range(length)]
+        for _ in range(draw(st.integers(0, max_depth))):
+            succ.append(len(succ) - 1 if len(succ) > base + length else base)
+        for _ in range(draw(st.integers(0, 4))):
+            succ.append(draw(st.integers(base, len(succ) - 1)))
+    return shuffled_map(succ, draw(st.permutations(range(len(succ)))))
+
+
+@settings(max_examples=200)
+@given(deep_cycle_maps(), tailed_cycle_templates())
+# the walk ends shrink three times; a 10-step in-path into a fixed point
+@example(FunctionalGraph([0, *range(10)]),
+         Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 3)]))
+# five 3-cycles, but the template's closed walks all have even length
+@example(FunctionalGraph([3 * (i // 3) + (i + 1) % 3 for i in range(15)]),
+         Digraph(3, [(2, 0), (0, 1), (1, 0)]))
+def test_decide_matches_component_oracle_on_deep_trees(g, h):
+    check_against_components_oracle(g, h)
+
+
+def test_decide_memory_does_not_grow_with_the_template():
+    # one capped height per vertex and a few shared label sets: a
+    # 2,000-vertex template costs no more per graph vertex than a
+    # 4-vertex one.  The graph's tree order and the template's
+    # per-vertex masks are their own caches, built before tracing.
+    g = gen_random_total(20_000, 0)
+    g.tree_order()
+    peaks = []
+    for m in (4, 2000):
+        h = Digraph(m, [(i, (i + 1) % m) for i in range(m)]
+                    + [(i, i) for i in range(m)])
+        h.out_masks, h.in_masks
+        tracemalloc.start()
+        try:
+            psi = decide_hom(g, h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert psi is not None
+    assert peaks[1] - peaks[0] <= 0.5 * 2 ** 20, peaks
 
 
 def test_many_disjoint_two_cycles():

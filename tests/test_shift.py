@@ -302,3 +302,15 @@ def test_spacing_below_one_rejected_when_a_window_is_needed():
                  lambda: check_countdown_pairs(x, [(1, 2)], 0)):
         with pytest.raises(ValueError, match="r must be"):
             call()
+
+
+def test_countdown_pairs_report_a_broken_step(monkeypatch):
+    # a reset (countdown 0) whose shift counts down from below r breaks
+    # the step-down, and the report names the pair by the sample's head
+    monkeypatch.setattr(funcgraphs.shift, "_countdown_index",
+                        lambda ends, y, r, lo=0: 0)
+    x = gen_increasing_seq(200, 0)
+    y = x[5:]
+    report = check_countdown_pairs(x, [y], 2)
+    assert report["ok"] is False
+    assert report["violations"] == [(y[0], 0, 0)]
