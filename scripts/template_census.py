@@ -63,9 +63,9 @@ def main(argv=None) -> int:
                 data = ergodic_solver_data(h)
                 if data.reach_all > max_reach:
                     max_reach = data.reach_all
-                    v0 = h.is_ergodic().vertex
-                    bound_for_max = wielandt_bound(len(next(
-                        c for c in h.scc().classes() if v0 in c)))
+                    scc = h.scc().id_array(h.m)
+                    bound_for_max = wielandt_bound(int(
+                        (scc == scc[h.is_ergodic().vertex]).sum()))
             else:
                 counts["non"] += 1
         print(f"{m:>2} {total:>7} {counts['sink']:>6} "

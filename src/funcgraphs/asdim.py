@@ -177,8 +177,8 @@ class CoverWitness:
     """Two-set cover of the labeled vertices by color."""
 
     coloring: ParityColoring
-    _classes: list | None = field(default=None, init=False, repr=False,
-                                  compare=False)
+    _classes: tuple | None = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     @property
     def params(self) -> WitnessParams:
@@ -192,13 +192,13 @@ class CoverWitness:
     def classes(self, g: FunctionalGraph
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per set, the class id of each vertex (-1 outside the set) and
-        the diameters of its proximity classes at radius t, built once."""
-        if self._classes is None:
+        the diameters of its proximity classes at radius t, once per graph."""
+        if self._classes is None or self._classes[0] is not g:
             parts = [proximity_classes(g, u, self.params.t)
                      for u in self.sets]
-            self._classes = [(p.id_array(g.n), class_diameters(g, p))
-                             for p in parts]
-        return self._classes
+            self._classes = g, [(p.id_array(g.n), class_diameters(g, p))
+                                for p in parts]
+        return self._classes[1]
 
 
 def cover_from_hitting(g: FunctionalGraph, members: Iterable[int],
@@ -216,18 +216,18 @@ class EquivalenceWitness:
 
     coloring: ParityColoring
     classes: Partition
-    _diameters: np.ndarray | None = field(default=None, init=False,
-                                          repr=False, compare=False)
+    _diameters: tuple | None = field(default=None, init=False,
+                                     repr=False, compare=False)
 
     @property
     def params(self) -> WitnessParams:
         return self.coloring.params
 
     def diameters(self, g: FunctionalGraph) -> np.ndarray:
-        """Class diameters by class id, built once."""
-        if self._diameters is None:
-            self._diameters = class_diameters(g, self.classes)
-        return self._diameters
+        """Class diameters by class id, built once per graph."""
+        if self._diameters is None or self._diameters[0] is not g:
+            self._diameters = g, class_diameters(g, self.classes)
+        return self._diameters[1]
 
 
 def equivalence_from_coloring(g: FunctionalGraph, coloring: ParityColoring,
@@ -285,6 +285,8 @@ def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
     Each classified interior vertex's ball of radius t must meet at most
     d + 1 classes; the counts are exact (:func:`ball_class_counts`).
     """
+    if d < 0:
+        raise ValueError("d must be >= 0")
     params = witness.params
     t, bound = params.t, params.diameter_bound
     if horizon is None:
@@ -292,7 +294,7 @@ def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
     inside = g.interior_mask(horizon)
     cid, diams = witness.classes.id_array(g.n), witness.diameters(g)
     deep = diams[_deep(cid, inside, len(diams))]
-    balls = ball_class_counts(g, cid, t)[inside & (cid >= 0)]
+    balls = ball_class_counts(g, witness.classes, t)[inside & (cid >= 0)]
     report: dict = {
         "bound": bound,
         "horizon": horizon,

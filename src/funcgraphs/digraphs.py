@@ -177,7 +177,7 @@ class Digraph:
                         while comp[v] < 0:
                             comp[stack.pop()] = ncomp
                         ncomp += 1
-        return Partition(np.array(comp))
+        return Partition(comp)
 
     @cached_property
     def _comp(self) -> list[int]:

@@ -334,18 +334,19 @@ def _bfs_levels(g: FunctionalGraph, verts: np.ndarray, srcs: np.ndarray,
         yield np.divmod(front, k)
 
 
-def ball_class_counts(g: FunctionalGraph, cid: np.ndarray,
+def ball_class_counts(g: FunctionalGraph, classes: Partition,
                       radius: int) -> np.ndarray:
-    """Per vertex, how many classes lie within distance ``radius``.
+    """Per vertex, how many classes of ``classes`` lie within distance
+    ``radius``.
 
-    ``cid`` gives each vertex's class id, -1 when it has none.  A class
-    meets the radius-R ball around x exactly when x is within R of a
-    member, so one BFS per class answers every ball at once.  Each
-    vertex starts in at most one class, so the work is the sum of the
-    counts, not of the ball sizes.
+    A class meets the radius-R ball around x exactly when x is within R
+    of a member, so one BFS per class, keyed by its dense class id,
+    answers every ball at once.  Each vertex starts in at most one
+    class, so the work is the sum of the counts, not of the ball sizes.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
+    cid = classes.id_array(g.n)
     verts = np.flatnonzero(cid >= 0)
     counts = np.bincount(verts, minlength=g.n)
     for _, (v, _) in zip(range(radius), _bfs_levels(g, verts, cid[verts])):
@@ -394,40 +395,29 @@ def proximity_classes(g: FunctionalGraph, subset: Iterable[int],
 
 def class_diameters(g: FunctionalGraph, classes: Partition) -> np.ndarray:
     """Max pairwise distance within each class, as an int64 array
-    indexed by class id.
+    indexed by class id, on an acyclic graph (``ValueError`` otherwise).
 
-    On acyclic graphs the metric is a tree metric, so a double sweep is
-    exact: from each class's least member to a farthest member, then
-    from that one (distances from :func:`_tree_dists`).  A class split
-    across trees reports its diameter in its least member's tree.  On
-    graphs with cycles a BFS from every member runs until it has seen
-    the whole class.
+    The metric is a tree metric, so a double sweep is exact: from each
+    class's least member to a farthest member, then from that one
+    (distances from :func:`_tree_dists`).  A class split across trees
+    reports its diameter in its least member's tree.
     """
+    if not g.acyclic:
+        raise ValueError("class diameters require an acyclic graph")
     cid = classes.id_array(g.n)
     members = np.flatnonzero(cid >= 0)
     cls = cid[members]
     diam = np.zeros(int(cls.max(initial=-1)) + 1, dtype=np.int64)
-    if g.acyclic:
-        # ids rank the classes by least member, so a class's least
-        # member is where its id first exceeds every id before it
-        first = members[cls > np.maximum.accumulate(np.r_[-1, cls])[:-1]]
-        tree = g.sinks[members] == g.sinks[first[cls]]
-        members, cls = members[tree], cls[tree]
-        dist = _tree_dists(g, first[cls], members)
-        np.maximum.at(diam, cls, dist)
-        far, hit = first.copy(), dist == diam[cls]
-        far[cls[hit]] = members[hit]
-        np.maximum.at(diam, cls, _tree_dists(g, far[cls], members))
-        return diam
-    sizes, dist = np.bincount(cls), np.zeros(len(members), dtype=np.int64)
-    seen, live = np.ones_like(dist), sizes[cls] > 1
-    levels = _bfs_levels(g, members, np.arange(len(members)), live)
-    for d, (v, src) in enumerate(levels, 1):
-        hit = cid[v] == cls[src]
-        dist[src[hit]] = d
-        seen += np.bincount(src[hit], minlength=len(members))
-        live &= seen < sizes[cls]
+    # ids rank the classes by least member, so a class's least member
+    # is where its id first exceeds every id before it
+    first = members[cls > np.maximum.accumulate(np.r_[-1, cls])[:-1]]
+    tree = g.sinks[members] == g.sinks[first[cls]]
+    members, cls = members[tree], cls[tree]
+    dist = _tree_dists(g, first[cls], members)
     np.maximum.at(diam, cls, dist)
+    far, hit = first.copy(), dist == diam[cls]
+    far[cls[hit]] = members[hit]
+    np.maximum.at(diam, cls, _tree_dists(g, far[cls], members))
     return diam
 
 

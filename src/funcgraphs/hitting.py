@@ -229,7 +229,7 @@ def hitting_from_equivalence(g: FunctionalGraph, eq: Partition, t: int,
     a = np.flatnonzero(in_a)
     members = a[~_meets_ahead(succ, in_a, a, t)]
     radius = 2 * t * (d + 1)
-    counts = ball_class_counts(g, cid, radius)
+    counts = ball_class_counts(g, eq, radius)
     violations = int(np.count_nonzero(counts > d + 1))
     report = {
         "max_class_diameter": max_diam,

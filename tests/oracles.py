@@ -131,8 +131,31 @@ def unique_ranked_ids(class_of: np.ndarray) -> np.ndarray:
     return ids
 
 
-def same_class(p, x: int, y: int) -> bool:
-    return p.class_id(x) == p.class_id(y)
+def class_lists(p, n: int) -> list[list[int]]:
+    """The classes of ``p``, a partition of part of 0..n-1, as sorted
+    lists by class id."""
+    out: list[list[int]] = [[] for _ in range(p.num_classes)]
+    for x, c in enumerate(p.id_array(n).tolist()):
+        if c >= 0:
+            out[c].append(x)
+    return out
+
+
+def class_of(p, x: int, n: int) -> int:
+    """Class id of x in ``p`` over 0..n-1; KeyError when x is no element."""
+    cid = p.id_array(n)
+    if not 0 <= x < n or cid[x] < 0:
+        raise KeyError(x)
+    return int(cid[x])
+
+
+def same_class(p, x: int, y: int, n: int) -> bool:
+    return class_of(p, x, n) == class_of(p, y, n)
+
+
+def same_partition(p, q, n: int) -> bool:
+    """Equal partitions of part of 0..n-1: equal canonical id arrays."""
+    return np.array_equal(p.id_array(n), q.id_array(n))
 
 
 def stripe_intervals(s: int) -> list[range]:
@@ -813,10 +836,10 @@ def retract_to_strong_components(g, psi, h):
     if not verify_hom(g, psi, h):
         raise ValueError("psi is not a homomorphism")
     psi = label_array(psi).tolist()
-    scc = h.scc()
+    scc_id = h.scc().id_array(h.m).tolist()
     radj = in_lists(h)
     n = g.n
-    cls = [scc.class_id(v) for v in psi]
+    cls = [scc_id[v] for v in psi]
     # tail_k[x]: least k such that all images from f^k(x) on lie in the
     # target component; land[x] = f^{tail_k}(x)
     tail_k = [0] * n
@@ -843,8 +866,7 @@ def retract_to_strong_components(g, psi, h):
         steps = chain.setdefault(v, [v])
         while len(steps) <= k:
             tail = steps[-1]
-            cid = scc.class_id(v)
-            inside = [u for u in radj[tail] if scc.class_id(u) == cid]
+            inside = [u for u in radj[tail] if scc_id[u] == scc_id[v]]
             if not inside:
                 raise GraphShapeError(
                     "strong component has no internal in-edge")
@@ -1002,7 +1024,7 @@ def retract_by_components(g, psi: list[int], h):
     """Per-component ``retract_to_strong_components``."""
     if isinstance(psi, np.ndarray):
         psi = psi.tolist()
-    scc = h.scc()
+    scc_id = h.scc().id_array(h.m).tolist()
     radj = in_lists(h)
     n = g.n
     tail_k = [0] * n
@@ -1012,12 +1034,12 @@ def retract_by_components(g, psi: list[int], h):
     for comp in weak_components(g):
         inset = set(comp)
         cyc = next(c for c in g.cycles() if set(c) & inset)
-        cls = {scc.class_id(psi[x]) for x in cyc}
+        cls = {scc_id[psi[x]] for x in cyc}
         assert len(cls) == 1, "cycle image spans several components"
         a_id = cls.pop()
         for x in comp:
             target[x] = a_id
-        in_a = {x: scc.class_id(psi[x]) == a_id for x in comp}
+        in_a = {x: scc_id[psi[x]] == a_id for x in comp}
         cycset = set(cyc)
         frontier = list(cyc)
         while frontier:
@@ -1039,9 +1061,8 @@ def retract_by_components(g, psi: list[int], h):
     def back(v: int, k: int) -> int:
         steps = chain.setdefault(v, [v])
         while len(steps) <= k:
-            cid = scc.class_id(v)
             steps.append(min(u for u in radj[steps[-1]]
-                             if scc.class_id(u) == cid))
+                             if scc_id[u] == scc_id[v]))
         return steps[k]
 
     psi2 = [back(psi[land[x]], tail_k[x]) for x in range(n)]
@@ -1079,7 +1100,7 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
 
     assert g.acyclic
     v0 = h.is_ergodic().vertex
-    comp = next(c for c in h.scc().classes() if v0 in c)
+    comp = next(c for c in class_lists(h.scc(), h.m) if v0 in c)
     h_sub, to_orig = induced(h, comp)
     v0_sub = to_orig.index(v0)
     cycle_len, _, ell0 = h_sub.walk_lengths(v0_sub)
@@ -1347,8 +1368,8 @@ def ball_class_counts(g, cid: list[int], radius: int) -> list[int]:
     return [ball_class_count(adj, cid, x, radius) for x in range(g.n)]
 
 
-def _deep_classes(classes, diams, inside):
-    for cls, diam in zip(classes.classes(), diams):
+def _deep_classes(g, classes, diams, inside):
+    for cls, diam in zip(class_lists(classes, g.n), diams):
         yield all(x in inside for x in cls), cls, diam
 
 
@@ -1366,7 +1387,7 @@ def verify_cover_witness(g, witness, horizon=None) -> dict:
     for u in witness.sets:
         classes = proximity_classes(g, u, params.t)
         diams = class_diameters(g, classes).tolist()
-        for deep, _, diam in _deep_classes(classes, diams, inside):
+        for deep, _, diam in _deep_classes(g, classes, diams, inside):
             if not deep:
                 report["skipped_classes"] += 1
                 continue
@@ -1395,7 +1416,7 @@ def verify_eqrel_witness(g, witness, d=1, diameter_bound=None,
               "max_diameter": 0, "diameter_violations": 0,
               "ball_limit": d + 1, "checked_balls": 0,
               "max_ball_classes": 0, "ball_violations": 0}
-    for deep, _, diam in _deep_classes(classes, diams, inside):
+    for deep, _, diam in _deep_classes(g, classes, diams, inside):
         if not deep:
             report["skipped_classes"] += 1
             continue
@@ -1403,9 +1424,9 @@ def verify_eqrel_witness(g, witness, d=1, diameter_bound=None,
         report["max_diameter"] = max(report["max_diameter"], diam)
         report["diameter_violations"] += diam > diameter_bound
     adj = undirected_adj(list(g.succ))
-    cid = [classes.class_id(x) if x in classes else -1 for x in range(g.n)]
+    cid = classes.id_array(g.n).tolist()
     for x in inside:
-        if x not in classes:
+        if cid[x] < 0:
             continue
         count = ball_class_count(adj, cid, x, t)
         report["checked_balls"] += 1
@@ -1475,7 +1496,7 @@ def check_class_reaches_anchor(g, witness, anchor, horizon=None) -> dict:
     report = {"horizon": horizon, "checked_classes": 0,
               "skipped_classes": 0, "checked_pairs": 0, "violations": 0}
     for u in witness.sets:
-        for cls in proximity_classes(g, u, params.t).classes():
+        for cls in class_lists(proximity_classes(g, u, params.t), g.n):
             targets = {anchor[x] for x in cls}
             if not all(x in inside for x in cls) or None in targets:
                 report["skipped_classes"] += 1
@@ -1512,14 +1533,14 @@ def hitting_from_equivalence(g, eq, t: int, d: int
     """Members and hypothesis report, one vertex and one ball at a time."""
     from funcgraphs.graphs import class_diameters
     max_diam = max(class_diameters(g, eq).tolist(), default=0)
+    cid, lists = eq.id_array(g.n).tolist(), class_lists(eq, g.n)
     in_a = set()
     for x in range(g.n):
-        same = {y for y in eq.classes()[eq.class_id(x)]} if x in eq else set()
+        same = set(lists[cid[x]]) if cid[x] >= 0 else set()
         if _window_free(g, x, same, max_diam):
             in_a.add(x)
     members = frozenset(x for x in in_a if _window_free(g, x, in_a, t))
     radius = 2 * t * (d + 1)
-    cid = [eq.class_id(x) if x in eq else -1 for x in range(g.n)]
     counts = ball_class_counts(g, cid, radius)
     violations = sum(c > d + 1 for c in counts)
     return members, {"max_class_diameter": max_diam, "ball_radius": radius,

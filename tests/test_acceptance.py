@@ -127,7 +127,8 @@ def test_criterion_02_cover_class_diameters(capsys):
         for u in cover.sets:
             classes = proximity_classes(g, u, t)
             diams = class_diameters(g, classes)
-            deep = [(cls, d) for cls, d in zip(classes.classes(), diams)
+            deep = [(cls, d) for cls, d in
+                    zip(oracles.class_lists(classes, g.n), diams)
                     if all(x in inside for x in cls)]
             step = max(1, len(deep) // 40)
             for cls, diam in deep[::step]:

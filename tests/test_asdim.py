@@ -253,7 +253,7 @@ def test_cover_diameters_match_bfs_oracle_on_subsample():
     for part in wit.sets:
         classes = proximity_classes(g, part, 1)
         diams = class_diameters(g, classes)
-        for cid, cls in enumerate(classes.classes()):
+        for cid, cls in enumerate(oracles.class_lists(classes, g.n)):
             assert diams[cid] == oracles.naive_class_diameter(succ, set(cls))
 
 
@@ -304,7 +304,7 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
     """One defect of the named kind, at a vertex or class chosen by
     ``pick`` (a float in [0, 1)).  Anchors, and flips except after a
     recolored run, stay as they were, as a faulty witness carries them."""
-    classes = eq.classes.classes()
+    classes = oracles.class_lists(eq.classes, g.n)
     labeled = oracles.labeled(cover.coloring)
     if kind == "merge" and len(classes) > 1:
         # classes five apart lie more than a diameter bound apart
@@ -419,8 +419,26 @@ def test_reach_check_rejects_cyclic_graphs():
     with pytest.raises(ValueError, match="acyclic"):
         check_class_reaches_anchor(g, wit, oracles.partial_array([1, 2, 0, 0]),
                                    horizon=0)
-    # the other verifiers still answer on cyclic graphs
-    assert verify_cover_witness(g, wit, horizon=0)["checked_classes"] > 0
+    # class diameters, and so the class verifiers, need a forest too
+    with pytest.raises(ValueError, match="acyclic"):
+        verify_cover_witness(g, wit, horizon=0)
+
+
+def test_witness_caches_follow_the_graph():
+    # a witness's classes and diameters are cached per graph: a verifier
+    # called on a second graph reports that graph, not the first one
+    g1, g2 = gen_random_forest(3000, 1), gen_random_forest(3000, 2)
+    cover = cover_from_hitting(g1, greedy_hitting(g1, 144).members, 1)
+    eq = equivalence_from_coloring(
+        g1, cover.coloring, flip_dists(g1, cover.coloring))
+    first = verify_cover_witness(g1, cover), verify_eqrel_witness(g1, eq)
+    second = verify_cover_witness(g2, cover), verify_eqrel_witness(g2, eq)
+    assert second == (
+        verify_cover_witness(g2, CoverWitness(cover.coloring)),
+        verify_eqrel_witness(g2, EquivalenceWitness(eq.coloring, eq.classes)))
+    assert second != first
+    assert (verify_cover_witness(g1, cover),
+            verify_eqrel_witness(g1, eq)) == first
 
 
 def test_pipeline_builds_each_shared_quantity_once(monkeypatch):

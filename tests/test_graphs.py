@@ -114,16 +114,16 @@ def test_proximity_classes_match_naive(g, radius, data):
     subset = data.draw(st.sets(st.integers(0, g.n - 1)))
     part = proximity_classes(g, subset, radius)
     naive = oracles.naive_proximity_classes(list(g.succ), subset, radius)
-    assert sorted(map(sorted, part.classes())) == \
+    assert sorted(oracles.class_lists(part, g.n)) == \
         sorted(map(sorted, (sorted(c) for c in naive)))
 
 
-@given(partial_graphs(), st.integers(0, 5), st.data())
+@given(forest_graphs(), st.integers(0, 5), st.data())
 def test_class_diameters_match_bfs(g, radius, data):
     subset = data.draw(st.sets(st.integers(0, g.n - 1)))
     part = proximity_classes(g, subset, radius)
     diams = class_diameters(g, part)
-    for cid, cls in enumerate(part.classes()):
+    for cid, cls in enumerate(oracles.class_lists(part, g.n)):
         assert diams[cid] == oracles.naive_class_diameter(
             list(g.succ), set(cls))
 
@@ -295,7 +295,7 @@ def classed_graphs(draw):
 @given(classed_graphs(), st.integers(0, 6))
 def test_ball_class_counts_match_bfs_oracle(case, radius):
     g, ids = case
-    got = ball_class_counts(g, np.array(ids), radius)
+    got = ball_class_counts(g, Partition(ids), radius)
     assert got.tolist() == oracles.ball_class_counts(g, ids, radius)
     for x in range(g.n):  # and the plain BFS ball
         assert len({ids[y] for y in oracles.bfs_ball(list(g.succ), x, radius)
@@ -308,7 +308,7 @@ def test_ball_class_counts_on_random_total_maps(seed, radius):
     g = gen_random_total(300, seed)
     rng = np.random.default_rng(seed)
     ids = rng.integers(-1, 40, g.n)
-    assert ball_class_counts(g, ids, radius).tolist() == \
+    assert ball_class_counts(g, Partition(ids), radius).tolist() == \
         oracles.ball_class_counts(g, ids.tolist(), radius)
 
 
@@ -431,3 +431,13 @@ def test_json_graph_is_checked_once_from_the_array():
                 {"n": 2.0, "succ": [1, -1]}):
         with pytest.raises(ValueError):
             FunctionalGraph.from_json_dict(bad)
+
+
+def test_ball_class_counts_read_any_labels_through_a_partition():
+    # labels offset by 2^57 would overflow a key packing of raw labels
+    g = gen_random_forest(200, 0)
+    ids = np.random.default_rng(0).integers(-1, 30, g.n)
+    shifted = np.where(ids >= 0, ids + 2 ** 57, -1)
+    assert ball_class_counts(g, Partition(shifted), 3).tolist() == \
+        ball_class_counts(g, Partition(ids), 3).tolist() == \
+        oracles.ball_class_counts(g, ids.tolist(), 3)

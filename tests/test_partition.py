@@ -9,17 +9,17 @@ from oracles import UnionFind
 
 def test_from_classes_round_trip():
     p = oracles.partition_from_classes([{3, 1}, {2}, {0, 4}])
-    assert p.classes() == [[0, 4], [1, 3], [2]]
+    assert oracles.class_lists(p, 5) == [[0, 4], [1, 3], [2]]
     assert p.num_classes == 3
-    assert oracles.same_class(p, 1, 3)
-    assert not oracles.same_class(p, 0, 2)
+    assert oracles.same_class(p, 1, 3, 5)
+    assert not oracles.same_class(p, 0, 2, 5)
 
 
 def test_class_ids_follow_least_elements():
     p = oracles.partition_from_classes([{5, 2}, {0, 1, 3}, {4}])
-    assert p.class_id(3) == 0
-    assert p.class_id(5) == 1
-    assert p.class_id(4) == 2
+    assert oracles.class_of(p, 3, 6) == 0
+    assert oracles.class_of(p, 5, 6) == 1
+    assert oracles.class_of(p, 4, 6) == 2
 
 
 @given(st.integers(0, 40).flatmap(lambda n: st.lists(
@@ -42,9 +42,9 @@ def test_union_find_basic():
     uf.union(0, 3)
     uf.union(3, 5)
     p = uf.to_partition()
-    assert oracles.same_class(p, 0, 5)
-    assert not oracles.same_class(p, 0, 1)
-    assert p.class_id(5) == 0
+    assert oracles.same_class(p, 0, 5, 6)
+    assert not oracles.same_class(p, 0, 1, 6)
+    assert oracles.class_of(p, 5, 6) == 0
 
 
 @given(st.integers(2, 30), st.lists(st.tuples(st.integers(0, 29),
@@ -71,7 +71,7 @@ def test_union_find_matches_naive_components(n, pairs):
     p = uf.to_partition()
     for a in range(n):
         for b in range(n):
-            assert oracles.same_class(p, a, b) == (comp[a] == comp[b])
+            assert oracles.same_class(p, a, b, n) == (comp[a] == comp[b])
 
 
 @given(st.lists(st.sets(st.integers(0, 50), min_size=1), min_size=1))
@@ -85,8 +85,8 @@ def test_partition_equality_ignores_class_order(classes):
             seen |= cls
     p = oracles.partition_from_classes(cleaned)
     q = oracles.partition_from_classes(list(reversed(cleaned)))
-    assert p == q
-    assert set().union(*p.classes()) == seen
+    assert oracles.same_partition(p, q, 51)
+    assert set().union(*oracles.class_lists(p, 51)) == seen
 
 
 def test_partition_rejects_negative_elements():
@@ -97,14 +97,16 @@ def test_partition_rejects_negative_elements():
         Partition(np.array([0, -2, 1]))
 
 
-def test_class_id_outside_the_set_raises_key_error():
-    import numpy as np
-    p = Partition(np.array([-1, 4, 4, -1, 0]))
-    assert p.classes() == [[1, 2], [4]]
-    for x in (-1, 0, 3, 5, 100):
-        assert x not in p
-        with pytest.raises(KeyError):
-            p.class_id(x)
-    with pytest.raises(KeyError):
-        oracles.same_class(p, 0, 1)
-    assert p.class_id(4) == 1
+def test_partition_reads_a_list_of_ints_as_its_array():
+    labels = [-1, 7, 2, 7, -1, 2, 9]
+    class_of = np.array(labels)
+    assert Partition(labels).id_array(7).tolist() == \
+        Partition(class_of).id_array(7).tolist() == [-1, 0, 1, 0, -1, 1, 2]
+    assert class_of.tolist() == labels  # the caller's array is not renamed
+
+
+def test_labels_past_the_element_range_are_ranked_without_a_table():
+    # a table by label would need 2^62 entries: such labels are made
+    # dense first, and ids still follow least elements
+    p = Partition(np.array([2 ** 62, 5, 2 ** 62, -1, 2 ** 61]))
+    assert p.id_array(5).tolist() == [0, 1, 0, -1, 2]
