@@ -2,8 +2,8 @@
 
 For each (t, kind, n) cell the script builds a hitting set, derives the
 cover and equivalence witnesses, and prints the worst interior class
-diameter next to the documented bound 28t+7 and the sharper 28t+4 the
-construction tends to achieve.  The --periodic flag swaps the greedy
+diameter next to the documented bound 28t+7 and the sharper 28t+4
+reported beside it.  The --periodic flag swaps the greedy
 hitting set for a periodic one with wider orbit gaps, which exercises
 the interval half of the coloring rule that greedy gaps never reach.
 """
@@ -13,7 +13,7 @@ import sys
 import time
 
 from funcgraphs.asdim import (
-    WitnessParams, cover_from_hitting, equivalence_from_coloring,
+    WitnessParams, distance_parity_coloring, equivalence_from_coloring,
     flip_dists, verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.cli import make_graph
 from funcgraphs.hitting import greedy_hitting, periodic_hitting
@@ -46,9 +46,8 @@ def main(argv=None) -> int:
                     hs = periodic_hitting(g, params.spacing + params.stripe + 1)
                 else:
                     hs = greedy_hitting(g, params.spacing)
-                cover = cover_from_hitting(g, hs.members, t)
-                eq = equivalence_from_coloring(
-                    g, cover.coloring, flip_dists(g, cover.coloring))
+                cover = distance_parity_coloring(g, hs.members, t)
+                eq = equivalence_from_coloring(g, cover, flip_dists(g, cover))
                 crep = verify_cover_witness(g, cover)
                 erep = verify_eqrel_witness(g, eq, d=1)
                 secs = time.perf_counter() - start

@@ -4,9 +4,9 @@ functional graphs."""
 from types import ModuleType as _Module
 
 from .asdim import (
-    CoverWitness, EquivalenceWitness, ParityColoring, WitnessParams,
-    asdim_pipeline, cover_from_hitting, distance_parity_coloring,
-    equivalence_from_coloring, verify_cover_witness, verify_eqrel_witness)
+    CoverWitness, EquivalenceWitness, WitnessParams, asdim_pipeline,
+    distance_parity_coloring, equivalence_from_coloring, verify_cover_witness,
+    verify_eqrel_witness)
 from .digraphs import (
     Digraph, ErgodicWitness, GraphShapeError, TemplateClass, classify,
     power_walk)

@@ -2,12 +2,11 @@
 
 Everything here works with a forward-independent hitting set on a
 sinks-included acyclic functional graph.  A parity coloring derived
-from distances to the hitting set splits the labeled vertices into two
-sets whose proximity classes at radius t have diameter O(t); the same
-data yields an equivalence relation with O(t)-diameter classes such
-that every radius-t ball meets at most two of them.  Reverse
-extractions (see :mod:`funcgraphs.hitting`) recover hitting sets from
-either witness, closing the loop.
+from distances to the hitting set is the cover: its two colors have
+proximity classes at radius t of diameter O(t).  Its color changes key
+an equivalence relation with O(t)-diameter classes such that every
+radius-t ball meets at most two of them.  Reverse extractions (see
+:mod:`funcgraphs.hitting`) recover hitting sets from either witness.
 
 All labelings are truncation-honest: a vertex gets a value exactly when
 the forward data the formula consumes exists inside the graph, and the
@@ -77,7 +76,9 @@ class WitnessParams:
 
     @property
     def sharp_diameter_bound(self) -> int:
-        """Tighter bound the construction actually achieves."""
+        """A tighter bound, reported so the slack stays visible; nothing
+        shows it is reached (``scripts/asdim_sweep.py`` on 10^5-vertex
+        forests: worst classes 13, 19, 26 for t = 1, 2, 3, vs 32, 60, 88)."""
         return 28 * self.t + 4
 
     @property
@@ -97,8 +98,8 @@ class WitnessParams:
 
 
 @dataclass(eq=False)  # array fields: equality is identity
-class ParityColoring:
-    """Distance-derived two-coloring of the deep part of a graph.
+class CoverWitness:
+    """Two-set cover of the labeled vertices by color.
 
     ``dist[x]`` is the least k >= 1 with f^k(x) a member (-1 when the
     orbit runs out first) and ``landing[x]`` that member.  ``bit[x]``
@@ -112,11 +113,28 @@ class ParityColoring:
     dist: np.ndarray
     landing: np.ndarray
     bit: np.ndarray
+    _classes: tuple | None = field(default=None, init=False, repr=False)
+
+    @property
+    def sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two color classes as sorted vertex arrays."""
+        return tuple(np.flatnonzero(self.bit == c) for c in (0, 1))
+
+    def classes(self, g: FunctionalGraph
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per set, the class id of each vertex (-1 outside the set) and
+        the diameters of its proximity classes at radius t, once per graph."""
+        if self._classes is None or self._classes[0] is not g:
+            parts = [proximity_classes(g, u, self.params.t)
+                     for u in self.sets]
+            self._classes = g, [(p.id_array(g.n), class_diameters(g, p))
+                                for p in parts]
+        return self._classes[1]
 
 
 def distance_parity_coloring(g: FunctionalGraph, members: Iterable[int],
-                             t: int) -> ParityColoring:
-    """Build the parity coloring for a spacing-independent member set.
+                             t: int) -> CoverWitness:
+    """Parity-coloring cover of a spacing-independent member set.
 
     ``dist`` and ``landing`` come from one :func:`next_member` call,
     which also shows independence: no member's next member is within
@@ -138,10 +156,10 @@ def distance_parity_coloring(g: FunctionalGraph, members: Iterable[int],
     below = np.where(zbit == 1, (params.interval_of(dist) + 1) % 2,
                      np.where(zbit == 0, stripe, -1))
     bit = np.where(dist >= params.half, stripe, below)
-    return ParityColoring(params, dist, landing, bit)
+    return CoverWitness(params, dist, landing, bit)
 
 
-def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> np.ndarray:
+def flip_dists(g: FunctionalGraph, cover: CoverWitness) -> np.ndarray:
     """Least j >= 1 with a different color at f^j(x), per vertex; -1
     when an undefined color or the end of the orbit comes first, or the
     color never changes.
@@ -151,7 +169,7 @@ def flip_dists(g: FunctionalGraph, coloring: ParityColoring) -> np.ndarray:
     run; the color changes one step later if the successor there is
     colored.
     """
-    succ, colored = g.succ_array, coloring.bit
+    succ, colored = g.succ_array, cover.bit
     bit = np.r_[colored, -1]  # bit[-1]: no color past a sink
     same = (colored >= 0) & (bit[succ] == colored)
     steps, end = path_ends(np.where(same, succ, -1))
@@ -173,40 +191,6 @@ def anchors(g: FunctionalGraph, params: WitnessParams,
 
 
 @dataclass
-class CoverWitness:
-    """Two-set cover of the labeled vertices by color."""
-
-    coloring: ParityColoring
-    _classes: tuple | None = field(default=None, init=False, repr=False,
-                                   compare=False)
-
-    @property
-    def params(self) -> WitnessParams:
-        return self.coloring.params
-
-    @property
-    def sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The two color classes as sorted vertex arrays."""
-        return tuple(np.flatnonzero(self.coloring.bit == c) for c in (0, 1))
-
-    def classes(self, g: FunctionalGraph
-                ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per set, the class id of each vertex (-1 outside the set) and
-        the diameters of its proximity classes at radius t, once per graph."""
-        if self._classes is None or self._classes[0] is not g:
-            parts = [proximity_classes(g, u, self.params.t)
-                     for u in self.sets]
-            self._classes = g, [(p.id_array(g.n), class_diameters(g, p))
-                                for p in parts]
-        return self._classes[1]
-
-
-def cover_from_hitting(g: FunctionalGraph, members: Iterable[int],
-                       t: int) -> CoverWitness:
-    return CoverWitness(distance_parity_coloring(g, members, t))
-
-
-@dataclass
 class EquivalenceWitness:
     """Classes keyed by the first color change after t steps.
 
@@ -214,14 +198,10 @@ class EquivalenceWitness:
     two vertices are equivalent when those flip vertices coincide.
     """
 
-    coloring: ParityColoring
+    params: WitnessParams
     classes: Partition
     _diameters: tuple | None = field(default=None, init=False,
                                      repr=False, compare=False)
-
-    @property
-    def params(self) -> WitnessParams:
-        return self.coloring.params
 
     def diameters(self, g: FunctionalGraph) -> np.ndarray:
         """Class diameters by class id, built once per graph."""
@@ -230,16 +210,16 @@ class EquivalenceWitness:
         return self._diameters[1]
 
 
-def equivalence_from_coloring(g: FunctionalGraph, coloring: ParityColoring,
+def equivalence_from_coloring(g: FunctionalGraph, cover: CoverWitness,
                               flip: np.ndarray) -> EquivalenceWitness:
-    """Key x by f^flip(y)(y) for y = f^t(x), with t the coloring's
-    radius and ``flip`` its :func:`flip_dists`."""
-    y = g.jump(np.arange(g.n), coloring.params.t)
+    """Key x by f^flip(y)(y) for y = f^t(x), with t the cover's radius
+    and ``flip`` its :func:`flip_dists`."""
+    y = g.jump(np.arange(g.n), cover.params.t)
     xs = np.flatnonzero(y >= 0)
     xs = xs[flip[y[xs]] >= 0]
     key = np.full(g.n, -1)
     key[xs] = g.jump(y[xs], flip[y[xs]])
-    return EquivalenceWitness(coloring, Partition(key))
+    return EquivalenceWitness(cover.params, Partition(key))
 
 
 def verify_cover_witness(g: FunctionalGraph, witness: CoverWitness,
@@ -312,15 +292,15 @@ def verify_eqrel_witness(g: FunctionalGraph, witness: EquivalenceWitness,
     return report
 
 
-def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
+def check_flip_bounds(g: FunctionalGraph, cover: CoverWitness,
                       flip: np.ndarray,
                       horizon: int | None = None) -> dict:
     """Deep vertices are colored and flip within 2 * stripe + 2 steps."""
-    params = coloring.params
+    params = cover.params
     if horizon is None:
         horizon = params.verify_depth
     inside = g.interior_mask(horizon)
-    bit, j = coloring.bit[inside], flip[inside]
+    bit, j = cover.bit[inside], flip[inside]
     j = j[bit >= 0]
     report = {"horizon": horizon, "checked": len(bit),
               "unlabeled": int(np.count_nonzero(bit < 0)),
@@ -332,7 +312,7 @@ def check_flip_bounds(g: FunctionalGraph, coloring: ParityColoring,
     return report
 
 
-def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
+def check_anchor_preimages(g: FunctionalGraph, cover: CoverWitness,
                            anchor: np.ndarray,
                            horizon: int | None = None) -> dict:
     """Labeled preimages of an anchor carry the opposite color.
@@ -341,11 +321,11 @@ def check_anchor_preimages(g: FunctionalGraph, coloring: ParityColoring,
     the anchor of x for some j <= stripe/3 must have the color 1 -
     bit(x).  Each colored w marks its color on f^0(w), ..., f^(stripe/3)(w).
     """
-    params = coloring.params
+    params = cover.params
     if horizon is None:
         horizon = params.verify_depth
     succ = g.succ_array
-    bit, anc = coloring.bit, anchor
+    bit, anc = cover.bit, anchor
     near = np.zeros((2, g.n), dtype=bool)  # near[b, e]: a b-colored preimage
     w = np.flatnonzero(bit >= 0)
     v = w
@@ -420,14 +400,14 @@ def asdim_pipeline(g: FunctionalGraph, t_values: tuple[int, ...]) -> dict:
     for params in [WitnessParams(t) for t in dict.fromkeys(t_values)]:
         t = params.t
         hs = greedy_hitting(g, params.spacing)
-        cover = cover_from_hitting(g, hs.members, t)
-        flip = flip_dists(g, cover.coloring)
+        cover = distance_parity_coloring(g, hs.members, t)
+        flip = flip_dists(g, cover)
         anc = anchors(g, params, flip)
-        eq = equivalence_from_coloring(g, cover.coloring, flip)
+        eq = equivalence_from_coloring(g, cover, flip)
         cover_report = verify_cover_witness(g, cover)
         eq_report = verify_eqrel_witness(g, eq)
-        flips_report = check_flip_bounds(g, cover.coloring, flip)
-        anchors_report = check_anchor_preimages(g, cover.coloring, anc)
+        flips_report = check_flip_bounds(g, cover, flip)
+        anchors_report = check_anchor_preimages(g, cover, anc)
         reach_report = check_class_reaches_anchor(g, cover, anc)
 
         rev_cover = hitting_from_cover(g, cover.sets[0], t,

@@ -90,12 +90,6 @@ class FunctionalGraph:
         :func:`path_ends`, ``UNBOUNDED`` when the orbit reaches a cycle)."""
         return path_ends(self.succ_array)[0]
 
-    @cached_property
-    def sinks(self) -> np.ndarray:
-        """Each vertex's sink, where its orbit ends (-1 when it reaches a
-        cycle); cached apart from ``depth``, as few graphs need it."""
-        return path_ends(self.succ_array)[1]
-
     # ---- forward iteration ----
 
     def jump(self, x, k) -> np.ndarray:
@@ -411,9 +405,9 @@ def class_diameters(g: FunctionalGraph, classes: Partition) -> np.ndarray:
     # ids rank the classes by least member, so a class's least member
     # is where its id first exceeds every id before it
     first = members[cls > np.maximum.accumulate(np.r_[-1, cls])[:-1]]
-    tree = g.sinks[members] == g.sinks[first[cls]]
-    members, cls = members[tree], cls[tree]
     dist = _tree_dists(g, first[cls], members)
+    tree = dist <= g.depth[first[cls]] + g.depth[members]  # first's tree
+    members, cls, dist = members[tree], cls[tree], dist[tree]
     np.maximum.at(diam, cls, dist)
     far, hit = first.copy(), dist == diam[cls]
     far[cls[hit]] = members[hit]
@@ -423,7 +417,9 @@ def class_diameters(g: FunctionalGraph, classes: Partition) -> np.ndarray:
 
 def _tree_dists(g: FunctionalGraph, u: np.ndarray, v: np.ndarray
                 ) -> np.ndarray:
-    """Distance from ``u[i]`` to ``v[i]``, two vertices of one tree.
+    """Distance from ``u[i]`` to ``v[i]``; vertices of two trees meet
+    only past their sinks, at the absorbing vertex n, so they read
+    depth(u) + depth(v) + 2, more than any distance within one tree.
 
     The deeper one climbs to the other's depth; then the two meet after
     k steps, at distance gap + 2k.  Galloping up the jump tables finds

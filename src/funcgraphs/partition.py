@@ -46,6 +46,8 @@ class Partition:
     def id_array(self, n: int) -> np.ndarray:
         """Class id of each of 0..n-1 as an int array, -1 outside: the
         stored read-only array itself when it has n entries."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
         if len(self._ids) == n:
             return self._ids
         if (self._ids[n:] >= 0).any():

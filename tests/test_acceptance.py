@@ -15,7 +15,7 @@ import pytest
 import oracles
 from funcgraphs.asdim import (
     WitnessParams, anchors, check_anchor_preimages, check_class_reaches_anchor,
-    check_flip_bounds, cover_from_hitting, equivalence_from_coloring,
+    check_flip_bounds, distance_parity_coloring, equivalence_from_coloring,
     flip_dists, verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.digraphs import Digraph, GraphShapeError, TemplateClass, classify
 from funcgraphs.graphs import (
@@ -60,7 +60,7 @@ def cover_artifacts():
             params = WitnessParams(t)
             for kind, g in scale_graphs().items():
                 hs = greedy_hitting(g, params.spacing)
-                cover = cover_from_hitting(g, hs.members, t)
+                cover = distance_parity_coloring(g, hs.members, t)
                 out[t, kind] = (g, params, hs, cover)
         _cache["cover"] = out
     return _cache["cover"]
@@ -71,7 +71,7 @@ def eq_artifacts():
         out = {}
         for (t, kind), (g, params, hs, cover) in cover_artifacts().items():
             out[t, kind] = equivalence_from_coloring(
-                g, cover.coloring, flip_dists(g, cover.coloring))
+                g, cover, flip_dists(g, cover))
         _cache["eq"] = out
     return _cache["eq"]
 
@@ -167,12 +167,12 @@ def test_criterion_04_coloring_sub_invariants(capsys):
     anchor_checked = 0
     reach_checked = 0
     for (t, kind), (g, params, hs, cover) in cover_artifacts().items():
-        flip = flip_dists(g, cover.coloring)
+        flip = flip_dists(g, cover)
         anc = anchors(g, params, flip)
-        flips = check_flip_bounds(g, cover.coloring, flip)
+        flips = check_flip_bounds(g, cover, flip)
         assert flips["ok"] and flips["checked"] > 0, (t, kind, flips)
         assert flips["unlabeled"] == 0 and flips["max_flip"] <= 2 * params.stripe + 2
-        pre = check_anchor_preimages(g, cover.coloring, anc)
+        pre = check_anchor_preimages(g, cover, anc)
         assert pre["ok"] and pre["checked"] > 0, (t, kind, pre)
         reach = check_class_reaches_anchor(g, cover, anc)
         assert reach["ok"] and reach["checked_classes"] > 0, (t, kind, reach)

@@ -3,9 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from funcgraphs.asdim import (
-    CoverWitness, EquivalenceWitness, ParityColoring,
-    WitnessParams, anchors, asdim_pipeline, check_anchor_preimages,
-    check_class_reaches_anchor, check_flip_bounds, cover_from_hitting,
+    CoverWitness, EquivalenceWitness, WitnessParams, anchors, asdim_pipeline,
+    check_anchor_preimages, check_class_reaches_anchor, check_flip_bounds,
     distance_parity_coloring, equivalence_from_coloring, flip_dists,
     verify_cover_witness, verify_eqrel_witness)
 from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest
@@ -139,7 +138,7 @@ def test_flip_distance_bounded_on_interior():
 def test_cover_witness_verifies_on_path():
     g = gen_path(2000)
     hs = greedy_hitting(g, 144)
-    wit = cover_from_hitting(g, hs.members, 1)
+    wit = distance_parity_coloring(g, hs.members, 1)
     rep = verify_cover_witness(g, wit)
     assert rep["ok"] and rep["violations"] == 0
     assert rep["max_diameter"] <= 35
@@ -147,16 +146,15 @@ def test_cover_witness_verifies_on_path():
 
 
 def test_cover_witness_flags_hand_built_bad_cover():
-    from funcgraphs.asdim import CoverWitness, ParityColoring
     g = gen_path(400)
     params = WitnessParams(1)
     n = g.n
     # a fat left block in one part forms a single proximity class with a
     # huge diameter
     bit = [0 if x < 200 else 1 for x in range(n)]
-    col = ParityColoring(params, *map(
+    # the sets range(200) and range(200, n)
+    bad = CoverWitness(params, *map(
         oracles.partial_array, ([0] * n, [None] * n, bit)))
-    bad = CoverWitness(col)  # the sets range(200) and range(200, n)
     rep = verify_cover_witness(g, bad, horizon=0)
     assert not rep["ok"]
     assert rep["max_diameter"] >= 199
@@ -165,8 +163,8 @@ def test_cover_witness_flags_hand_built_bad_cover():
 def test_eqrel_witness_verifies_on_forest():
     g = gen_random_forest(4000, 11)
     hs = greedy_hitting(g, 144)
-    coloring = distance_parity_coloring(g, hs.members, 1)
-    wit = equivalence_from_coloring(g, coloring, flip_dists(g, coloring))
+    cover = distance_parity_coloring(g, hs.members, 1)
+    wit = equivalence_from_coloring(g, cover, flip_dists(g, cover))
     rep = verify_eqrel_witness(g, wit)
     assert rep["ok"], rep
     assert rep["max_diameter"] <= 35
@@ -181,14 +179,9 @@ def test_eqrel_singleton_partition_has_zero_diameters():
 
 
 def test_eqrel_one_class_fails_bound_on_long_path():
-    from funcgraphs.asdim import EquivalenceWitness, ParityColoring
     g = gen_path(300)
-    params = WitnessParams(1)
-    n = g.n
-    col = ParityColoring(params, *map(
-        oracles.partial_array, ([0] * n, [None] * n, [0] * n)))
     wit = EquivalenceWitness(
-        col, oracles.partition_from_classes([set(range(n))]))
+        WitnessParams(1), oracles.partition_from_classes([set(range(g.n))]))
     rep = verify_eqrel_witness(g, wit, horizon=0)
     assert rep["diameter_violations"] >= 1
     assert not rep["ok"]
@@ -197,10 +190,10 @@ def test_eqrel_one_class_fails_bound_on_long_path():
 def test_anchor_preimages_carry_opposite_color():
     g = gen_path(3000)
     hs = greedy_hitting(g, 144)
-    wit = cover_from_hitting(g, hs.members, 1)
-    flip = flip_dists(g, wit.coloring)
-    anc = anchors(g, wit.coloring.params, flip)
-    rep = check_anchor_preimages(g, wit.coloring, anc)
+    wit = distance_parity_coloring(g, hs.members, 1)
+    flip = flip_dists(g, wit)
+    anc = anchors(g, wit.params, flip)
+    rep = check_anchor_preimages(g, wit, anc)
     assert rep["ok"], rep
     rep2 = check_class_reaches_anchor(g, wit, anc)
     assert rep2["ok"], rep2
@@ -211,7 +204,7 @@ def test_anchor_preimages_carry_opposite_color():
 def test_witness_pipeline_on_random_forests(seed):
     g = gen_random_forest(1500, seed)
     hs = greedy_hitting(g, 144)
-    wit = cover_from_hitting(g, hs.members, 1)
+    wit = distance_parity_coloring(g, hs.members, 1)
     rep = verify_cover_witness(g, wit)
     assert rep["ok"], (seed, rep)
 
@@ -233,10 +226,9 @@ def test_pipeline_partition_diameters_match_double_sweep_oracle():
     from funcgraphs.graphs import class_diameters
     for g in (gen_random_forest(20_000, 0), gen_path(20_000)):
         for t in (1, 2):
-            cover = cover_from_hitting(
+            cover = distance_parity_coloring(
                 g, greedy_hitting(g, WitnessParams(t).spacing).members, t)
-            eq = equivalence_from_coloring(
-                g, cover.coloring, flip_dists(g, cover.coloring))
+            eq = equivalence_from_coloring(g, cover, flip_dists(g, cover))
             for ids, diams in cover.classes(g):
                 assert diams.tolist() == oracles.double_sweep_diameters(
                     g, Partition(ids)).tolist()
@@ -247,7 +239,7 @@ def test_pipeline_partition_diameters_match_double_sweep_oracle():
 def test_cover_diameters_match_bfs_oracle_on_subsample():
     g = gen_random_forest(800, 23)
     hs = greedy_hitting(g, 144)
-    wit = cover_from_hitting(g, hs.members, 1)
+    wit = distance_parity_coloring(g, hs.members, 1)
     from funcgraphs.graphs import proximity_classes, class_diameters
     succ = list(g.succ)
     for part in wit.sets:
@@ -268,12 +260,10 @@ def _compare_all(g, cover, eq, flip, anc, horizon, d=1):
                   oracles.verify_cover_witness(g, cover, horizon)),
         "eqrel": (verify_eqrel_witness(g, eq, d, horizon=horizon),
                   oracles.verify_eqrel_witness(g, eq, d, horizon=horizon)),
-        "flips": (check_flip_bounds(g, cover.coloring, flip, horizon),
-                  oracles.check_flip_bounds(g, cover.coloring, flip,
-                                            horizon)),
-        "preimages": (check_anchor_preimages(g, cover.coloring, anc, horizon),
-                      oracles.check_anchor_preimages(g, cover.coloring, anc,
-                                                     horizon)),
+        "flips": (check_flip_bounds(g, cover, flip, horizon),
+                  oracles.check_flip_bounds(g, cover, flip, horizon)),
+        "preimages": (check_anchor_preimages(g, cover, anc, horizon),
+                      oracles.check_anchor_preimages(g, cover, anc, horizon)),
         "reach": (check_class_reaches_anchor(g, cover, anc, horizon),
                   oracles.check_class_reaches_anchor(g, cover, anc,
                                                      horizon)),
@@ -292,12 +282,11 @@ def _compare_all(g, cover, eq, flip, anc, horizon, d=1):
 
 def _recolor(cover, xs, color):
     """The cover with the vertices ``xs`` given ``color``."""
-    col = cover.coloring
-    bit = oracles.partial_list(col.bit)
+    bit = oracles.partial_list(cover.bit)
     for x in xs:
         bit[x] = color(bit[x])
-    return CoverWitness(ParityColoring(col.params, col.dist, col.landing,
-                                       oracles.partial_array(bit)))
+    return CoverWitness(cover.params, cover.dist, cover.landing,
+                        oracles.partial_array(bit))
 
 
 def _mutate(g, cover, eq, flip, anc, kind, pick):
@@ -305,18 +294,18 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
     ``pick`` (a float in [0, 1)).  Anchors, and flips except after a
     recolored run, stay as they were, as a faulty witness carries them."""
     classes = oracles.class_lists(eq.classes, g.n)
-    labeled = oracles.labeled(cover.coloring)
+    labeled = oracles.labeled(cover)
     if kind == "merge" and len(classes) > 1:
         # classes five apart lie more than a diameter bound apart
         i = int(pick * (len(classes) - 1))
         j = min(i + 5, len(classes) - 1)
         rest = [c for k, c in enumerate(classes) if k not in (i, j)]
-        eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
+        eq = EquivalenceWitness(cover.params, oracles.partition_from_classes(
             rest + [classes[i] + classes[j]]))
     if kind == "drop" and classes:
         i = int(pick * len(classes))
         rest = classes[:i] + classes[i + 1:] + [classes[i][1:]]
-        eq = EquivalenceWitness(cover.coloring, oracles.partition_from_classes(
+        eq = EquivalenceWitness(cover.params, oracles.partition_from_classes(
             rest))
     if kind == "flip" and labeled:
         x = labeled[int(pick * len(labeled))]
@@ -326,7 +315,7 @@ def _mutate(g, cover, eq, flip, anc, kind, pick):
         x = labeled[int(pick * len(labeled))]
         cover = _recolor(cover, oracles.forward_orbit(g, x, 40),
                          lambda b: b if b is None else 0)
-        flip = flip_dists(g, cover.coloring)
+        flip = flip_dists(g, cover)
     anchor = oracles.partial_list(anc)
     defined = [x for x, e in enumerate(anchor) if e is not None]
     if kind == "shift" and defined:
@@ -345,9 +334,9 @@ MUTATIONS = ["none", "merge", "drop", "flip", "run", "shift"]
 
 def _pipeline_witnesses(g, t):
     hs = greedy_hitting(g, WitnessParams(t).spacing)
-    cover = cover_from_hitting(g, hs.members, t)
-    flip = flip_dists(g, cover.coloring)
-    eq = equivalence_from_coloring(g, cover.coloring, flip)
+    cover = distance_parity_coloring(g, hs.members, t)
+    flip = flip_dists(g, cover)
+    eq = equivalence_from_coloring(g, cover, flip)
     return cover, eq, flip, anchors(g, cover.params, flip)
 
 
@@ -383,13 +372,12 @@ def hand_built_witnesses(draw):
     bit = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n,
                         max_size=n))
     params = WitnessParams(draw(st.sampled_from([1, 2])))
-    coloring = ParityColoring(params, *map(
+    cover = CoverWitness(params, *map(
         oracles.partial_array, ([None] * n, [None] * n, bit)))
-    cover = CoverWitness(coloring)
     ids = draw(st.lists(st.one_of(st.none(), st.integers(0, 4)),
                         min_size=n, max_size=n))
     part = Partition(oracles.partial_array(ids))
-    eq = EquivalenceWitness(coloring, part)
+    eq = EquivalenceWitness(params, part)
     flip = oracles.partial_array(draw(st.lists(
         st.one_of(st.none(), st.integers(1, 30)), min_size=n, max_size=n)))
     anc = oracles.partial_array(draw(st.lists(
@@ -413,9 +401,8 @@ def test_array_verifiers_match_oracles_on_strategy_forests(g, t):
 def test_reach_check_rejects_cyclic_graphs():
     g = FunctionalGraph([1, 2, 0, 0])
     params = WitnessParams(1)
-    col = ParityColoring(params, *map(
+    wit = CoverWitness(params, *map(  # the sets {0, 2} and {1, 3}
         oracles.partial_array, ([None] * 4, [None] * 4, [0, 1, 0, 1])))
-    wit = CoverWitness(col)  # the sets {0, 2} and {1, 3}
     with pytest.raises(ValueError, match="acyclic"):
         check_class_reaches_anchor(g, wit, oracles.partial_array([1, 2, 0, 0]),
                                    horizon=0)
@@ -428,14 +415,14 @@ def test_witness_caches_follow_the_graph():
     # a witness's classes and diameters are cached per graph: a verifier
     # called on a second graph reports that graph, not the first one
     g1, g2 = gen_random_forest(3000, 1), gen_random_forest(3000, 2)
-    cover = cover_from_hitting(g1, greedy_hitting(g1, 144).members, 1)
-    eq = equivalence_from_coloring(
-        g1, cover.coloring, flip_dists(g1, cover.coloring))
+    cover = distance_parity_coloring(g1, greedy_hitting(g1, 144).members, 1)
+    eq = equivalence_from_coloring(g1, cover, flip_dists(g1, cover))
     first = verify_cover_witness(g1, cover), verify_eqrel_witness(g1, eq)
     second = verify_cover_witness(g2, cover), verify_eqrel_witness(g2, eq)
     assert second == (
-        verify_cover_witness(g2, CoverWitness(cover.coloring)),
-        verify_eqrel_witness(g2, EquivalenceWitness(eq.coloring, eq.classes)))
+        verify_cover_witness(g2, CoverWitness(
+            cover.params, cover.dist, cover.landing, cover.bit)),
+        verify_eqrel_witness(g2, EquivalenceWitness(eq.params, eq.classes)))
     assert second != first
     assert (verify_cover_witness(g1, cover),
             verify_eqrel_witness(g1, eq)) == first
@@ -470,10 +457,9 @@ def test_pipeline_builds_each_shared_quantity_once(monkeypatch):
 def test_reach_window_ends_at_walk_steps(offset, ok):
     # t = 1 allows 35 + 2 + 14 + 2 = 53 forward steps from each member
     g = gen_path(120)
-    col = ParityColoring(WitnessParams(1), *map(
+    wit = CoverWitness(WitnessParams(1), *map(  # the sets {0, 1} and {}
         oracles.partial_array,
         ([None] * g.n, [None] * g.n, [0, 0] + [None] * (g.n - 2))))
-    wit = CoverWitness(col)  # the sets {0, 1} and {}
     anc = oracles.partial_array([offset, offset] + [None] * (g.n - 2))
     rep = check_class_reaches_anchor(g, wit, anc, horizon=0)
     assert rep == oracles.check_class_reaches_anchor(g, wit, anc, horizon=0)
@@ -530,7 +516,7 @@ def test_coloring_matches_fold_in_the_interval_branch(t):
 
 def _hand_colored(g, bit):
     n = g.n
-    return ParityColoring(WitnessParams(1), *map(
+    return CoverWitness(WitnessParams(1), *map(
         oracles.partial_array, ([None] * n, [None] * n, bit)))
 
 
@@ -602,16 +588,16 @@ def test_anchor_preimages_on_graphs_with_cycles(g, t, data):
     anc = oracles.partial_array(data.draw(st.lists(
         st.one_of(st.none(), st.integers(0, g.n - 1)),
         min_size=g.n, max_size=g.n)))
-    col = ParityColoring(WitnessParams(t), *map(
+    cover = CoverWitness(WitnessParams(t), *map(
         oracles.partial_array, ([None] * g.n, [None] * g.n, bit)))
-    assert check_anchor_preimages(g, col, anc, 0) == \
-        oracles.check_anchor_preimages(g, col, anc, 0)
+    assert check_anchor_preimages(g, cover, anc, 0) == \
+        oracles.check_anchor_preimages(g, cover, anc, 0)
 
 
 def test_anchor_preimages_with_a_huge_t_on_a_cycle():
     g = FunctionalGraph([1, 0])
-    col = ParityColoring(WitnessParams(10 ** 8), *map(
+    cover = CoverWitness(WitnessParams(10 ** 8), *map(
         oracles.partial_array, ([None] * 2, [None] * 2, [0, 1])))
     # each vertex of the 2-cycle is a preimage of the other's anchor
     anchor = oracles.partial_array([0, 1])
-    assert check_anchor_preimages(g, col, anchor, 0)["violations"] == 2
+    assert check_anchor_preimages(g, cover, anchor, 0)["violations"] == 2

@@ -163,6 +163,21 @@ def test_tree_diameters_on_hand_built_forests(succ, classes, diams):
     assert class_diameters(g, part).tolist() == diams
 
 
+def test_class_diameters_take_one_ends_pass(monkeypatch):
+    # tree membership comes from the sweep's own distances, so depth's
+    # pass is the only one, even with classes split across trees
+    import funcgraphs.graphs as graphs_mod
+    g = gen_random_forest(2000, 7)
+    part = Partition(np.arange(g.n) % 5)
+    want = oracles.double_sweep_diameters(g, part).tolist()
+    g = FunctionalGraph(g.succ_array)  # no cached depth
+    calls = []
+    monkeypatch.setattr(graphs_mod, "path_ends",
+                        lambda succ: calls.append(1) or path_ends(succ))
+    assert class_diameters(g, part).tolist() == want
+    assert len(calls) == 1
+
+
 def test_proximity_single_class_on_spaced_path():
     g = gen_path(13)
     members = set(range(0, 13, 3))

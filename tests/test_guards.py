@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from funcgraphs.asdim import (
-    EquivalenceWitness, cover_from_hitting, verify_eqrel_witness)
+    EquivalenceWitness, WitnessParams, verify_eqrel_witness)
 from funcgraphs.digraphs import Digraph
 from funcgraphs.graphs import (
     FunctionalGraph, ball_class_counts, class_diameters, gen_path,
@@ -43,7 +43,7 @@ ONE_CLASS = Partition(np.zeros(4, dtype=np.int64))
     pytest.param(lambda: hitting_from_equivalence(PATH, ONE_CLASS, 1, -1),
                  "t must be >= 1 and d >= 0", id="equivalence-d"),
     pytest.param(lambda: verify_eqrel_witness(PATH, EquivalenceWitness(
-        cover_from_hitting(PATH, [3], 1).coloring, ONE_CLASS), d=-3),
+        WitnessParams(1), ONE_CLASS), d=-3),
                  "d must be >= 0", id="verify_eqrel_witness-d"),
     pytest.param(lambda: hitting_from_equivalence(CYCLE, ONE_CLASS, 1, 0),
                  "equivalence extraction requires an acyclic graph",
@@ -59,6 +59,8 @@ ONE_CLASS = Partition(np.zeros(4, dtype=np.int64))
                  id="verify_ruling"),
     pytest.param(lambda: Partition(np.arange(5)).id_array(4),
                  "partition has elements >= 4", id="id_array"),
+    pytest.param(lambda: Partition(np.array([0, 1, -1])).id_array(-1),
+                 "n must be >= 0", id="id_array-negative"),
     pytest.param(lambda: Partition(np.array([0.5, 0.7])),
                  "class ids must be a 1-d integer array",
                  id="Partition-float"),
