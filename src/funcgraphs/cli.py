@@ -27,7 +27,7 @@ from .digraphs import Digraph
 from .graphs import FunctionalGraph
 
 PASS, FAIL, USAGE = 0, 1, 2
-_MAX_POWER = 10 ** 5  # the largest power -p: p template steps, each O(edges)
+_MAX_POWER = 10 ** 5  # the largest -p: power_walk squares, O(m log p) steps
 _Result = tuple[dict, str, bool]  # a subcommand's report, summary and verdict
 
 

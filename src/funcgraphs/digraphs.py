@@ -301,17 +301,24 @@ def power_walk(h: Digraph, walk: str) -> Digraph:
     """Digraph with an edge (x, y) iff the walk is realizable from x to y.
 
     Forward steps traverse edges head-wards, backward steps tail-wards.
+    ``rows[x]`` is the set the walk so far reaches from x.  A run of k
+    steps one way applies that direction's mask table raised to the
+    powers of two in k, each table the square of the last, so the walk
+    costs O(m log k) :meth:`Digraph.step` calls per run, not m per step.
     """
-    walk = parse_walk(walk)
-    masks = {"f": h.out_masks, "b": h.in_masks}
+    rows = [1 << x for x in range(h.m)]
+    for c, run in itertools.groupby(parse_walk(walk)):
+        table, k = h.out_masks if c == "f" else h.in_masks, len(list(run))
+        while k:
+            if k & 1:
+                rows = [h.step(table, r) for r in rows]
+            k >>= 1
+            if k:
+                table = [h.step(table, r) for r in table]
     edges = []
-    for x in range(h.m):
-        reach = 1 << x
-        for c in walk:
-            reach = h.step(masks[c], reach)
+    for x, reach in enumerate(rows):
         while reach:  # one pass per edge written, as in Digraph.step
             low = reach & -reach
             edges.append((x, low.bit_length() - 1))
             reach ^= low
     return Digraph(h.m, edges)
-

@@ -14,9 +14,8 @@ Every "next vertex ahead" question is one pointer-jumping pass,
 :func:`path_ends`: depths (steps to the sink an orbit ends at) and,
 with chosen out-edges cut, the next member of a set (countdown labels,
 hitting, colorings, ergodic labels) or the end of a one-color run.
-Only the homomorphism passes on total graphs walk
-:meth:`FunctionalGraph.tree_order`, every vertex off the cycles after
-its successor, since they need the cycles (:meth:`cycles`).
+The one pass that needs a total graph's cycles and tree order, the
+homomorphism decision, peels them itself (``homsolver``).
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ class FunctionalGraph:
     Stored as one int64 successor array ``succ_array``, -1 for a sink
     (see :func:`successor_array` for the two input forms).  ``succ[i]``,
     the successor of vertex ``i`` or ``None`` for a sink, is a tuple
-    view for the Python folds, built from the array on first use.
-    Derived structure (depths, the tree order, cycles) is computed
-    lazily and cached; do not mutate the input after construction.
+    view built on first use, which in the package only the reference
+    engine of ``local_sim`` reads.  Derived structure (depths, jump
+    tables) is cached lazily; do not mutate the input after construction.
     """
 
     def __init__(self, succ: Sequence[int | None] | np.ndarray):
@@ -115,50 +114,6 @@ class FunctionalGraph:
         while len(self._jumps) <= i:
             self._jumps.append(self._jumps[-1][self._jumps[-1]])
         return self._jumps[i]
-
-    def tree_order(self) -> list[int]:
-        """Every vertex off the directed cycles, each after its successor.
-
-        The total-graph homomorphism passes fold over this order.  It
-        comes from one in-degree peel (Kahn 1962): vertices nobody
-        points to leave first, and whatever never leaves lies on a
-        cycle.  The same pass gives :meth:`cycles`.
-        """
-        return self._peel[0]
-
-    def cycles(self) -> list[list[int]]:
-        """Vertex lists of all directed cycles, in successor order.
-
-        Each cycle starts at its least vertex, and the cycles are sorted
-        by that vertex.
-        """
-        return self._peel[1]
-
-    @cached_property
-    def _peel(self) -> tuple[list[int], list[list[int]]]:
-        succ = self.succ
-        indeg = [0] * self.n
-        for s in succ:
-            if s is not None:
-                indeg[s] += 1
-        order = [x for x, k in enumerate(indeg) if k == 0]
-        for x in order:  # the loop also visits what it appends
-            s = succ[x]
-            if s is not None:
-                indeg[s] -= 1
-                if not indeg[s]:
-                    order.append(s)
-        cycles: list[list[int]] = []
-        for x, k in enumerate(indeg):
-            if k:  # x is the least vertex of a cycle not yet collected
-                cyc = []
-                while indeg[x]:
-                    indeg[x] = 0
-                    cyc.append(x)
-                    x = succ[x]
-                cycles.append(cyc)
-        order.reverse()
-        return order, cycles
 
     @property
     def acyclic(self) -> bool:

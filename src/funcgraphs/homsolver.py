@@ -13,11 +13,11 @@ This module has three layers:
   functional graphs.
 
 The ergodic solver reads each vertex's next member from
-:func:`funcgraphs.hitting.next_member`.  The total-graph passes sweep
-the whole graph's tree order (:meth:`FunctionalGraph.tree_order`, every
-off-cycle vertex after its successor), bottom-up for heights and
-top-down for labels, with label sets as Python-int bitmasks over the
-template (see :meth:`Digraph.step` and :meth:`Digraph.least_walk`).
+:func:`funcgraphs.hitting.next_member`.  The decision makes one
+in-degree peel of the total graph (:func:`_peel`), which gives its
+cycles, its tree order and every vertex's capped height, and then one
+top-down pass for labels, with label sets as Python-int bitmasks over
+the template (see :meth:`Digraph.step` and :meth:`Digraph.least_walk`).
 """
 
 from __future__ import annotations
@@ -211,13 +211,8 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
         raise ValueError("decide_hom expects a total graph")
     if not h.is_sinkless():
         raise GraphShapeError("template has a sink")
-    succ, tree, cap = g.succ, g.tree_order(), h.m - 1
-    height = [0] * g.n  # steps of the longest in-path, capped at m - 1
-    for x in reversed(tree):
-        y = succ[x]
-        if height[x] >= height[y]:
-            k = height[x] + 1
-            height[y] = k if k <= cap else cap
+    succ = g.succ_array.tolist()
+    tree, cycles, height = _peel(succ, h.m - 1)
     deepest = max(height, default=0)
     reach = [(1 << h.m) - 1]  # reach[k]: the ends of k-step walks in H
     while len(reach) <= deepest:
@@ -226,7 +221,7 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
             reach += reach[-1:] * (deepest + 1 - len(reach))
     psi = [-1] * g.n
     walks: dict[int, list[int] | None] = {}  # cycle length -> its labels
-    for cyc in g.cycles():
+    for cyc in cycles:
         if len(cyc) not in walks:
             rest = [reach[-1]] * (len(cyc) - 1)
             walks[len(cyc)] = next(filter(None, (
@@ -238,9 +233,41 @@ def decide_hom(g: FunctionalGraph, h: Digraph) -> np.ndarray | None:
         for x, v in zip(cyc, labels):
             psi[x] = v
     in_masks = h.in_masks
-    for x in tree:
+    for x in reversed(tree):
         fits = reach[height[x]] & in_masks[psi[succ[x]]]
         assert fits, "feasible labels lost their edge"
         psi[x] = (fits & -fits).bit_length() - 1
     assert -1 not in psi
     return np.array(psi, dtype=np.int64)
+
+
+def _peel(succ: list[int], cap: int
+          ) -> tuple[list[int], list[list[int]], list[int]]:
+    """One in-degree peel (Kahn 1962) of a total successor list.
+
+    Vertices nobody points to leave first, and whatever never leaves
+    lies on a cycle.  Returns the off-cycle vertices in the order they
+    left, each before its successor; the cycles in successor order, each
+    from its least vertex and sorted by it; and every vertex's longest
+    in-path, capped at ``cap``, final once the vertex leaves.
+    """
+    indeg, height = [0] * len(succ), [0] * len(succ)
+    for s in succ:
+        indeg[s] += 1
+    order = [x for x, k in enumerate(indeg) if not k]
+    for x in order:  # the loop also visits what it appends
+        s, k = succ[x], height[x]
+        if k >= height[s]:
+            height[s] = k + 1 if k < cap else cap
+        indeg[s] -= 1
+        if not indeg[s]:
+            order.append(s)
+    cycles: list[list[int]] = []
+    for x, k in enumerate(indeg):
+        if k:  # x is the least vertex of a cycle not yet collected
+            cycles.append([])
+            while indeg[x]:
+                indeg[x] = 0
+                cycles[-1].append(x)
+                x = succ[x]
+    return order, cycles, height

@@ -405,13 +405,51 @@ def path_end(succ: list[int | None], x: int) -> tuple[int, int] | None:
 # ---- orbit folds over the tree order ----
 # The scalar folds that ``funcgraphs.graphs.path_ends`` and the arrays
 # built on it (``hitting.next_member``, ``asdim.flip_dists``) replaced:
-# each vertex's value comes from its successor's, over
-# ``g.tree_order()`` and ``g.cycles()``.
+# each vertex's value comes from its successor's, over ``tree_order(g)``
+# and ``cycles(g)``, one in-degree peel of a graph that may have sinks.
+
+def _peel(g) -> tuple[list[int], list[list[int]]]:
+    indeg = [0] * g.n
+    for s in g.succ:
+        if s is not None:
+            indeg[s] += 1
+    order = [x for x, k in enumerate(indeg) if k == 0]
+    for x in order:  # the loop also visits what it appends
+        s = g.succ[x]
+        if s is not None:
+            indeg[s] -= 1
+            if not indeg[s]:
+                order.append(s)
+    found: list[list[int]] = []
+    for x, k in enumerate(indeg):
+        if k:  # x is the least vertex of a cycle not yet collected
+            cyc = []
+            while indeg[x]:
+                indeg[x] = 0
+                cyc.append(x)
+                x = g.succ[x]
+            found.append(cyc)
+    order.reverse()
+    return order, found
+
+
+def tree_order(g) -> list[int]:
+    """Every vertex off the directed cycles, each after its successor
+    (Kahn's peel, 1962: vertices nobody points to leave first, and
+    whatever never leaves lies on a cycle)."""
+    return _peel(g)[0]
+
+
+def cycles(g) -> list[list[int]]:
+    """Vertex lists of all directed cycles, in successor order, each
+    from its least vertex, sorted by that vertex."""
+    return _peel(g)[1]
+
 
 def forward_iterates_fold(g) -> list[int]:
     """Defined forward iterates per vertex, -1 when the orbit cycles."""
     iters = [-1] * g.n
-    for x in g.tree_order():
+    for x in tree_order(g):
         s = g.succ[x]
         if s is None:
             iters[x] = 0
@@ -426,7 +464,7 @@ def greedy_hitting_fold(g, spacing: int) -> frozenset[int]:
     member at >= 0 steps."""
     members: set[int] = set()
     nearest = [0] * g.n
-    for x in g.tree_order():
+    for x in tree_order(g):
         s = g.succ[x]
         strict = None if s is None else nearest[s] + 1
         if strict is None or strict > spacing:
@@ -440,11 +478,11 @@ def greedy_hitting_fold(g, spacing: int) -> frozenset[int]:
 def hits_forward_fold(g, members) -> list[bool]:
     """hits[x]: some strictly positive forward iterate of x is a member."""
     hits = [False] * g.n
-    for cyc in g.cycles():
+    for cyc in cycles(g):
         on_cycle = any(v in members for v in cyc)
         for v in cyc:
             hits[v] = on_cycle
-    for x in g.tree_order():
+    for x in tree_order(g):
         s = g.succ[x]
         hits[x] = s is not None and (hits[s] or s in members)
     return hits
@@ -454,7 +492,7 @@ def labeling_fold(g, members) -> list[int | None]:
     """Least k >= 0 with f^k(x) a member: cycles walked backwards twice,
     then the tree order."""
     labels: list[int | None] = [None] * g.n
-    for cyc in g.cycles():
+    for cyc in cycles(g):
         ahead: int | None = None
         for v in reversed(cyc + cyc):
             if v in members:
@@ -462,7 +500,7 @@ def labeling_fold(g, members) -> list[int | None]:
             elif ahead is not None:
                 ahead += 1
             labels[v] = ahead
-    for x in g.tree_order():
+    for x in tree_order(g):
         s = g.succ[x]
         if x in members:
             labels[x] = 0
@@ -494,7 +532,7 @@ def distance_parity_coloring_fold(g, members, t: int):
     dist: list[int | None] = [None] * g.n
     landing: list[int | None] = [None] * g.n
     bit: list[int | None] = [None] * g.n
-    for x in g.tree_order():
+    for x in tree_order(g):
         nxt = g.succ[x]
         if nxt is None:
             continue
@@ -518,7 +556,7 @@ def flip_dists_fold(g, bit) -> list[int | None]:
     """Least j >= 1 with a different color at f^j(x), one vertex after
     its successor; vertices on or behind a cycle get None."""
     flip: list[int | None] = [None] * g.n
-    for x in g.tree_order():
+    for x in tree_order(g):
         nxt = g.succ[x]
         if bit[x] is None or nxt is None or bit[nxt] is None:
             continue
@@ -556,7 +594,7 @@ def solve_ergodic_fold(g, h, hitting) -> list[int | None]:
     members = vertex_set(hitting.members)
     first = [-1] * g.n  # -1: no member ahead, as data.labels reads it
     after = [-1] * g.n
-    for x in g.tree_order():
+    for x in tree_order(g):
         y = g.succ[x]
         if y is None:
             continue
@@ -845,13 +883,13 @@ def retract_to_strong_components(g, psi, h):
     tail_k = [0] * n
     land = list(range(n))
     target = [0] * n  # scc class id per G-vertex
-    for cyc in g.cycles():
+    for cyc in cycles(g):
         assert len({cls[x] for x in cyc}) == 1, \
             "cycle image spans several components"
         for x in cyc:
             target[x] = cls[x]
     succ = g.succ
-    for x in g.tree_order():
+    for x in tree_order(g):
         y = succ[x]
         target[x] = target[y]
         if cls[x] == target[x] and tail_k[y] == 0:
@@ -981,9 +1019,10 @@ def decide_hom_by_components(g, h) -> list[int] | None:
     assert g.is_total and h.is_sinkless()
     psi: list[int | None] = [None] * g.n
     adj = h.adj()
+    all_cycles = cycles(g)
     for comp in weak_components(g):
         inset = set(comp)
-        cyc = next(c for c in g.cycles() if set(c) & inset)
+        cyc = next(c for c in all_cycles if set(c) & inset)
         on_cycle = set(cyc)
         feas = feasible_sets(g, h, comp, on_cycle)
         if feas is None:
@@ -1031,9 +1070,10 @@ def retract_by_components(g, psi: list[int], h):
     land = list(range(n))
     target = [0] * n
     preds = predecessors(g)
+    all_cycles = cycles(g)
     for comp in weak_components(g):
         inset = set(comp)
-        cyc = next(c for c in g.cycles() if set(c) & inset)
+        cyc = next(c for c in all_cycles if set(c) & inset)
         cls = {scc_id[psi[x]] for x in cyc}
         assert len(cls) == 1, "cycle image spans several components"
         a_id = cls.pop()
@@ -1121,7 +1161,7 @@ def solve_ergodic_by_windows(g, h, hitting) -> list[int | None]:
                     window[y] = (z, j)
                     nxt.append(y)
             frontier = nxt
-    order = g.tree_order()
+    order = tree_order(g)
     to_window: list[int | None] = [None] * n
     for x in order:
         if window[x] is not None:

@@ -225,6 +225,14 @@ def test_power_walk_matches_matrix_oracle(d):
         assert got == oracles.power_walk_oracle(d.m, d.edges, walk)
 
 
+@settings(max_examples=40)
+@given(digraph_templates(max_m=4), st.integers(1, 70), st.integers(1, 70))
+def test_power_walk_matches_matrix_oracle_on_long_runs(d, k, j):
+    for walk in ("f" * k, "b" * k + "f" * j, "fb" * k):
+        got = set(power_walk(d, walk).edges)
+        assert got == oracles.power_walk_oracle(d.m, d.edges, walk)
+
+
 def test_parse_walk_rejects_junk():
     assert parse_walk("FfB") == "ffb"
     with pytest.raises(ValueError):

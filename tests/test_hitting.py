@@ -106,8 +106,8 @@ def test_labels_match_least_hit_oracle(g):
 def test_orbit_folds_on_graphs_with_cycles(g, data):
     n = g.n
     succ = list(g.succ)
-    order = g.tree_order()
-    cycles = g.cycles()
+    order = oracles.tree_order(g)
+    cycles = oracles.cycles(g)
     # tree order: each off-cycle vertex exactly once, after its successor
     on_cycle = {x for cyc in cycles for x in cyc}
     assert sorted(order) == sorted(set(range(n)) - on_cycle)

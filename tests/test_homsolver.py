@@ -11,8 +11,8 @@ from funcgraphs.graphs import FunctionalGraph, gen_path, gen_random_forest, \
     gen_random_total, label_array
 from funcgraphs.hitting import HittingSet, greedy_hitting, periodic_hitting
 from funcgraphs.homsolver import (
-    _is_edge, decide_hom, ergodic_solver_data, hom_violations, solve_ergodic,
-    solve_loop)
+    _is_edge, _peel, decide_hom, ergodic_solver_data, hom_violations,
+    solve_ergodic, solve_loop)
 from oracles import retract_to_strong_components, verify_hom
 from strategies import (
     digraph_templates, ergodic_templates, forest_graphs, functional_graphs,
@@ -412,13 +412,51 @@ def test_decide_matches_component_oracle_on_deep_trees(g, h):
     check_against_components_oracle(g, h)
 
 
+def longest_in_paths(succ: list[int]) -> list[int]:
+    """Each vertex's longest in-path through off-cycle vertices: walk
+    forward from every off-cycle vertex until the walk meets a cycle."""
+    n = len(succ)
+
+    def on_cycle(x):
+        y = x
+        for _ in range(n):
+            y = succ[y]
+            if y == x:
+                return True
+        return False
+    cyclic = [on_cycle(x) for x in range(n)]
+    height = [0] * n
+    for u in range(n):
+        x, steps = u, 0
+        while not cyclic[x]:
+            x, steps = succ[x], steps + 1
+            height[x] = max(height[x], steps)
+    return height
+
+
+@settings(max_examples=200)
+@given(st.one_of(total_graphs(), deep_cycle_maps(),
+                 st.builds(gen_random_total, st.integers(1, 150),
+                           st.integers(0, 10 ** 6))))
+def test_peel_matches_oracle_order_cycles_and_heights(g):
+    succ = g.succ_array.tolist()
+    height = longest_in_paths(succ)
+    for cap in (0, 1, 2, 5, g.n):
+        order, cycles, capped = _peel(succ, cap)
+        assert cycles == oracles.cycles(g)
+        on_cycle = {x for cyc in cycles for x in cyc}
+        assert sorted(order) == sorted(set(range(g.n)) - on_cycle)
+        where = {x: i for i, x in enumerate(order)}
+        assert all(where[x] < where.get(succ[x], g.n) for x in order)
+        assert capped == [min(k, cap) for k in height]
+
+
 def test_decide_memory_does_not_grow_with_the_template():
     # one capped height per vertex and a few shared label sets: a
     # 2,000-vertex template costs no more per graph vertex than a
-    # 4-vertex one.  The graph's tree order and the template's
-    # per-vertex masks are their own caches, built before tracing.
+    # 4-vertex one.  The template's per-vertex masks are its own
+    # cache, built before tracing.
     g = gen_random_total(20_000, 0)
-    g.tree_order()
     peaks = []
     for m in (4, 2000):
         h = Digraph(m, [(i, (i + 1) % m) for i in range(m)]
