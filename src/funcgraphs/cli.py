@@ -77,6 +77,8 @@ def _out(args, doc: dict, summary: str, written: tuple[dict, str]) -> _Result:
 
 def _label_list(labels: np.ndarray) -> list[int | None]:
     """A labeling for a JSON report: null for unlabeled (-1)."""
+    if not np.any(labels < 0):
+        return labels.tolist()
     return [None if v < 0 else v for v in labels.tolist()]
 
 

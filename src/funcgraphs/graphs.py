@@ -29,6 +29,7 @@ import numpy as np
 from .partition import Partition
 
 UNBOUNDED = -1  # sentinel for "arbitrarily many forward iterates"
+_JUMP_BLOCK = 1 << 15  # elements per block of FunctionalGraph.jump
 Labeling = Sequence[int | None] | np.ndarray  # the forms label_array reads
 
 
@@ -96,14 +97,23 @@ class FunctionalGraph:
         the orbit stops at a sink first.
 
         Pointer jumping (Wyllie 1979) over cached tables of f^(2^i); an
-        extra absorbing vertex n stands for "past a sink".
+        extra absorbing vertex n stands for "past a sink".  Elements with
+        no steps are dropped up front, and the rest jump a block at a
+        time, so the temporaries stay small.
         """
         x = np.array(x, dtype=np.int64)
-        k = np.broadcast_to(np.asarray(k, dtype=np.int64), x.shape)
-        for i in range(int(k.max(initial=0)).bit_length()):
-            sel = (k >> i) & 1 == 1
-            x[sel] = self._jump_table(i)[x[sel]]
-        return np.where(x == self.n, -1, x)
+        shape, x = x.shape, x.reshape(-1)
+        k = np.broadcast_to(np.asarray(k, dtype=np.int64), shape).reshape(-1)
+        tables = [self._jump_table(i)
+                  for i in range(int(k.max(initial=0)).bit_length())]
+        for lo in range(0, len(x), _JUMP_BLOCK):
+            live = lo + np.flatnonzero(k[lo:lo + _JUMP_BLOCK])
+            y, kl = x[live], k[live]
+            for i, table in enumerate(tables):
+                y = np.where(kl & (1 << i) != 0, table[y], y)
+            x[live] = y
+        x[x == self.n] = -1
+        return x.reshape(shape)
 
     def _jump_table(self, i: int) -> np.ndarray:
         """f^(2^i) over 0..n, cached; n is absorbing: "past a sink"."""
@@ -228,17 +238,22 @@ def path_ends(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Pointer jumping (Wyllie 1979) over a successor array with -1 for a
     sink: after j jumps each vertex points min(2**j, depth) steps ahead.
     Depths are below n, so a vertex whose pointer has not reached a
-    sink after bit_length(n - 1) jumps never does.
+    sink after bit_length(n - 1) jumps never does.  The jumps stop once
+    every pointer is a fixed point, a sink or a vertex on a cycle whose
+    length divides 2**j: adding a sink's depth 0 changes no depth, and
+    a cycle vertex never points at a sink.  Depths are added before the
+    next pointers are built, so one new array is alive at a time.
     """
     n = len(succ)
     sink = succ < 0
     end = np.where(sink, np.arange(n), succ)
     depth = (~sink).astype(np.int64)
     for _ in range(max(n - 1, 1).bit_length()):
-        if sink[end].all():
-            break
         depth += depth[end]
-        end = end[end]
+        nxt = end[end]
+        if np.array_equal(nxt, end):
+            break
+        end = nxt
     cyclic = ~sink[end]
     depth[cyclic], end[cyclic] = UNBOUNDED, -1
     return depth, end

@@ -182,14 +182,26 @@ def sample_dominated(x, count: int, seed: int) -> Iterator[Seq]:
 
 
 def _dominated(x: Seq, count: int, rng: random.Random) -> Iterator[Seq]:
+    """The draws of ``rng.randint(lo, hi)`` per entry, replayed inline:
+    CPython's ``_randbelow`` draws ``getrandbits(w.bit_length())`` for
+    the width w = hi - lo + 1 until the draw is below w."""
+    getrandbits, random_ = rng.getrandbits, rng.random
     for _ in range(count):
         mode = rng.choice(("min", "uniform", "mixed"))
-        vals, lo = [], 0
+        if mode == "min":  # draws nothing
+            yield tuple(range(len(x)))
+            continue
+        mixed, vals, lo = mode == "mixed", [], 0
         for hi in x:  # lo <= hi, since y(i-1) <= x(i-1) < x(i)
-            if mode == "min" or (mode == "mixed" and rng.random() < 0.5):
+            if mixed and random_() < 0.5:
                 v = lo
             else:
-                v = rng.randint(lo, hi)
+                w = hi - lo + 1
+                k = w.bit_length()
+                r = getrandbits(k)
+                while r >= w:
+                    r = getrandbits(k)
+                v = lo + r
             vals.append(v)
             lo = v + 1
         yield tuple(vals)

@@ -256,6 +256,22 @@ def gen_increasing_seq_loop(length: int, seed: int) -> tuple[int, ...]:
     return tuple(vals)
 
 
+def sample_dominated_loop(x, count: int, seed: int):
+    """``shift.sample_dominated`` through the stdlib's ``randint``."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        mode = rng.choice(("min", "uniform", "mixed"))
+        vals, lo = [], 0
+        for hi in x:
+            if mode == "min" or (mode == "mixed" and rng.random() < 0.5):
+                v = lo
+            else:
+                v = rng.randint(lo, hi)
+            vals.append(v)
+            lo = v + 1
+        yield tuple(vals)
+
+
 def no_draws(seed):
     """Stand-in for ``random.Random`` in tests that a size check must
     stop before any draw."""

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import funcgraphs
 import oracles
 from funcgraphs import hitting, homsolver
-from funcgraphs.cli import main
+from funcgraphs.cli import _label_list, main
 
 
 def run(capsys, *argv):
@@ -744,3 +744,13 @@ def test_fuzzed_template_files_give_a_verdict_or_a_usage_error(
     assert code in (0, 1, 2)
     if malformed:
         assert_one_line_error(code, report, err)
+
+
+@pytest.mark.parametrize("labels", [
+    np.array([0, 3, 1, 2**40]), np.arange(1000), np.array([-1, 0, 5, -1]),
+    np.array([-1]), np.array([], dtype=np.int64)])
+def test_label_list_writes_ints_and_nulls(labels):
+    got = _label_list(labels)
+    assert json.dumps(got) == json.dumps(
+        [None if v < 0 else v for v in labels.tolist()])
+    assert all(v is None or type(v) is int for v in got)

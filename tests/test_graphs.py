@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from funcgraphs.graphs import (
-    MAX_GEN_NODES, UNBOUNDED, FunctionalGraph, _randbelow_bulk,
+    _JUMP_BLOCK, MAX_GEN_NODES, UNBOUNDED, FunctionalGraph, _randbelow_bulk,
     ball_class_counts, class_diameters, gen_path, gen_random_forest,
     gen_random_total, label_array, path_ends, proximity_classes,
     sorted_unique, vertex_array)
@@ -335,6 +335,52 @@ def test_jump_matches_iterate(g, data):
     got = g.jump(np.array(xs), np.array(ks)).tolist()
     assert got == [-1 if y is None else y
                    for y in map(oracles.iterate, [g] * len(xs), xs, ks)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((gen_random_forest, gen_random_total)),
+       st.integers(1, 2000), st.integers(0, 2**32))
+def test_jump_matches_scalar_walk_at_zero_and_past_sinks(gen, n, seed):
+    g = gen(n, seed)
+    rng = np.random.default_rng(seed)
+    xs = rng.integers(0, n, 300)
+    depth = np.where(g.depth == UNBOUNDED, n, g.depth)[xs]
+    # no steps, a random count, onto the sink, one and many past it
+    ks = np.choose(rng.integers(0, 5, len(xs)), [
+        np.zeros_like(xs), rng.integers(0, 2 * n + 2, len(xs)), depth,
+        depth + 1, depth + rng.integers(2, 2 * n + 2, len(xs))])
+    want = [-1 if y is None else y
+            for y in map(oracles.iterate, [g] * len(xs), xs.tolist(),
+                         ks.tolist())]
+    assert g.jump(xs, ks).tolist() == want
+    assert g.jump(xs.reshape(20, 15), ks.reshape(20, 15)).tolist() == \
+        np.reshape(want, (20, 15)).tolist()
+    assert g.jump(xs, 0).tolist() == xs.tolist()
+
+
+@pytest.mark.parametrize("gen", [gen_random_forest, gen_random_total])
+def test_jump_matches_scalar_walk_across_blocks(gen):
+    g, n = gen(50, 7), 50
+    walks = np.array([[-1 if y is None else y
+                       for y in (oracles.iterate(g, x, k)
+                                 for k in range(2 * n + 2))]
+                      for x in range(n)])
+    rng = np.random.default_rng(7)
+    xs = rng.integers(0, n, 3 * _JUMP_BLOCK + 5)
+    ks = rng.integers(0, 2 * n + 2, len(xs))
+    ks[_JUMP_BLOCK:2 * _JUMP_BLOCK] = 0  # a block with nothing to jump
+    assert np.array_equal(g.jump(xs, ks), walks[xs, ks])
+
+
+@pytest.mark.parametrize("succ", [
+    [0],
+    list(range(1, 300)) + [299],  # a chain into a loop
+    gen_random_forest(3000, 4).succ_array,  # every root looped below
+    [1, 0, 1, 2, 5, 6, 7, 4, 4, 8]])  # 2- and 4-cycles with trees
+def test_path_ends_stop_once_every_orbit_is_on_a_loop(succ):
+    succ = np.asarray(succ, dtype=np.int64)
+    depth, end = path_ends(np.where(succ < 0, np.arange(len(succ)), succ))
+    assert (depth == UNBOUNDED).all() and (end == -1).all()
 
 
 @settings(max_examples=200)

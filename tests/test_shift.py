@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -148,6 +149,27 @@ def test_increasing_seq_replays_the_stdlib_loop(length, seed):
     x = gen_increasing_seq(length, seed)
     assert x == oracles.gen_increasing_seq_loop(length, seed)
     assert all(type(v) is int for v in x)
+
+
+@st.composite
+def dominating_refs(draw):
+    """Increasing x with unit gaps, where a packed sample leaves width-1
+    windows that ``getrandbits(1)`` rejects half the time, and gaps past
+    2^32, whose windows need more than one 32-bit word."""
+    start = draw(st.one_of(st.integers(0, 3), st.integers(2**32, 2**40)))
+    gaps = draw(st.lists(st.one_of(st.just(1), st.integers(1, 8),
+                                   st.integers(2**32, 2**70)), max_size=60))
+    return tuple(itertools.accumulate(gaps, initial=start))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dominating_refs(), st.integers(0, 12), st.integers())
+@example(tuple(range(50)), 12, 0)  # every window has width 1
+@example((0, 1, 2**33, 2**33 + 1, 2**64, 2**64 + 2), 12, 1)
+def test_sampling_replays_the_stdlib_randint_loop(x, count, seed):
+    ys = list(sample_dominated(x, count, seed))
+    assert ys == list(oracles.sample_dominated_loop(x, count, seed))
+    assert all(type(v) is int for y in ys for v in y)
 
 
 def test_identity_dominates_but_shifted_up_does_not():
