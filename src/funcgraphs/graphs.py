@@ -96,14 +96,19 @@ class FunctionalGraph:
         """f^k(x) elementwise over vertex and step-count arrays, -1 where
         the orbit stops at a sink first.
 
-        Pointer jumping (Wyllie 1979) over cached tables of f^(2^i); an
-        extra absorbing vertex n stands for "past a sink".  Elements with
+        Vertices must lie in [0, n) and step counts be >= 0.  Pointer
+        jumping (Wyllie 1979) over cached tables of f^(2^i); an extra
+        absorbing vertex n stands for "past a sink".  Elements with
         no steps are dropped up front, and the rest jump a block at a
         time, so the temporaries stay small.
         """
         x = np.array(x, dtype=np.int64)
         shape, x = x.shape, x.reshape(-1)
         k = np.broadcast_to(np.asarray(k, dtype=np.int64), shape).reshape(-1)
+        if len(x) and not 0 <= x.min() <= x.max() < self.n:
+            raise ValueError("jump needs vertices in [0, n)")
+        if k.min(initial=0) < 0:
+            raise ValueError("jump needs step counts >= 0")
         tables = [self._jump_table(i)
                   for i in range(int(k.max(initial=0)).bit_length())]
         for lo in range(0, len(x), _JUMP_BLOCK):

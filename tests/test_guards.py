@@ -51,6 +51,12 @@ ONE_CLASS = Partition(np.zeros(4, dtype=np.int64))
     pytest.param(lambda: hom_violations(PATH, [0, 0], Digraph(1, [(0, 0)])),
                  "labeling length must match the graph",
                  id="hom_violations"),
+    pytest.param(lambda: PATH.jump([0, 0], [-1, 3]),
+                 "jump needs step counts >= 0", id="jump-negative-steps"),
+    pytest.param(lambda: PATH.jump([7], [0]),
+                 r"jump needs vertices in \[0, n\)", id="jump-vertex-above"),
+    pytest.param(lambda: PATH.jump([-2], [1]),
+                 r"jump needs vertices in \[0, n\)", id="jump-vertex-below"),
     pytest.param(lambda: RulingSetAlgorithm(0), "spacing must be >= 1",
                  id="RulingSetAlgorithm"),
     pytest.param(lambda: verify_ruling(make_path_network(4), [False] * 3,

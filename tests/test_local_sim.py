@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -48,6 +50,16 @@ def permute_network(net: PathNetwork, seed: int) -> PathNetwork:
         s = net.succ[i]
         succ[perm[i]] = None if s is None else perm[s]
     return PathNetwork(ids, succ)
+
+
+@contextmanager
+def blocks_of(size: int):
+    """``local_sim._BLOCK`` set to ``size``, so that small cases span
+    several blocks of the draw, the run ends, the first color step and
+    the verifier."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_sim, "_BLOCK", size)
+        yield
 
 
 class ConstantOutput:
@@ -147,13 +159,14 @@ def stdlib_ids(n, seed):
 @settings(max_examples=150, deadline=None)
 @given(n=st.one_of(st.integers(1, 3000), st.integers(3, 10),
                    st.sampled_from([1, 2, 1625, 1626])),
-       seed=SEEDS, id_mode=ID_LAYOUTS)
-def test_bulk_id_draw_replays_stdlib_sample(n, seed, id_mode):
+       seed=SEEDS, id_mode=ID_LAYOUTS, data=st.data())
+def test_bulk_id_draw_replays_stdlib_sample(n, seed, id_mode, data):
     ids = stdlib_ids(n, seed)
     if id_mode != "random":
         ids.sort(reverse=id_mode == "reversed")
-    assert id_layout(make_path_network(n, seed),
-                     id_mode).id_array.tolist() == ids
+    with blocks_of(data.draw(st.integers(1, max(1, n // 2)))):
+        net = make_path_network(n, seed)
+    assert id_layout(net, id_mode).id_array.tolist() == ids
 
 
 @pytest.mark.parametrize("n", range(3, 11))
@@ -465,11 +478,13 @@ def test_template_solver_outputs_stay_in_the_window():
 
 @st.composite
 def ruling_instances(draw):
-    """A network (index-contiguous or shuffled), a member set that may
-    fail independence or hitting, a spacing and a gap bound."""
+    """A network (index-contiguous or shuffled, one-node paths included),
+    a member set that may fail independence or hitting, a spacing and a
+    gap bound."""
     n = draw(st.integers(1, 60))
     net = make_path_network(n, seed=draw(st.integers(0, 99)),
-                            segments=draw(st.integers(1, min(n, 6))))
+                            segments=draw(st.one_of(
+                                st.integers(1, min(n, 6)), st.just(n))))
     if draw(st.booleans()):
         net = permute_network(net, seed=draw(st.integers(0, 99)))
     kind = draw(st.sampled_from(["random", "periodic", "ruling"]))
@@ -489,12 +504,13 @@ def ruling_instances(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(instance=ruling_instances())
-def test_verify_ruling_matches_graph_oracle(instance):
+@given(instance=ruling_instances(), data=st.data())
+def test_verify_ruling_matches_graph_oracle(instance, data):
     net, members, spacing, gap_bound = instance
-    assert (verify_ruling(net, members, spacing, gap_bound)
-            == oracles.verify_ruling_by_graph(net, members, spacing,
-                                              gap_bound))
+    with blocks_of(data.draw(st.integers(1, max(1, net.n // 2)))):
+        got = verify_ruling(net, members, spacing, gap_bound)
+    assert got == oracles.verify_ruling_by_graph(net, members, spacing,
+                                                 gap_bound)
 
 
 @settings(max_examples=150, deadline=None)
@@ -548,9 +564,13 @@ def network_views(net: PathNetwork):
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 60), seed=st.integers(0, 99), data=st.data())
 def test_network_from_arrays_matches_network_from_lists(n, seed, data):
-    net = make_path_network(n, seed=seed,
-                            segments=data.draw(st.integers(1, n)))
-    for case in (net, permute_network(net, seed)):
+    segments = data.draw(st.one_of(st.integers(1, n), st.just(n)))
+    with blocks_of(data.draw(st.integers(1, max(1, n // 2)))):
+        net = make_path_network(n, seed=seed, segments=segments)
+        shuffled = permute_network(net, seed)
+    for case in (net, shuffled):
+        assert case.contiguous == all(s is None or s == i + 1
+                                      for i, s in enumerate(case.succ))
         from_lists = PathNetwork(case.id_array.tolist(), list(case.succ))
         from_arrays = PathNetwork(
             case.id_array.copy(), np.array([-1 if s is None else s
@@ -643,7 +663,8 @@ def mis_fold(colors: list[int], heads: list[bool]) -> list[bool]:
        iters=st.integers(0, cv_iterations(MAX_NODES) + 1), data=st.data())
 def test_cv_vector_matches_per_node_fold(ids, iters, data):
     heads = draw_heads(data, len(ids))
-    got = local_sim._cv_vector(np.array(ids), np.array(heads), iters)
+    with blocks_of(data.draw(st.integers(1, max(1, len(ids) // 2)))):
+        got = local_sim._cv_vector(np.array(ids), np.array(heads), iters)
     assert got.tolist() == cv_fold(ids, heads, iters)
     assert got.dtype == (np.uint8 if iters else np.int64)
 
@@ -670,7 +691,8 @@ def test_vector_outputs_match_the_every_level_kernel(n, data, id_mode,
     net = id_layout(make_path_network(
         n, seed=seed, segments=data.draw(st.integers(1, n))), id_mode)
     alg = RulingSetAlgorithm(spacing)
-    got = alg.vector_outputs(net)
+    with blocks_of(data.draw(st.integers(1, max(1, n // 2)))):
+        got = alg.vector_outputs(net)
     assert got.dtype == bool
     assert np.array_equal(got, oracles.ruling_outputs_every_level(alg, net))
 
@@ -695,3 +717,32 @@ def test_vector_outputs_stop_at_the_fixed_point(monkeypatch, segments):
     assert np.array_equal(got, want)
     assert np.unique(net.sinks[got]).size == np.count_nonzero(got) == segments
     assert len(levels) < 20
+
+
+def test_ruling_request_memory_stays_near_the_network():
+    # a request holds the network's four int64 arrays, 32 B/node; each
+    # stage's scratch is a few bytes a node (bool and uint8 masks) plus
+    # O(_BLOCK), not more n-sized int64 temporaries
+    n = 2 * 10 ** 5
+    tracemalloc.start()
+    try:
+        net = make_path_network(n, 0, segments=8)
+        stages = [tracemalloc.get_traced_memory()[1]]
+        alg = RulingSetAlgorithm(4)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        members = run_local(alg, net).outputs
+        stages.append(tracemalloc.get_traced_memory()[1] - held)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        report = verify_ruling(net, members, 4, alg.gap_bound())
+        stages.append(tracemalloc.get_traced_memory()[1] - held)
+    finally:
+        tracemalloc.stop()
+    assert report["ok"]
+    per_node = [peak / n for peak in stages]
+    # the build's peak, and the engine's and the verifier's above what
+    # they hold: 38, 10 and 3.4 B/node; 59, 21 and 29 B/node with
+    # n-sized int64 temporaries in every stage
+    assert per_node[0] <= 32 + 8 and per_node[1] <= 14 \
+        and per_node[2] <= 6, per_node
